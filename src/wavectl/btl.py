@@ -134,8 +134,8 @@ class Mode:
             raise InputError("mode_index must be an integer")
         if self.mode_index < 1:
             raise InputError("mode_index must be a positive integer")
-        if self.amplitude < 0:
-            raise InputError("mode amplitude must be nonnegative")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise InputError("mode amplitude must be finite and nonnegative")
         if not math.isfinite(self.phase):
             raise InputError("mode phase must be finite")
 
@@ -157,6 +157,10 @@ class Excitation:
     generator_impedance: float = 50.0
 
     def __post_init__(self):
+        for name in ("dc_offset", "fundamental_frequency", "generator_voltage",
+                     "generator_impedance"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
         if self.dc_offset < 0:
             raise InputError("dc_offset must be nonnegative")
         if not (self.fundamental_frequency > 0):
@@ -221,6 +225,24 @@ def fundamental_frequency(design: BtlDesign) -> float:
     return C0 / (4.0 * design.slowness * design.total_length)
 
 
+def _spatial_factor(design, k, x, alpha=0.0):
+    """Unit-amplitude spatial factor of a mode with axial wavenumber k.
+
+    alpha is the loss in nepers per axial meter; k and x broadcast
+    against each other.
+    """
+    gamma = alpha + 1j * k
+    if design.termination is Termination.SHORT:
+        # short pins the voltage at the terminated end: sin profile
+        return -1j * np.sinh(gamma * (x + design.left_extension))
+    if design.termination is Termination.OPEN:
+        # open end reflects with a voltage antinode: cos profile
+        return np.cosh(gamma * (x + design.left_extension))
+    # matched end absorbs the wave: flat traveling envelope, decaying
+    # from the feed end when loss is enabled
+    return np.exp(-gamma * ((design.length + design.right_extension) - x))
+
+
 def _mode_phasors(design, exc, x, attenuation=0.0, path_ratio=1.0):
     """Complex envelope of each mode at axial position(s) x.
 
@@ -238,19 +260,18 @@ def _mode_phasors(design, exc, x, attenuation=0.0, path_ratio=1.0):
     alpha = attenuation * path_ratio  # nepers per axial meter
     for j, mode in enumerate(modes):
         k = design.wavenumber(mode.mode_index * exc.fundamental_frequency)
-        gamma = alpha + 1j * k
-        if design.termination is Termination.SHORT:
-            # short pins the voltage at the terminated end: sin profile
-            out[..., j] = -1j * mode.amplitude * np.sinh(gamma * (x + design.left_extension))
-        elif design.termination is Termination.OPEN:
-            # open end reflects with a voltage antinode: cos profile
-            out[..., j] = mode.amplitude * np.cosh(gamma * (x + design.left_extension))
-        else:
-            # matched end absorbs the wave: flat traveling envelope,
-            # decaying from the feed end when loss is enabled
-            d = (design.length + design.right_extension) - x
-            out[..., j] = mode.amplitude * np.exp(-gamma * d)
+        out[..., j] = mode.amplitude * _spatial_factor(design, k, x, alpha)
     return out
+
+
+def single_tone_envelope(design: BtlDesign, f_axis) -> np.ndarray:
+    """Peak of a unit-amplitude, lossless single tone at each tap.
+
+    Shape (len(f_axis), M): the single-tone bias at drive frequency f
+    and amplitude W_b is W0 + W_b * envelope[f].
+    """
+    k = design.wavenumber(np.asarray(f_axis, dtype=float))
+    return np.abs(_spatial_factor(design, k[:, None], design.tap_positions()))
 
 
 def standing_wave_voltage(design: BtlDesign, exc: Excitation, x: float, t: float,
@@ -303,35 +324,15 @@ def _envelope_peaks(phasors, exc):
     if rows.size == 0:  # flat signal; any sample is the peak
         return signal.max(axis=1)
 
-    step = 2.0 * math.pi / n_samp
-    lo = tau[cols] - step
-    hi = tau[cols] + step
-    best = signal.max(axis=1)
-
     def evaluate(points):
         # value of the ac sum for each candidate bracket at its own phase
         phases = np.exp(1j * np.outer(points, indices))  # (B, N)
         return np.sum((coeff[rows] * phases).real, axis=1)
 
-    # all brackets share the same width, so the golden-section shrink
-    # runs in lockstep across every candidate
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = evaluate(c)
-    fd = evaluate(d)
-    tol = 1e-9 * 2.0 * math.pi
-    while (b[0] - a[0]) > tol:
-        take_left = fc >= fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = evaluate(c)
-        fd = evaluate(d)
-    mid = 0.5 * (a + b)
-    refined = evaluate(mid)
+    step = 2.0 * math.pi / n_samp
+    _, refined = golden_section_maximize(
+        evaluate, tau[cols] - step, tau[cols] + step, 1e-9 * 2.0 * math.pi)
+    best = signal.max(axis=1)
     np.maximum.at(best, rows, refined)
     return best
 

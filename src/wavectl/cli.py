@@ -343,15 +343,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    threads = os.environ.get("WAVECTL_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("wavectl: WAVECTL_THREADS must be a positive integer", file=sys.stderr)
-            return EXIT_CONFIG
-
     started = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -10,6 +10,7 @@ runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -122,6 +123,9 @@ def _number(section, path, key, problems, required=True, default=None, allow_nul
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.add(f"{path}.{key}", "must be a number")
+        return default
+    if not math.isfinite(value):
+        problems.add(f"{path}.{key}", "must be a finite number")
         return default
     return float(value)
 

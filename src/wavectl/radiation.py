@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import C0
 from .errors import InputError
-from .numutil import wrap_phase
+from .numutil import parabola_vertex, wrap_phase
 
 # reported dB values are floored here; a zero of the pattern would
 # otherwise serialize as -inf
@@ -171,22 +171,10 @@ def _metrics_from_arrays(theta, magnitude):
     # three-point quadratic refinement when the peak is interior
     if 0 < i_peak < theta.size - 1:
         x = theta[i_peak - 1 : i_peak + 2]
-        y = magnitude[i_peak - 1 : i_peak + 2]
-        denom = (y[0] - 2.0 * y[1] + y[2])
-        if denom < 0:  # proper curvature for a maximum
-            x0, x1, x2 = x
-            y0, y1, y2 = y
-            d0 = (x1 - x0) * (x2 - x0)
-            d1 = (x1 - x0) * (x2 - x1)
-            d2 = (x2 - x0) * (x2 - x1)
-            a = y0 / d0 - y1 / d1 + y2 / d2
-            b = -y0 * (x1 + x2) / d0 + y1 * (x0 + x2) / d1 - y2 * (x0 + x1) / d2
-            if a < 0:
-                xv = -b / (2.0 * a)
-                if x0 <= xv <= x2:
-                    peak_angle = float(xv)
-                    c = (y0 * x1 * x2 / d0 - y1 * x0 * x2 / d1 + y2 * x0 * x1 / d2)
-                    peak_value = float(c - b * b / (4.0 * a))
+        vertex = parabola_vertex(x, magnitude[i_peak - 1 : i_peak + 2])
+        if vertex is not None and x[0] <= vertex[0] <= x[2]:
+            peak_angle = float(vertex[0])
+            peak_value = float(vertex[1])
 
     # specular level requires a grid point at broadside
     on_axis = np.nonzero(np.abs(theta) < 1e-12)[0]

@@ -148,22 +148,6 @@ class PhaseWrapBudget(NamedTuple):
     within_budget: bool
 
 
-def _spatial_envelope(design, f_axis):
-    """|spatial factor| of a single-tone standing wave at each tap.
-
-    Shape (len(f_axis), M).  Matched termination carries a traveling
-    wave whose envelope is flat.
-    """
-    u = design.tap_positions() + design.left_extension
-    if design.termination is _btl.Termination.MATCHED:
-        return np.ones((len(f_axis), u.size))
-    k = 2.0 * math.pi * np.asarray(f_axis, dtype=float) * design.slowness / C0
-    arg = np.outer(k, u)
-    if design.termination is _btl.Termination.SHORT:
-        return np.abs(np.sin(arg))
-    return np.abs(np.cos(arg))
-
-
 def _objective_values(design, cell, table, f_axis, w_axis, w0, f_c, theta):
     """|F(theta)| over the (f, W) grid, fully vectorized.
 
@@ -171,7 +155,7 @@ def _objective_values(design, cell, table, f_axis, w_axis, w0, f_c, theta):
     array_factor pipeline for a single-tone excitation; only the
     evaluation order differs.
     """
-    envelope = _spatial_envelope(design, np.asarray(f_axis, dtype=float))
+    envelope = _btl.single_tone_envelope(design, f_axis)
     w_axis = np.asarray(w_axis, dtype=float)
     bias = w0 + w_axis[None, :, None] * envelope[:, None, :]  # (Nf, Nw, M)
     gamma, clamped = _unitcell._reflection_array(cell, table, bias, f_c)

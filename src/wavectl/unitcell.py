@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import ETA0, MU0
 from .errors import ClampWarning, FitError, InputError, ParseError, SingularInputError
-from .numutil import is_at_infinity, parallel, wrap_phase
+from .numutil import is_at_infinity, parabola_vertex, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,7 @@ def varactor_impedance(table: VaractorTable, bias_voltage: float, f: float) -> c
     if not (f > 0):
         raise InputError("frequency must be positive")
     c_v, r_v = varactor_lookup(table, bias_voltage)
-    w = 2.0 * math.pi * f
-    return r_v + 1j * w * table.series_inductance + 1.0 / (1j * w * c_v)
+    return complex(_varactor_array(table, c_v, r_v, 2.0 * math.pi * f))
 
 
 def ris_impedance(cell: CellCircuit, z_varactor: complex, f: float) -> complex:
@@ -194,14 +193,16 @@ def ris_impedance(cell: CellCircuit, z_varactor: complex, f: float) -> complex:
     The varactor sits in parallel with C_d, in series with R_d and
     L_d, and the whole branch in parallel with the sheet inductance
     L_s.  Passing an at-infinity varactor impedance removes that
-    branch (the unloaded cell).
+    branch (the unloaded cell, equal to equivalent_impedance).
     """
     if not (f > 0):
         raise InputError("frequency must be positive")
-    w = 2.0 * math.pi * f
-    z_cd = 1.0 / (1j * w * cell.C_d)
-    series = cell.R_d + 1j * w * cell.L_d + parallel(z_varactor, z_cd)
-    return parallel(series, 1j * w * cell.L_s)
+    if is_at_infinity(z_varactor):
+        return complex(equivalent_impedance(cell, f))
+    try:
+        return complex(_surface_array(cell, complex(z_varactor), 2.0 * math.pi * f))
+    except ZeroDivisionError:
+        raise InputError("degenerate parallel combination: branch impedances cancel") from None
 
 
 def reflection_coefficient(z_ris: complex) -> complex:
@@ -209,6 +210,29 @@ def reflection_coefficient(z_ris: complex) -> complex:
     z_ris = complex(z_ris)
     if z_ris == -ETA0:
         raise SingularInputError("surface impedance equals -eta0; reflection undefined")
+    return _gamma_array(z_ris)
+
+
+# The bias -> reflection kernel in its three steps.  Each takes arrays
+# (the steering grid's (Nf, Nw, M) tensor) or scalars (the public
+# views above), so every path evaluates the same expressions.
+
+def _varactor_array(table, caps, res, w):
+    """Varactor impedance R_v + j(w L_v - 1/(w C_v)) at angular frequency w."""
+    return res + 1j * (w * table.series_inductance - 1.0 / (w * caps))
+
+
+def _surface_array(cell, z_v, w):
+    """Surface impedance (R_d + jwL_d + C_d||Z_v) || jwL_s; z_v None unloads C_d."""
+    z_cd = -1j / (w * cell.C_d)
+    series = cell.R_d + 1j * w * cell.L_d + (
+        z_cd if z_v is None else z_v * z_cd / (z_v + z_cd))
+    z_s = 1j * w * cell.L_s
+    return series * z_s / (series + z_s)
+
+
+def _gamma_array(z_ris):
+    """Normal-incidence reflection coefficient (Z - eta0) / (Z + eta0)."""
     return (z_ris - ETA0) / (z_ris + ETA0)
 
 
@@ -220,12 +244,7 @@ def _reflection_array(cell, table, volts, f_c):
     """
     caps, res, clamped = _lookup_arrays(table, volts)
     w = 2.0 * math.pi * f_c
-    z_v = res + 1j * (w * table.series_inductance - 1.0 / (w * caps))
-    z_cd = -1j / (w * cell.C_d)
-    series = cell.R_d + 1j * w * cell.L_d + z_v * z_cd / (z_v + z_cd)
-    z_s = 1j * w * cell.L_s
-    z_ris = series * z_s / (series + z_s)
-    gamma = (z_ris - ETA0) / (z_ris + ETA0)
+    gamma = _gamma_array(_surface_array(cell, _varactor_array(table, caps, res, w), w))
     return gamma, clamped
 
 
@@ -260,11 +279,7 @@ def linear_ideal_phase(bias_voltage: float, v_min: float, v_max: float) -> float
 
 def equivalent_impedance(cell: CellCircuit, frequencies) -> np.ndarray:
     """Unloaded-cell impedance sweep (varactor branch removed)."""
-    f = np.asarray(frequencies, dtype=float)
-    w = 2.0 * math.pi * f
-    series = cell.R_d + 1j * w * cell.L_d + 1.0 / (1j * w * cell.C_d)
-    z_s = 1j * w * cell.L_s
-    return series * z_s / (series + z_s)
+    return _surface_array(cell, None, 2.0 * math.pi * np.asarray(frequencies, dtype=float))
 
 
 def synthesize_samples(cell: CellCircuit, frequencies, reference_impedance: float = 50.0) -> ImpedanceSamples:
@@ -275,24 +290,6 @@ def synthesize_samples(cell: CellCircuit, frequencies, reference_impedance: floa
         frequencies=f,
         impedances=equivalent_impedance(cell, f),
     )
-
-
-def _quadratic_vertex(x, y):
-    """Vertex (position, value) of the parabola through three points."""
-    # explicit Lagrange form; x values are distinct by construction
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    d0 = (x1 - x0) * (x2 - x0)
-    d1 = (x1 - x0) * (x2 - x1)
-    d2 = (x2 - x0) * (x2 - x1)
-    a = y0 / d0 - y1 / d1 + y2 / d2
-    b = -y0 * (x1 + x2) / d0 + y1 * (x0 + x2) / d1 - y2 * (x0 + x1) / d2
-    c = y0 * x1 * x2 / d0 - y1 * x0 * x2 / d1 + y2 * x0 * x1 / d2
-    if a == 0:  # degenerate: flat or linear
-        return x1, y1
-    xv = -b / (2.0 * a)
-    yv = c - b * b / (4.0 * a)
-    return xv, yv
 
 
 def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> CellCircuit:
@@ -321,9 +318,11 @@ def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> 
     # refine on log|Z|: near the pole the log of the resonance curve
     # is close to a parabola, so three points pin the vertex well
     idx = np.array([i_pole - 1, i_pole, i_pole + 1])
-    w_m, _ = _quadratic_vertex(w[idx], np.log(mag[idx]))
-    if not (w[i_pole - 1] <= w_m <= w[i_pole + 1]):
-        w_m = w[i_pole]  # refinement outside its bracket: fall back
+    vertex = parabola_vertex(w[idx], np.log(mag[idx]))
+    if vertex is not None and w[i_pole - 1] <= vertex[0] <= w[i_pole + 1]:
+        w_m = vertex[0]
+    else:
+        w_m = w[i_pole]  # no maximum inside the bracket: fall back
 
     # zero: Im(Z) sign change nearest the |Z| minimum above the pole
     above = np.nonzero(w > w_m)[0]

@@ -76,6 +76,20 @@ def test_mode_validation():
         w.Excitation(dc_offset=4.0, modes=(w.Mode(1, 1.0), w.Mode(1, 2.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_drive_rejected(bad):
+    with pytest.raises(InputError):
+        w.Mode(1, bad)
+    with pytest.raises(InputError):
+        w.Mode(1, 1.0, bad)
+    for name in ("dc_offset", "fundamental_frequency", "generator_voltage",
+                 "generator_impedance"):
+        fields = dict(dc_offset=4.0, modes=(w.Mode(1, 1.0),))
+        fields[name] = bad
+        with pytest.raises(InputError, match=name):
+            w.Excitation(**fields)
+
+
 def test_input_impedance_quarter_wave(design):
     # halfway to resonance the tangent is 1: Z = +j*Z0 for both reflective ends
     z_short = w.input_impedance(design, F0_EXACT / 2.0)

@@ -192,13 +192,6 @@ def test_exit_code_bad_tone(tmp_path):
     assert main(["bias", "--out", str(tmp_path), "--wb", "-1"]) == 2
 
 
-def test_thread_cap_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("WAVECTL_THREADS", "zero")
-    assert main(["bias", "--out", str(tmp_path)]) == 2
-    monkeypatch.setenv("WAVECTL_THREADS", "2")
-    assert main(["bias", "--out", str(tmp_path)]) == 0
-
-
 def test_console_entry_point(tmp_path):
     out = tmp_path / "run"
     proc = subprocess.run(

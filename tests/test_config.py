@@ -1,10 +1,13 @@
 """Configuration loading, validation diagnostics, bundled design."""
 
 import json
+import math
+from importlib import resources
 
 import pytest
 
 import wavectl as w
+from wavectl.cli import main
 from wavectl.errors import ConfigError
 from wavectl.serialize import sha256_of
 
@@ -136,3 +139,35 @@ def test_defaults_for_generator_fields():
     cfg = w.config_from_dict(doc)
     assert cfg.excitation.generator_voltage == 10.0
     assert cfg.excitation.generator_impedance == 50.0
+
+
+def _numeric_leaves(node, path=""):
+    """(path, container, key) for every number in a document, paths as in errors."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        sub = f"{path}[{key}]" if isinstance(node, list) else f"{path}.{key}" if path else key
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, sub)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (sub if path else f"$.{sub}"), node, key
+
+
+def test_non_finite_numbers_rejected_with_path(tmp_path, capsys):
+    text = resources.files("wavectl").joinpath("data", "reference-design.json").read_text()
+    leaves = list(_numeric_leaves(json.loads(text)))
+    assert len(leaves) > 50
+    for i, (path, _, _) in enumerate(leaves):
+        for bad in (math.nan, math.inf, -math.inf):
+            doc = json.loads(text)
+            _, node, key = list(_numeric_leaves(doc))[i]
+            node[key] = bad
+            with pytest.raises(ConfigError) as err:
+                w.config_from_dict(doc)
+            assert path in str(err.value)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["bias", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            err_text = capsys.readouterr().err
+            assert err_text.startswith("wavectl: ") and path in err_text
+            assert "Traceback" not in err_text

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wavectl.errors import InputError
 from wavectl.numutil import (
     AT_INFINITY,
     golden_section_maximize,
     is_at_infinity,
-    parallel,
+    parabola_vertex,
     wrap_phase,
 )
 
@@ -19,23 +18,6 @@ def test_at_infinity_marker():
     assert is_at_infinity(complex(math.inf, 0.0))
     assert is_at_infinity(complex(0.0, -math.inf))
     assert not is_at_infinity(1e300 + 1e300j)
-
-
-def test_parallel_basic():
-    assert parallel(2.0, 2.0) == pytest.approx(1.0)
-    z = parallel(50 + 0j, 1j * 75)
-    # 1/z must equal the admittance sum
-    assert 1.0 / z == pytest.approx(1.0 / 50 + 1.0 / (1j * 75))
-
-
-def test_parallel_with_infinite_branch():
-    assert parallel(AT_INFINITY, 42.0 - 3j) == pytest.approx(42.0 - 3j)
-    assert parallel(42.0 - 3j, AT_INFINITY) == pytest.approx(42.0 - 3j)
-
-
-def test_parallel_degenerate():
-    with pytest.raises(InputError):
-        parallel(1.0 + 1j, -1.0 - 1j)
 
 
 def test_wrap_phase_halfopen_interval():
@@ -70,3 +52,30 @@ def test_golden_section_deterministic():
     a = golden_section_maximize(fun, 0.0, 2.0, 1e-9)
     b = golden_section_maximize(fun, 0.0, 2.0, 1e-9)
     assert a == b
+
+
+def test_golden_section_array_brackets_match_scalar_calls():
+    fun = lambda x: np.sin(3 * x) + 0.1 * x * np.cos(7 * x)
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-5.0, 5.0, 40)
+    hi = lo + rng.uniform(-2.0, 2.0, 40)
+    hi[:3] = lo[:3]  # zero-width brackets
+    for tol in (1e-9, 1e-2, 0.5):
+        xs, vals = golden_section_maximize(fun, lo, hi, tol)
+        scalar = [golden_section_maximize(lambda x: float(fun(x)), a, b, tol)
+                  for a, b in zip(lo, hi)]
+        assert [(float(x), float(v)) for x, v in zip(xs, vals)] == scalar
+
+
+def test_golden_section_scalar_returns_floats():
+    x, val = golden_section_maximize(lambda x: -(x - 0.3) ** 2, 1.0, -1.0, 1e-6)
+    assert type(x) is float and type(val) is float
+
+
+def test_parabola_vertex_only_for_a_downward_parabola():
+    x, y = parabola_vertex((0.0, 1.0, 3.0), (-1.0, 0.0, -4.0))  # y = -(x - 1)**2
+    assert x == pytest.approx(1.0, abs=1e-12)
+    assert y == pytest.approx(0.0, abs=1e-12)
+    assert parabola_vertex((0.0, 1.0, 2.0), (2.0, 2.0, 2.0)) is None  # flat
+    assert parabola_vertex((0.0, 1.0, 2.0), (0.0, 1.0, 2.0)) is None  # linear
+    assert parabola_vertex((0.0, 1.0, 2.0), (1.0, 0.0, 1.0)) is None  # upward

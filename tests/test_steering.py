@@ -158,6 +158,24 @@ def test_specular_scan_grid(design, cell, table):
     assert len(d["f_hz"]) == 4 and len(d["w_volts"]) == 3
 
 
+@pytest.mark.parametrize("termination", list(w.Termination), ids=lambda t: t.value)
+def test_scan_grid_matches_full_pipeline(design, cell, table, termination):
+    line = replace(design, termination=termination)
+    spec = w.SearchSpec(f_range=(0.5e6, 12.5e6), f_step=3e6, w_range=(0.0, 12.0),
+                        w_step=4.0, w0=4.0)
+    probes = [math.radians(deg) for deg in (0.0, -8.0, 5.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grids = w.specular_scan(line, cell, table, spec, probes)
+        for probe, grid in zip(probes, grids):
+            for i, f_b in enumerate(grid.f_axis):
+                for j, w_b in enumerate(grid.w_axis):
+                    pattern = w.evaluate_operating_point(
+                        line, cell, table, f_b, w_b, spec.w0, 2.45e9,
+                        theta_grid=np.array([probe - 1e-3, probe, probe + 1e-3]))
+                    assert grid.values[i, j] == pytest.approx(pattern.magnitude[1], rel=1e-12)
+
+
 def test_specular_scan_probe_validation(design, cell, table):
     spec = w.SearchSpec(f_range=(1e6, 2e6), f_step=1e6, w_range=(0.0, 1.0),
                         w_step=1.0, w0=4.0)

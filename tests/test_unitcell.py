@@ -72,6 +72,15 @@ def test_reflection_coefficient_singular():
         w.reflection_coefficient(complex(-377.0, 0.0))
 
 
+def test_ris_impedance_unloaded_and_degenerate(cell):
+    for f in (1e9, 2.45e9, 7e9):
+        assert w.ris_impedance(cell, w.AT_INFINITY, f) == w.equivalent_impedance(cell, f)
+    # a varactor impedance that cancels C_d leaves no parallel combination
+    omega = 2.0 * math.pi * 2.45e9
+    with pytest.raises(InputError):
+        w.ris_impedance(cell, 1j / (omega * cell.C_d), 2.45e9)
+
+
 def test_equivalent_impedance_matches_rational_form(cell):
     # closed-form rational expression derived by hand from the ladder
     f = np.linspace(0.5e9, 8e9, 57)
