@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import C0
 from .errors import InputError
-from .numutil import AT_INFINITY, golden_section_maximize
+from .numutil import AT_INFINITY
 
 # Below this, a trigonometric factor is treated as an exact zero when
 # classifying impedance poles.
@@ -70,14 +70,14 @@ class BtlDesign:
             raise InputError("element_count must be an integer")
         if self.element_count < 1:
             raise InputError("element_count must be at least 1")
-        if not (self.spacing > 0):
-            raise InputError("spacing must be positive")
-        if self.left_extension < 0 or self.right_extension < 0:
-            raise InputError("extensions must be nonnegative")
-        if not (self.slowness >= 1.0):
-            raise InputError("slowness must be at least 1")
-        if not (self.characteristic_impedance > 0):
-            raise InputError("characteristic_impedance must be positive")
+        if not (0 < self.spacing < math.inf):
+            raise InputError("spacing must be positive and finite")
+        if not (0 <= self.left_extension < math.inf and 0 <= self.right_extension < math.inf):
+            raise InputError("extensions must be nonnegative and finite")
+        if not (1.0 <= self.slowness < math.inf):
+            raise InputError("slowness must be at least 1 and finite")
+        if not (0 < self.characteristic_impedance < math.inf):
+            raise InputError("characteristic_impedance must be positive and finite")
         if not isinstance(self.termination, Termination):
             raise InputError("termination must be a Termination value")
         if not (self.total_length > 0):
@@ -112,11 +112,11 @@ class MicrostripSpec:
     path_length_per_cell: float
 
     def __post_init__(self):
-        if not (self.relative_permittivity >= 1.0):
-            raise InputError("relative_permittivity must be at least 1")
+        if not (1.0 <= self.relative_permittivity < math.inf):
+            raise InputError("relative_permittivity must be at least 1 and finite")
         for name in ("substrate_thickness", "trace_width", "path_length_per_cell"):
-            if not (getattr(self, name) > 0):
-                raise InputError(f"{name} must be positive")
+            if not (0 < getattr(self, name) < math.inf):
+                raise InputError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -274,6 +274,20 @@ def single_tone_envelope(design: BtlDesign, f_axis) -> np.ndarray:
     return np.abs(_spatial_factor(design, k[:, None], design.tap_positions()))
 
 
+def _ac_coefficients(phasors, exc):
+    """Coefficients c (phasors with the mode phases folded in) and mode
+    indices n of the ac sum s(tau) = Re sum_n c_n exp(j*n*tau)."""
+    indices = np.array([m.mode_index for m in exc.modes], dtype=int)
+    offsets = np.array([m.phase for m in exc.modes], dtype=float)
+    return phasors * np.exp(1j * offsets), indices
+
+
+def _ac_sum(coeff, indices, tau):
+    """s(tau) for coefficients c (..., N) at phases tau (..., K): (..., K)."""
+    basis = np.exp(1j * np.multiply.outer(tau, indices))  # (..., K, N)
+    return (basis @ coeff[..., None])[..., 0].real
+
+
 def standing_wave_voltage(design: BtlDesign, exc: Excitation, x: float, t: float,
                           attenuation: float = 0.0, path_ratio: float = 1.0) -> float:
     """Instantaneous line voltage at position x and time t."""
@@ -283,58 +297,40 @@ def standing_wave_voltage(design: BtlDesign, exc: Excitation, x: float, t: float
             f"[{-design.left_extension}, {design.length + design.right_extension}] m"
         )
     phasors = _mode_phasors(design, exc, float(x), attenuation, path_ratio)
-    total = exc.dc_offset
-    w_b = 2.0 * math.pi * exc.fundamental_frequency
-    for j, mode in enumerate(exc.modes):
-        total += (phasors[j] * np.exp(1j * (mode.mode_index * w_b * t + mode.phase))).real
-    return float(total)
+    coeff, indices = _ac_coefficients(phasors, exc)
+    tau = 2.0 * math.pi * exc.fundamental_frequency * t
+    return float(exc.dc_offset + _ac_sum(coeff, indices, np.array([tau]))[0])
 
 
 def _envelope_peaks(phasors, exc):
     """Peak over one fundamental period of the ac sum, per position.
 
-    phasors has shape (M, N).  Single-tone input short-circuits to the
-    closed form |P|; the multi-tone path samples one period densely
-    and refines every sampled local maximum with a golden-section
-    search, which keeps the result within the refinement tolerance of
-    the true peak even when maxima are closely spaced.
+    phasors has shape (M, N).  A single tone peaks at |P|.  For several,
+    s(tau) = Re sum_n c_n z**n, z = exp(j*tau), peaks where ds/dtau = 0,
+    and z**n_max * ds/dtau is a polynomial in z (Boyd, J. Eng. Math.
+    2006).  The peak is the largest s over the angles of its roots and
+    tau = 0; each candidate is a value s attains, so roots may stray
+    off |z| = 1.
     """
-    n_modes = phasors.shape[-1]
-    if n_modes == 0:
-        return np.zeros(phasors.shape[0])
-    if n_modes == 1:
+    if phasors.shape[-1] == 1:
         return np.abs(phasors[:, 0])
-
-    indices = np.array([m.mode_index for m in exc.modes], dtype=float)
-    offsets = np.array([m.phase for m in exc.modes], dtype=float)
-    # fold the per-mode phase offsets into the envelope coefficients
-    coeff = phasors * np.exp(1j * offsets)
-
-    n_max = int(max(m.mode_index for m in exc.modes))
-    n_samp = 1024 * n_max
-    tau = np.arange(n_samp) * (2.0 * math.pi / n_samp)  # fundamental phase
-    basis = np.exp(1j * np.outer(indices, tau))  # (N, S)
-    signal = (coeff @ basis).real  # (M, S)
-
-    left = np.roll(signal, 1, axis=1)
-    right = np.roll(signal, -1, axis=1)
-    is_peak = (signal >= left) & (signal >= right)
-
-    rows, cols = np.nonzero(is_peak)
-    if rows.size == 0:  # flat signal; any sample is the peak
-        return signal.max(axis=1)
-
-    def evaluate(points):
-        # value of the ac sum for each candidate bracket at its own phase
-        phases = np.exp(1j * np.outer(points, indices))  # (B, N)
-        return np.sum((coeff[rows] * phases).real, axis=1)
-
-    step = 2.0 * math.pi / n_samp
-    _, refined = golden_section_maximize(
-        evaluate, tau[cols] - step, tau[cols] + step, 1e-9 * 2.0 * math.pi)
-    best = signal.max(axis=1)
-    np.maximum.at(best, rows, refined)
-    return best
+    coeff, indices = _ac_coefficients(phasors, exc)
+    # scale each tap by an exact power of two (safe for subnormal amplitudes)
+    # and zero terms below rounding: np.roots never divides by a tiny lead
+    mag = np.abs(coeff)
+    top = mag.max(axis=-1, initial=0.0, keepdims=True)
+    scaled = np.ldexp(coeff.view(float), -np.frexp(top)[1]).view(complex)
+    scaled[mag < 1e-15 * top] = 0.0
+    # highest power first: j*n*c_n at z**(n_max+n), -j*n*conj(c_n) at z**(n_max-n)
+    n_max = int(indices.max(initial=0))
+    poly = np.zeros((len(coeff), 2 * n_max + 1), dtype=complex)
+    poly[:, n_max - indices] = 1j * indices * scaled
+    poly[:, n_max + indices] = -1j * indices * np.conj(scaled)
+    tau = np.zeros(poly.shape)  # one slot more than roots: tau = 0 always stays
+    for m, row in enumerate(poly):
+        roots = np.roots(row)
+        tau[m, :roots.size] = np.angle(roots)
+    return _ac_sum(coeff, indices, tau).max(axis=-1)
 
 
 def rectified_bias(design: BtlDesign, exc: Excitation, diode_drop: float = 0.0,

@@ -53,15 +53,12 @@ class RectifierSpec:
     load_resistance: float = 10.0e3
     hold_capacitance: float = 200.0e-12
     line_loading: complex = 1000.0 + 0.0j
-    diode_drop: float = 0.0
 
     def __post_init__(self):
         if not (self.load_resistance > 0):
             raise InputError("load_resistance must be positive")
         if not (self.hold_capacitance > 0):
             raise InputError("hold_capacitance must be positive")
-        if self.diode_drop < 0:
-            raise InputError("diode_drop must be nonnegative")
         z = complex(self.line_loading)
         if not is_at_infinity(z) and z.real < 0:
             raise InputError("line_loading must be passive (nonnegative real part)")
@@ -163,8 +160,8 @@ def build_network(design: BtlDesign, microstrip, rectifier: RectifierSpec, f: fl
     """
     if not (f > 0):
         raise InputError("frequency must be positive")
-    if total_loss_db < 0:
-        raise InputError("total_loss_db must be nonnegative")
+    if not (0 <= total_loss_db < math.inf):
+        raise InputError("total_loss_db must be nonnegative and finite")
     if design.termination is Termination.SHORT:
         termination = CascadeTermination.SHORT_VIA_CF
     elif design.termination is Termination.OPEN:

@@ -43,6 +43,17 @@ EXIT_IO = 3
 EXIT_SOLVER = 4
 
 
+def _finite(raw):
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavectl",
@@ -61,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the element count")
 
     def add_tone(p, with_wb=True):
-        p.add_argument("--fb", type=float, metavar="HZ",
+        p.add_argument("--fb", type=_finite, metavar="HZ",
                        help="bias frequency (default: config fundamental)")
         if with_wb:
-            p.add_argument("--wb", type=float, metavar="V",
+            p.add_argument("--wb", type=_finite, metavar="V",
                            help="standing-wave amplitude (default: derived from the generator)")
-        p.add_argument("--w0", type=float, metavar="V",
+        p.add_argument("--w0", type=_finite, metavar="V",
                        help="dc offset (default: config value)")
 
     p_bias = sub.add_parser("bias", help="rectified bias voltage at each tap")
@@ -81,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_steer = sub.add_parser("steer", help="search frequency and amplitude for a target angle")
     add_common(p_steer)
-    p_steer.add_argument("--theta", type=float, required=True, metavar="DEG",
+    p_steer.add_argument("--theta", type=_finite, required=True, metavar="DEG",
                          help="target beam angle in degrees")
-    p_steer.add_argument("--w0", type=float, metavar="V")
+    p_steer.add_argument("--w0", type=_finite, metavar="V")
     p_steer.add_argument("--coarse-only", action="store_true",
                          help="skip the local refinement stage")
 
@@ -91,19 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_scan)
     p_scan.add_argument("--probe", default="0", metavar="DEG[,DEG...]",
                         help="comma-separated probe angles in degrees (default 0)")
-    p_scan.add_argument("--fmin", type=float, default=0.1e6, metavar="HZ")
-    p_scan.add_argument("--fmax", type=float, default=30.0e6, metavar="HZ")
-    p_scan.add_argument("--fstep", type=float, default=0.1e6, metavar="HZ")
-    p_scan.add_argument("--wmin", type=float, default=0.0, metavar="V")
-    p_scan.add_argument("--wmax", type=float, default=12.0, metavar="V")
-    p_scan.add_argument("--wstep", type=float, default=0.1, metavar="V")
-    p_scan.add_argument("--w0", type=float, metavar="V")
+    p_scan.add_argument("--fmin", type=_finite, default=0.1e6, metavar="HZ")
+    p_scan.add_argument("--fmax", type=_finite, default=30.0e6, metavar="HZ")
+    p_scan.add_argument("--fstep", type=_finite, default=0.1e6, metavar="HZ")
+    p_scan.add_argument("--wmin", type=_finite, default=0.0, metavar="V")
+    p_scan.add_argument("--wmax", type=_finite, default=12.0, metavar="V")
+    p_scan.add_argument("--wstep", type=_finite, default=0.1, metavar="V")
+    p_scan.add_argument("--w0", type=_finite, metavar="V")
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_fit = sub.add_parser("fit", help="recover circuit values from an impedance sweep")
     p_fit.add_argument("--input", required=True, metavar="PATH",
                        help="impedance data: CSV (f_hz,re_z,im_z) or one-port Touchstone")
-    p_fit.add_argument("--thickness", type=float, required=True, metavar="M",
+    p_fit.add_argument("--thickness", type=_finite, required=True, metavar="M",
                        help="substrate thickness in meters")
     p_fit.add_argument("--input-format", choices=["auto", "csv", "s1p", "touchstone"],
                        default="auto")
@@ -115,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_tone(p_cascade, with_wb=False)
     p_cascade.add_argument("--zrect", metavar="OHM",
                            help="rectifier input impedance ('inf' for unloaded taps)")
-    p_cascade.add_argument("--loss-db", type=float, default=0.0, metavar="DB",
+    p_cascade.add_argument("--loss-db", type=_finite, default=0.0, metavar="DB",
                            help="total line loss in dB (default 0)")
     p_cascade.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -234,9 +245,9 @@ def _cmd_steer(args):
 
 def _parse_probes(raw: str):
     try:
-        probes = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise InputError(f"cannot parse probe angles {raw!r}") from None
+        probes = [_finite(tok) for tok in raw.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError as err:
+        raise InputError(f"--probe: {err}") from None
     if not probes:
         raise InputError("at least one probe angle is required")
     return [math.radians(p) for p in probes]
@@ -293,8 +304,8 @@ def _parse_zrect(raw):
         value = float(raw)
     except ValueError:
         raise InputError(f"cannot parse rectifier impedance {raw!r}") from None
-    if value <= 0:
-        raise InputError("rectifier impedance must be positive")
+    if not value > 0:
+        raise InputError(f"--zrect must be a positive number or 'inf', got {raw!r}")
     return value
 
 

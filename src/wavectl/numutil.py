@@ -34,37 +34,28 @@ def golden_section_maximize(fun, lo, hi, tol):
 
     Assumes the function is unimodal on the bracket; on multimodal
     input it still terminates and returns a local result.  Returns
-    (x, fun(x)).  Fully deterministic for identical inputs.
-
-    lo and hi may also be arrays of brackets searched side by side:
-    ``fun`` then maps an array of points to an array of values
-    elementwise, and each bracket stops shrinking once it is within
-    tol, so every bracket ends where a scalar call on it would.  Each
-    step evaluates one new interior point per bracket.
+    (x, fun(x)) with x a Python float.  Each step evaluates one new
+    interior point.  Fully deterministic for identical inputs.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    call = (lambda x: fun(float(x))) if scalar else fun
-    a = np.minimum(lo, hi).astype(float)
-    b = np.maximum(lo, hi).astype(float)
-    active = (b - a) > tol
-    if np.any(active):
+    a, b = float(min(lo, hi)), float(max(lo, hi))
+    if b - a > tol:
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc = call(c)
-        fd = call(d)
-        while np.any(active):
-            # keep [a, d] where c is the better point, else [c, b]; the
-            # surviving interior point is reused, so one new evaluation
-            left = np.greater_equal(fc, fd)
-            b = np.where(active & left, d, b)
-            a = np.where(active & ~left, c, a)
-            x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-            fx = call(x)
-            c, d = np.where(left, x, d), np.where(left, c, x)
-            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-            active = (b - a) > tol
+        fc = fun(c)
+        fd = fun(d)
+        while b - a > tol:
+            # keep [a, d] when c is the better point, else [c, b]; the
+            # surviving interior point is reused
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = fun(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = fun(d)
     x = 0.5 * (a + b)
-    return (float(x), fun(float(x))) if scalar else (x, fun(x))
+    return x, fun(x)
 
 
 def parabola_vertex(x, y):

@@ -60,14 +60,14 @@ class SearchSpec:
     def __post_init__(self):
         f_lo, f_hi = (float(self.f_range[0]), float(self.f_range[1]))
         w_lo, w_hi = (float(self.w_range[0]), float(self.w_range[1]))
-        if not (0 < f_lo <= f_hi):
-            raise InputError("f_range must satisfy 0 < lo <= hi")
-        if not (0 <= w_lo <= w_hi):
-            raise InputError("w_range must satisfy 0 <= lo <= hi")
-        if not (self.f_step > 0 and self.w_step > 0):
-            raise InputError("grid steps must be positive")
-        if self.w0 < 0:
-            raise InputError("w0 must be nonnegative")
+        if not (0 < f_lo <= f_hi < math.inf):
+            raise InputError("f_range must satisfy 0 < lo <= hi and be finite")
+        if not (0 <= w_lo <= w_hi < math.inf):
+            raise InputError("w_range must satisfy 0 <= lo <= hi and be finite")
+        if not (0 < self.f_step < math.inf and 0 < self.w_step < math.inf):
+            raise InputError("grid steps must be positive and finite")
+        if not (0 <= self.w0 < math.inf):
+            raise InputError("w0 must be nonnegative and finite")
         object.__setattr__(self, "f_range", (f_lo, f_hi))
         object.__setattr__(self, "w_range", (w_lo, w_hi))
 
@@ -298,7 +298,7 @@ def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
     grids = []
     clamped_any = False
     for probe in probe_angles:
-        if abs(probe) > math.pi / 2:
+        if not abs(probe) <= math.pi / 2:
             raise InputError("probe angles must lie within +-90 degrees")
         values, clamped = _objective_values(
             design, cell, table, f_axis, w_axis, spec.w0, f_c, float(probe)

@@ -37,9 +37,11 @@ class VaractorTable:
     rows: tuple
 
     def __post_init__(self):
-        if not (self.series_inductance > 0):
-            raise InputError("series_inductance must be positive")
+        if not (0 < self.series_inductance < math.inf):
+            raise InputError("series_inductance must be positive and finite")
         rows = tuple((float(v), float(c), float(r)) for v, c, r in self.rows)
+        if not all(math.isfinite(x) for row in rows for x in row):
+            raise InputError("varactor rows must be finite")
         if len(rows) < 2:
             raise InputError("varactor table needs at least two rows")
         volts = np.array([r[0] for r in rows])
@@ -82,8 +84,8 @@ class CellCircuit:
 
     def __post_init__(self):
         for name in ("R_d", "C_d", "L_d", "L_s"):
-            if not (getattr(self, name) > 0):
-                raise InputError(f"{name} must be strictly positive")
+            if not (0 < getattr(self, name) < math.inf):
+                raise InputError(f"{name} must be strictly positive and finite")
 
     @property
     def electric_resonance(self):

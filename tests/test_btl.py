@@ -246,3 +246,60 @@ def test_short_bias_monotone_below_resonance_property(fb):
     exc = w.Excitation(dc_offset=4.0, modes=(w.Mode(1, 5.0),), fundamental_frequency=fb)
     bias = w.rectified_bias(design, exc).voltages
     assert np.all(np.diff(bias) > -1e-12)
+
+
+_TERMINATIONS = (w.Termination.SHORT, w.Termination.OPEN, w.Termination.MATCHED)
+
+
+def _dense_grid_bias(design, exc, per_mode=4096):
+    n_samples = per_mode * max(m.mode_index for m in exc.modes)
+    return _brute_force_bias(design, exc, n_samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_TERMINATIONS),
+    st.sampled_from((27, 60)),
+    st.lists(st.tuples(st.integers(1, 8), st.floats(0.0, 5.0), st.floats(-3.14, 3.14)),
+             min_size=2, max_size=5, unique_by=lambda t: t[0]),
+    st.floats(0.0, 5.0),
+    st.floats(1e5, 2e7),
+)
+def test_multi_tone_peak_bounds_property(termination, count, mode_rows, w0, fb):
+    design = w.BtlDesign(element_count=count, spacing=0.02, left_extension=0.01,
+                         right_extension=0.01, slowness=19.34,
+                         characteristic_impedance=19.23, termination=termination)
+    exc = w.Excitation(dc_offset=w0, modes=tuple(w.Mode(*row) for row in mode_rows),
+                       fundamental_frequency=fb)
+    bias = w.rectified_bias(design, exc).voltages
+    # the exact peak is at least every sample of the period ...
+    assert np.all(bias >= _dense_grid_bias(design, exc) - 1e-12)
+    # ... and at most the mode-amplitude budget, up to rounding
+    assert np.all(bias <= w0 + exc.amplitude_sum + 1e-12)
+
+
+@pytest.mark.parametrize("termination", _TERMINATIONS)
+@pytest.mark.parametrize("left_extension", [0.0, 0.01])
+def test_multi_tone_peak_degenerate_inputs(design, termination, left_extension):
+    d = replace(design, termination=termination, left_extension=left_extension)
+
+    def bias(*modes):
+        exc = w.Excitation(dc_offset=1.5, modes=tuple(w.Mode(*m) for m in modes),
+                           fundamental_frequency=5.3e6)
+        return w.rectified_bias(d, exc).voltages
+
+    single = bias((1, 3.0, 0.4))
+    assert np.all(bias((1, 0.0), (2, 0.0)) == 1.5)  # all-zero amplitudes
+    # a zero or subnormal top mode leaves the single tone's peak
+    assert np.allclose(bias((1, 3.0, 0.4), (5, 0.0)), single, rtol=0, atol=1e-13)
+    assert np.allclose(bias((1, 3.0, 0.4), (12, 1e-310)), single, rtol=0, atol=1e-13)
+    assert np.all(bias((2, 1e-310), (7, 1e-310, 1.0)) == 1.5)  # only subnormal modes
+    exc = w.Excitation(dc_offset=1.5, fundamental_frequency=5.3e6,
+                       modes=(w.Mode(3, 1.0), w.Mode(6, 1.0), w.Mode(9, 1.0)))
+    harmonics = w.rectified_bias(d, exc).voltages  # equal-amplitude harmonics
+    dense = _dense_grid_bias(d, exc)
+    assert np.all(harmonics >= dense - 1e-12)
+    assert np.abs(harmonics - dense).max() < 1e-6
+    if termination is w.Termination.SHORT and left_extension == 0.0:
+        # the first tap sits on the short, where every coefficient is 0
+        assert harmonics[0] == 1.5

@@ -121,3 +121,9 @@ def test_rectified_from_phasors_clamps(design):
     assert np.allclose(bias.voltages, 4.0)
     plain = w.rectified_from_phasors(nodes, 4.0)
     assert np.allclose(plain.voltages, 4.0 + np.abs(nodes.tap_voltages))
+
+
+@pytest.mark.parametrize("loss", [math.nan, math.inf, -1.0])
+def test_build_network_rejects_bad_loss(design, loss):
+    with pytest.raises(InputError, match="total_loss_db"):
+        w.build_network(design, None, w.RectifierSpec(), 5e6, total_loss_db=loss)

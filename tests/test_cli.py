@@ -205,3 +205,35 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc_info:
         main(["--help"])
     assert exc_info.value.code == 0
+
+
+def _run_cli(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value with exit 2
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bias", "--fb", "inf"], "--fb"),
+    (["pattern", "--fb", "inf"], "--fb"),
+    (["cascade", "--fb", "inf"], "--fb"),
+    (["bias", "--fb", "nan"], "--fb"),
+    (["bias", "--wb", "inf"], "--wb"),
+    (["pattern", "--w0", "-inf"], "--w0"),
+    (["steer", "--theta", "nan"], "--theta"),
+    (["scan", "--fmax", "inf"], "--fmax"),
+    (["scan", "--wmax", "inf"], "--wmax"),
+    (["scan", "--fstep", "nan"], "--fstep"),
+    (["scan", "--probe", "nan"], "--probe"),
+    (["scan", "--probe", "0,inf"], "--probe"),
+    (["fit", "--input", "sweep.csv", "--thickness", "inf"], "--thickness"),
+    (["cascade", "--loss-db", "nan"], "--loss-db"),
+    (["cascade", "--zrect", "nan"], "--zrect"),
+])
+def test_non_finite_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    assert _run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(flag in line for line in err.splitlines() if "wavectl" in line)
+    assert not any(p.name.endswith("-report.json") for p in tmp_path.iterdir())

@@ -54,19 +54,6 @@ def test_golden_section_deterministic():
     assert a == b
 
 
-def test_golden_section_array_brackets_match_scalar_calls():
-    fun = lambda x: np.sin(3 * x) + 0.1 * x * np.cos(7 * x)
-    rng = np.random.default_rng(3)
-    lo = rng.uniform(-5.0, 5.0, 40)
-    hi = lo + rng.uniform(-2.0, 2.0, 40)
-    hi[:3] = lo[:3]  # zero-width brackets
-    for tol in (1e-9, 1e-2, 0.5):
-        xs, vals = golden_section_maximize(fun, lo, hi, tol)
-        scalar = [golden_section_maximize(lambda x: float(fun(x)), a, b, tol)
-                  for a, b in zip(lo, hi)]
-        assert [(float(x), float(v)) for x, v in zip(xs, vals)] == scalar
-
-
 def test_golden_section_scalar_returns_floats():
     x, val = golden_section_maximize(lambda x: -(x - 0.3) ** 2, 1.0, -1.0, 1e-6)
     assert type(x) is float and type(val) is float

@@ -183,3 +183,20 @@ def test_specular_scan_probe_validation(design, cell, table):
         w.specular_scan(design, cell, table, spec, [2.0])
     with pytest.raises(InputError):
         w.specular_scan(design, cell, table, spec, [])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("f_range", (1e6, math.inf)), ("f_range", (math.nan, 2e6)),
+    ("w_range", (0.0, math.inf)), ("f_step", math.inf), ("w_step", math.nan),
+    ("w0", math.nan),
+])
+def test_search_spec_rejects_non_finite(field, value):
+    with pytest.raises(InputError, match="finite"):
+        w.SearchSpec(**{field: value})
+
+
+def test_specular_scan_rejects_nan_probe(design, cell, table):
+    spec = w.SearchSpec(f_range=(1e6, 2e6), f_step=1e6, w_range=(0.0, 1.0),
+                        w_step=1.0, w0=4.0)
+    with pytest.raises(InputError):
+        w.specular_scan(design, cell, table, spec, [math.nan])

@@ -7,6 +7,7 @@ demand the recovered circuit match them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,3 +290,32 @@ def test_ingest_format_sniffing(tmp_path, cell):
     _write_s1p(s1p_path, ["# GHz S MA R 50"]
                + [f"{1 + 0.1 * k:.3f} 0.5 10.0" for k in range(16)])
     assert w.ingest_impedance(s1p_path, fmt="auto").frequencies.size == 16
+
+
+def _with_row(table, row, column, value):
+    rows = [list(r) for r in table.rows]
+    rows[row][column] = value
+    return w.VaractorTable(series_inductance=table.series_inductance, rows=rows)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build", [
+    *[lambda d, c, t, m, bad, f=f: replace(d, **{f: bad})
+      for f in ("spacing", "left_extension", "right_extension", "slowness",
+                "characteristic_impedance")],
+    *[lambda d, c, t, m, bad, f=f: replace(c, **{f: bad}) for f in ("R_d", "C_d", "L_d", "L_s")],
+    *[lambda d, c, t, m, bad, f=f: replace(m, **{f: bad})
+      for f in ("relative_permittivity", "substrate_thickness", "trace_width",
+                "path_length_per_cell")],
+    lambda d, c, t, m, bad: w.VaractorTable(series_inductance=bad, rows=t.rows),
+    lambda d, c, t, m, bad: _with_row(t, -1, 0, bad),
+    lambda d, c, t, m, bad: _with_row(t, 0, 1, bad),
+    lambda d, c, t, m, bad: _with_row(t, 1, 2, bad),
+], ids=["spacing", "left_extension", "right_extension", "slowness",
+        "characteristic_impedance", "R_d", "C_d", "L_d", "L_s",
+        "relative_permittivity", "substrate_thickness", "trace_width",
+        "path_length_per_cell", "series_inductance", "row_voltage",
+        "row_capacitance", "row_resistance"])
+def test_non_finite_dataclass_fields_rejected(design, cell, table, microstrip, build, bad):
+    with pytest.raises(InputError):
+        build(design, cell, table, microstrip, bad)
