@@ -333,21 +333,27 @@ def _envelope_peaks(phasors, exc):
     return _ac_sum(coeff, indices, tau).max(axis=-1)
 
 
+def detected_bias(positions, dc_offset, peaks, diode_drop) -> BiasPattern:
+    """Peak-detector output at each tap: dc + max(peak - diode_drop, 0).
+
+    A tap whose ac peak stays below the diode drop never conducts and
+    sits at the dc offset.
+    """
+    if not (0 <= diode_drop < math.inf):
+        raise InputError("diode_drop must be nonnegative and finite")
+    return BiasPattern(positions=positions,
+                       voltages=dc_offset + np.maximum(peaks - diode_drop, 0.0))
+
+
 def rectified_bias(design: BtlDesign, exc: Excitation, diode_drop: float = 0.0,
                    attenuation: float = 0.0, path_ratio: float = 1.0) -> BiasPattern:
     """Dc bias at every tap: dc offset plus the peak of the local ac sum.
 
-    diode_drop models a constant rectifier drop subtracted from the ac
-    peak; with it the pattern can dip slightly below the dc offset at
-    envelope nodes, matching how real peak detectors behave.
+    diode_drop models a constant rectifier drop, applied by detected_bias.
     """
-    if diode_drop < 0:
-        raise InputError("diode_drop must be nonnegative")
     x = design.tap_positions()
     phasors = _mode_phasors(design, exc, x, attenuation, path_ratio)
-    peaks = _envelope_peaks(phasors, exc)
-    voltages = exc.dc_offset + peaks - diode_drop
-    return BiasPattern(positions=x, voltages=voltages)
+    return detected_bias(x, exc.dc_offset, _envelope_peaks(phasors, exc), diode_drop)
 
 
 def input_impedance(design: BtlDesign, f: float):

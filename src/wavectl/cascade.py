@@ -24,7 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .btl import BtlDesign, BiasPattern, MicrostripSpec, Termination, slowness_factor
+from .btl import (BtlDesign, BiasPattern, MicrostripSpec, Termination, detected_bias,
+                  slowness_factor)
 from .constants import C0
 from .errors import InputError, SolverError
 from .numutil import is_at_infinity
@@ -259,12 +260,5 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
 
 def rectified_from_phasors(nodes: NodeVoltages, dc_offset: float,
                            diode_drop: float = 0.0) -> BiasPattern:
-    """Peak-detect the solved tap phasors into a dc bias pattern.
-
-    The drop is clamped at zero: a tap whose envelope falls below the
-    diode drop simply never conducts and stays at the dc offset.
-    """
-    if diode_drop < 0:
-        raise InputError("diode_drop must be nonnegative")
-    peaks = np.maximum(np.abs(nodes.tap_voltages) - diode_drop, 0.0)
-    return BiasPattern(positions=nodes.tap_positions, voltages=dc_offset + peaks)
+    """Peak-detect the solved tap phasors into a dc bias pattern (see detected_bias)."""
+    return detected_bias(nodes.tap_positions, dc_offset, np.abs(nodes.tap_voltages), diode_drop)

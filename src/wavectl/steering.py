@@ -40,6 +40,11 @@ class MinimizeSpecular:
 Objective = Union[MaximizeAt, MinimizeSpecular]
 
 
+# largest (f, W) grid a search may span, 29x the default 300 x 121 grid:
+# at the cap each complex (Nf, Nw, M) tensor of a 60-element search is 1 GB
+_MAX_GRID_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """Search ranges for the two tunable biasing parameters.
@@ -68,6 +73,10 @@ class SearchSpec:
             raise InputError("grid steps must be positive and finite")
         if not (0 <= self.w0 < math.inf):
             raise InputError("w0 must be nonnegative and finite")
+        if _axis_count(f_lo, f_hi, self.f_step) * _axis_count(w_lo, w_hi, self.w_step) \
+                > _MAX_GRID_POINTS:
+            raise InputError(f"f_range/f_step and w_range/w_step span more than "
+                             f"{_MAX_GRID_POINTS} grid points")
         object.__setattr__(self, "f_range", (f_lo, f_hi))
         object.__setattr__(self, "w_range", (w_lo, w_hi))
 
@@ -78,10 +87,14 @@ class SearchSpec:
         return _axis(self.w_range[0], self.w_range[1], self.w_step)
 
 
+def _axis_count(lo, hi, step):
+    """Points in the inclusive grid lo, lo + step, ... <= hi, capped past the bound."""
+    return int(math.floor(min((hi - lo) / step, _MAX_GRID_POINTS) + 1e-9)) + 1
+
+
 def _axis(lo, hi, step):
     """Inclusive arithmetic grid; robust to float step rounding."""
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + np.arange(count) * step
+    return lo + np.arange(_axis_count(lo, hi, step)) * step
 
 
 @dataclass(frozen=True)

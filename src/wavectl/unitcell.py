@@ -9,7 +9,9 @@ for a normally incident plane wave.
 
 The reverse path is also covered: given sampled impedance data (from
 a solver export or a measurement file) the circuit parameters are
-recovered from the pole/zero pair of the impedance sweep.
+recovered by one weighted linear least-squares solve on the series
+branch left once the sheet inductance is removed; each sample weighs
+|Z| / |Z_ser|**2, the inverse of its error under relative noise on Z.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .constants import ETA0, MU0
 from .errors import ClampWarning, FitError, InputError, ParseError, SingularInputError
-from .numutil import is_at_infinity, parabola_vertex, wrap_phase
+from .numutil import is_at_infinity, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,8 @@ class ImpedanceSamples:
             raise InputError("frequencies and impedances must be 1-d arrays of equal length")
         if f.size < 16:
             raise InputError("impedance sweep needs at least 16 points")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(z))):
+            raise InputError("frequencies and impedances must be finite")
         if not np.all(np.diff(f) > 0):
             raise InputError("frequencies must be strictly increasing")
         f.setflags(write=False)
@@ -297,9 +301,18 @@ def synthesize_samples(cell: CellCircuit, frequencies, reference_impedance: floa
 def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> CellCircuit:
     """Recover the four circuit parameters from an impedance sweep.
 
-    The sheet inductance follows from the substrate thickness alone;
-    the pole of |Z| and the zero of Im(Z) above it anchor the
-    remaining three values.  The sweep must bracket both resonances.
+    The sheet inductance follows from the substrate thickness alone,
+    L_s = mu0 * t.  Removing its admittance leaves the series branch,
+    Z_ser = 1 / (1/Z - 1/(jwL_s)) = R_d + j(wL_d - 1/(wC_d)), which is
+    linear in (R_d, L_d, 1/C_d) (Levy's complex-curve fit, IRE Trans.
+    Automatic Control, 1959).  One weighted least-squares solve gives
+    them: R_d is the weighted mean of Re Z_ser and (L_d, 1/C_d) fit
+    Im Z_ser on the columns [w, -1/w].  Each sample weighs
+    |Z| / |Z_ser|**2, the inverse of its error under relative noise on
+    Z (dZ_ser = Z_ser**2 dZ / Z**2).  Noise-free data is recovered to
+    rounding at any sweep that holds the sixteen points ImpedanceSamples
+    requires.  A fitted value that is not positive, or a sample at which
+    the series branch is undefined (Z = 0 or Z = jwL_s), raises FitError.
     """
     if not (substrate_thickness > 0):
         raise InputError("substrate_thickness must be positive")
@@ -307,73 +320,36 @@ def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> 
 
     w = 2.0 * math.pi * samples.frequencies
     z = samples.impedances
-    mag = np.abs(z)
+    if np.any(z == 0):
+        raise FitError("an impedance sample is zero (S = -1); the series branch is undefined")
+    y_ser = 1.0 / z + 1j / (w * l_s)
+    if np.any(y_ser == 0):
+        raise FitError("an impedance sample equals j*w*L_s; the series branch is open there")
+    z_ser = 1.0 / y_ser
+    weight = np.abs(z) / np.abs(z_ser) ** 2
 
-    # pole: the tallest interior local maximum of |Z|
-    interior = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
-    candidates = np.nonzero(interior)[0] + 1
-    candidates = candidates[np.isfinite(mag[candidates]) & (mag[candidates] > 0)]
-    if candidates.size == 0:
-        raise FitError("pole resonance (impedance maximum) not bracketed by the sweep")
-    i_pole = int(candidates[np.argmax(mag[candidates])])
-
-    # refine on log|Z|: near the pole the log of the resonance curve
-    # is close to a parabola, so three points pin the vertex well
-    idx = np.array([i_pole - 1, i_pole, i_pole + 1])
-    vertex = parabola_vertex(w[idx], np.log(mag[idx]))
-    if vertex is not None and w[i_pole - 1] <= vertex[0] <= w[i_pole + 1]:
-        w_m = vertex[0]
-    else:
-        w_m = w[i_pole]  # no maximum inside the bracket: fall back
-
-    # zero: Im(Z) sign change nearest the |Z| minimum above the pole
-    above = np.nonzero(w > w_m)[0]
-    if above.size < 2:
-        raise FitError("zero resonance (reactance sign change) not bracketed by the sweep")
-    im = z.imag
-    sign_change = np.nonzero(im[above[:-1]] * im[above[1:]] <= 0)[0]
-    sign_change = sign_change[im[above[sign_change]] != im[above[sign_change] + 1]]
-    if sign_change.size == 0:
-        raise FitError("zero resonance (reactance sign change) not bracketed by the sweep")
-    i_min = above[np.argmin(mag[above])]
-    starts = above[sign_change]
-    j = starts[np.argmin(np.abs(starts - i_min))]
-    # linear inverse interpolation on Im(Z)
-    w_e = w[j] - im[j] * (w[j + 1] - w[j]) / (im[j + 1] - im[j])
-
-    if not (w_e > w_m):
-        raise FitError("resonances out of order; sweep does not look like one pole below one zero")
-
-    ratio = (w_e / w_m) ** 2 - 1.0
-    l_d = l_s / ratio
-    c_d = 1.0 / (l_d * w_e * w_e)
-
-    # the loss resistance follows from the real part of Z on the pole;
-    # interpolate log Re(Z) with the same three-point parabola so the
-    # sharp resonance peak is not flattened by linear interpolation
-    re = z.real
-    if np.any(re[idx] <= 0):
-        re_pole = float(np.interp(w_m, w, re))
-    else:
-        re_pole = math.exp(_lagrange_at(w[idx], np.log(re[idx]), w_m))
-    if re_pole <= 0:
-        raise FitError("nonpositive resistance at the pole; cannot recover the loss term")
-    r_d = l_s * l_s / (c_d * (l_d + l_s) * re_pole)
-
-    return CellCircuit(R_d=r_d, C_d=c_d, L_d=l_d, L_s=l_s)
-
-
-def _lagrange_at(x, y, xq):
-    """Value at xq of the parabola through three (x, y) points."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    t0 = y0 * (xq - x1) * (xq - x2) / ((x0 - x1) * (x0 - x2))
-    t1 = y1 * (xq - x0) * (xq - x2) / ((x1 - x0) * (x1 - x2))
-    t2 = y2 * (xq - x0) * (xq - x1) / ((x2 - x0) * (x2 - x1))
-    return t0 + t1 + t2
+    r_d = float(np.average(z_ser.real, weights=weight**2))
+    # scale the columns to unit norm first: w and 1/w differ by some 20
+    # orders of magnitude, and unscaled the 1/C_d column is lost to rounding
+    columns = np.column_stack((w, -1.0 / w)) * weight[:, None]
+    norms = np.linalg.norm(columns, axis=0)
+    solution = np.linalg.lstsq(columns / norms, weight * z_ser.imag, rcond=None)[0] / norms
+    l_d, inv_c_d = solution.tolist()
+    if not (r_d > 0 and l_d > 0 and inv_c_d > 0):
+        raise FitError(f"fitted R_d = {r_d:.6g}, L_d = {l_d:.6g}, 1/C_d = {inv_c_d:.6g}: "
+                       "not all positive; the sweep does not look like this circuit")
+    return CellCircuit(R_d=r_d, C_d=1.0 / inv_c_d, L_d=l_d, L_s=l_s)
 
 
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+
+
+def _finite_float(text):
+    """float(text), with ValueError for nan and +-inf, which float() accepts."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def _parse_touchstone(path):
@@ -411,9 +387,10 @@ def _parse_touchstone(path):
                         try:
                             z_ref = float(tokens[i + 1])
                         except ValueError:
-                            raise ParseError(
-                                f"reference impedance {tokens[i + 1]!r} is not a number", lineno
-                            ) from None
+                            z_ref = math.nan
+                        if not (0 < z_ref < math.inf):
+                            raise ParseError(f"reference impedance {tokens[i + 1]!r} is not "
+                                             "a positive finite number", lineno)
                         i += 1
                     else:
                         raise ParseError(f"unrecognized option token {tokens[i]!r}", lineno)
@@ -425,17 +402,16 @@ def _parse_touchstone(path):
                     f"expected 3 columns (frequency and one S value), got {len(parts)}", lineno
                 )
             try:
-                f_val, a, b = (float(p) for p in parts)
-            except ValueError:
-                raise ParseError(f"non-numeric data in {line!r}", lineno) from None
-            if fmt == "ri":
-                s = complex(a, b)
-            elif fmt == "ma":
-                s = a * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
-            else:  # db
-                s = 10.0 ** (a / 20.0) * complex(
-                    math.cos(math.radians(b)), math.sin(math.radians(b))
-                )
+                f_val, a, b = (_finite_float(p) for p in parts)
+                if fmt == "ri":
+                    s = complex(a, b)
+                else:
+                    mag = a if fmt == "ma" else 10.0 ** (a / 20.0)  # overflows above 6165 dB
+                    s = mag * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
+            except (ValueError, OverflowError):
+                raise ParseError(
+                    f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
+                ) from None
             if s == 1:
                 raise ParseError("S = 1 exactly; impedance is undefined", lineno)
             rows.append((lineno, f_val * unit, z_ref * (1.0 + s) / (1.0 - s)))
@@ -468,9 +444,9 @@ def _parse_impedance_csv(path):
         if len(parts) != 3:
             raise ParseError(f"expected 3 columns, got {len(parts)}", lineno)
         try:
-            f_val, re_z, im_z = (float(p) for p in parts)
+            f_val, re_z, im_z = (_finite_float(p) for p in parts)
         except ValueError:
-            raise ParseError(f"non-numeric data in {line!r}", lineno) from None
+            raise ParseError(f"non-numeric or non-finite data in {line!r}", lineno) from None
         rows.append((lineno, f_val, complex(re_z, im_z)))
     if not rows:
         raise ParseError("no data rows found")

@@ -113,7 +113,14 @@ def test_circuit_fit_round_trip():
     assert fitted.L_d == pytest.approx(cell.L_d, rel=1e-2)
 
 
-def _dense_scan_bias(design, exc, n_samples=1_000_000, chunk=131072):
+# cos and sin of the oracle's 1,000,000-point phase grid tau_k = 2 pi k / N;
+# mode n at tau_k reads entry (n k) mod N, so no exp is evaluated per case
+_DENSE_N = 1_000_000
+_DENSE_TAU = 2.0 * math.pi * np.arange(_DENSE_N) / _DENSE_N
+_DENSE_COS, _DENSE_SIN = np.cos(_DENSE_TAU), np.sin(_DENSE_TAU)
+
+
+def _dense_scan_bias(design, exc, chunk=131072):
     """Oracle: sample one fundamental period of the line waveform.
 
     The spatial envelopes are written out from the closed forms (sin
@@ -124,7 +131,7 @@ def _dense_scan_bias(design, exc, n_samples=1_000_000, chunk=131072):
     u = design.tap_positions() + design.left_extension
     d_feed = (design.length + design.right_extension) - design.tap_positions()
     coeff = np.zeros((len(u), len(exc.modes)), dtype=complex)
-    indices = np.array([m.mode_index for m in exc.modes], dtype=float)
+    indices = np.array([m.mode_index for m in exc.modes], dtype=np.int64)
     for j, mode in enumerate(exc.modes):
         k = 2.0 * math.pi * mode.mode_index * exc.fundamental_frequency * design.slowness / w.C0
         if design.termination is w.Termination.SHORT:
@@ -134,12 +141,13 @@ def _dense_scan_bias(design, exc, n_samples=1_000_000, chunk=131072):
         else:
             envelope = mode.amplitude * np.exp(-1j * k * d_feed)
         coeff[:, j] = envelope * np.exp(1j * mode.phase)
+    # Re(c e^{j n tau}) = Re c cos(n tau) - Im c sin(n tau)
+    weights = np.hstack((coeff.real, -coeff.imag))
     best = np.full(len(u), -np.inf)
-    step = 2.0 * math.pi / n_samples
-    for start in range(0, n_samples, chunk):
-        tau = np.arange(start, min(start + chunk, n_samples)) * step
-        basis = np.exp(1j * np.outer(indices, tau))
-        np.maximum(best, (coeff @ basis).real.max(axis=1), out=best)
+    for start in range(0, _DENSE_N, chunk):
+        rows = np.multiply.outer(indices, np.arange(start, min(start + chunk, _DENSE_N))) % _DENSE_N
+        basis = np.vstack((_DENSE_COS[rows], _DENSE_SIN[rows]))
+        np.maximum(best, (weights @ basis).max(axis=1), out=best)
     return exc.dc_offset + best
 
 

@@ -182,7 +182,9 @@ def test_diode_drop_shifts_bias(design):
     exc = w.Excitation(dc_offset=4.0, modes=(w.Mode(1, 6.0),), fundamental_frequency=fb)
     plain = w.rectified_bias(design, exc).voltages
     dropped = w.rectified_bias(design, exc, diode_drop=0.35).voltages
-    assert np.allclose(plain - dropped, 0.35)
+    # taps whose envelope stays below the drop (down to 0.124 V here)
+    # never conduct and sit at the dc offset
+    assert np.allclose(plain - dropped, np.minimum(plain - exc.dc_offset, 0.35))
 
 
 def test_attenuation_tilts_matched_envelope(design):

@@ -123,6 +123,24 @@ def test_rectified_from_phasors_clamps(design):
     assert np.allclose(plain.voltages, 4.0 + np.abs(nodes.tap_voltages))
 
 
+@pytest.mark.parametrize("drop", [0.35, 1e6])
+def test_diode_drop_agrees_on_ideal_and_loaded_paths(bundle, drop):
+    # criterion 10's ideal cascade: the closed-form bias and the network
+    # solve apply the same clamped drop to the same envelope
+    exc = bundle.excitation
+    for f in (0.9e6, 5.1e6, 12.3e6):
+        for term in (w.Termination.SHORT, w.Termination.OPEN):
+            d = replace(bundle.design, termination=term)
+            tone = w.Excitation(dc_offset=exc.dc_offset, fundamental_frequency=f,
+                                modes=(w.Mode(1, w.standing_wave_amplitude(d, exc, f)),))
+            ideal = w.rectified_bias(d, tone, diode_drop=drop)
+            net = w.build_network(d, None, w.RectifierSpec(), f, **IDEAL,
+                                  generator_voltage=exc.generator_voltage,
+                                  generator_impedance=exc.generator_impedance)
+            loaded = w.rectified_from_phasors(w.solve_taps(net), exc.dc_offset, diode_drop=drop)
+            assert np.abs(ideal.voltages - loaded.voltages).max() <= 1e-6
+
+
 @pytest.mark.parametrize("loss", [math.nan, math.inf, -1.0])
 def test_build_network_rejects_bad_loss(design, loss):
     with pytest.raises(InputError, match="total_loss_db"):

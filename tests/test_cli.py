@@ -237,3 +237,37 @@ def test_non_finite_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert "Traceback" not in err
     assert any(flag in line for line in err.splitlines() if "wavectl" in line)
     assert not any(p.name.endswith("-report.json") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["csv", "s1p"])
+def test_fit_non_finite_sweep_exits_2(tmp_path, capsys, kind, column, bad):
+    rows = [[f"{1 + 0.1 * k:.3f}e9", "0.1", "0.2"] for k in range(20)]
+    rows[7][column] = bad
+    if kind == "csv":
+        text = "f_hz,re_z,im_z\n" + "\n".join(",".join(r) for r in rows)
+    else:
+        text = "# Hz S RI R 50\n" + "\n".join(" ".join(r) for r in rows)
+    sweep = tmp_path / f"sweep.{kind}"
+    sweep.write_text(text + "\n")
+    assert main(["fit", "--input", str(sweep), "--thickness", "1e-3",
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("wavectl: line 9:") for line in err.splitlines())
+    assert not (tmp_path / "run" / "cell.json").exists()
+
+
+@pytest.mark.parametrize("grid", [
+    ["--fmax", "1e300"],
+    # one point over the 2**20 cap, refused before any axis is built
+    ["--fmin", "1", "--fmax", "1048577", "--fstep", "1", "--wmin", "0", "--wmax", "0",
+     "--wstep", "1"],
+])
+def test_oversized_scan_grid_exits_2(tmp_path, capsys, grid):
+    assert _run_cli(["scan", *grid, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any("f_range/f_step and w_range/w_step" in line
+               for line in err.splitlines() if line.startswith("wavectl:"))

@@ -43,6 +43,18 @@ def test_search_spec_validation():
         w.SearchSpec(w_range=(-1.0, 5.0))
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(f_range=(0.1e6, 1e300)),
+    dict(f_range=(1.0, 1.0 + 2**20), f_step=1.0, w_range=(0.0, 0.0), w_step=1.0),
+    dict(f_range=(1.0, 1.0 + 2**10), f_step=1.0, w_range=(0.0, 1023.0), w_step=1.0),
+])
+def test_search_spec_bounds_the_grid(kwargs):
+    # every case is refused before an axis is built; 2**20 points still pass
+    with pytest.raises(InputError, match="f_range/f_step and w_range/w_step"):
+        w.SearchSpec(**kwargs)
+    w.SearchSpec(f_range=(1.0, float(2**20)), f_step=1.0, w_range=(0.0, 0.0), w_step=1.0)
+
+
 def test_evaluate_matches_manual_pipeline(design, cell, table):
     f_b, w_b, w0, f_c = 5.5e6, 6.0, 4.0, 2.45e9
     pattern = w.evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c)

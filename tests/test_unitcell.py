@@ -176,6 +176,66 @@ def test_fit_rejects_sweep_without_zero_crossing():
         w.fit_circuit_model(samples, 1e-3)
 
 
+def _cells_around(cell, count):
+    """A fixed draw of cells: each bundled value times U(0.8, 1.25)."""
+    rng = np.random.default_rng(1)
+    return [w.CellCircuit(R_d=cell.R_d * rng.uniform(0.8, 1.25),
+                          C_d=cell.C_d * rng.uniform(0.8, 1.25),
+                          L_d=cell.L_d * rng.uniform(0.8, 1.25), L_s=cell.L_s)
+            for _ in range(count)]
+
+
+def _sweep(cell, n):
+    f_e = cell.electric_resonance / (2 * math.pi)
+    return np.linspace(0.3 * f_e, 1.7 * f_e, n)
+
+
+@pytest.mark.parametrize("n", [16, 501, 3001])
+def test_fit_is_exact_on_noise_free_sweeps(cell, n):
+    for truth in _cells_around(cell, 200):
+        got = w.fit_circuit_model(w.synthesize_samples(truth, _sweep(truth, n)),
+                                  truth.L_s / w.MU0)
+        for key in ("R_d", "C_d", "L_d"):
+            assert getattr(got, key) == pytest.approx(getattr(truth, key), rel=1e-12), key
+
+
+def test_fit_under_relative_noise(cell):
+    # 0.5% complex noise on Z; the |Z| / |Z_ser|**2 weights keep R_d,
+    # whose signal is small beside the reactance, within 0.5%
+    rng = np.random.default_rng(5)
+    for truth in _cells_around(cell, 50):
+        f = _sweep(truth, 3001)
+        noise = 0.005 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+        z = w.synthesize_samples(truth, f).impedances * (1 + noise / math.sqrt(2))
+        got = w.fit_circuit_model(ImpedanceSamples(50.0, f, z), truth.L_s / w.MU0)
+        assert got.R_d == pytest.approx(truth.R_d, rel=5e-3)
+        assert got.C_d == pytest.approx(truth.C_d, rel=2e-4)
+        assert got.L_d == pytest.approx(truth.L_d, rel=2e-4)
+
+
+@pytest.mark.parametrize("where", ["zero", "sheet_inductance"])
+def test_fit_rejects_sample_where_series_branch_is_undefined(where):
+    # Z = 0 (Touchstone S = -1) shorts the series branch, Z = jwL_s opens it
+    f = np.linspace(1e9, 5e9, 64)
+    l_s = w.MU0 * 1e-3
+    z = 1j * (2.0 * math.pi * f) * l_s
+    if where == "zero":
+        z = z + 1.0
+        z[5] = 0.0
+    samples = ImpedanceSamples(reference_impedance=50.0, frequencies=f, impedances=z)
+    with pytest.raises(FitError, match="series branch"):
+        w.fit_circuit_model(samples, 1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["frequencies", "impedances"])
+def test_impedance_samples_reject_non_finite(field, bad):
+    arrays = dict(frequencies=np.linspace(1e9, 2e9, 16), impedances=np.ones(16, dtype=complex))
+    arrays[field][-1] = bad
+    with pytest.raises(InputError, match="finite"):
+        ImpedanceSamples(reference_impedance=50.0, **arrays)
+
+
 def test_impedance_samples_validation():
     f = np.linspace(1e9, 2e9, 8)
     with pytest.raises(InputError):
@@ -200,6 +260,22 @@ def test_csv_ingest_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("freq,z\n1,2\n")
     with pytest.raises(ParseError):
+        w.ingest_impedance(path, fmt="csv")
+
+
+def _sweep_lines(bad, column):
+    """A 20-row f_hz,re_z,im_z CSV body with `bad` in one field of line 9."""
+    rows = [[f"{1e9 + k * 1e8:.1f}", "50.0", "-10.0"] for k in range(20)]
+    rows[7][column] = bad
+    return ["f_hz,re_z,im_z"] + [",".join(r) for r in rows]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_csv_ingest_rejects_non_finite(tmp_path, bad, column):
+    path = tmp_path / "sweep.csv"
+    path.write_text("\n".join(_sweep_lines(bad, column)) + "\n")
+    with pytest.raises(ParseError, match="line 9"):
         w.ingest_impedance(path, fmt="csv")
 
 
@@ -269,6 +345,38 @@ def test_touchstone_errors_carry_line_numbers(tmp_path):
     lines.append("2.6 1.0 0.0")  # S = 1 has no finite impedance
     _write_s1p(path, lines)
     with pytest.raises(ParseError):
+        w.ingest_impedance(path, fmt="s1p")
+
+
+def _touchstone_lines(bad, column):
+    """A 16-row RI Touchstone body with `bad` in one field of line 9."""
+    rows = [[f"{1 + 0.1 * k:.3f}", "0.1", "0.2"] for k in range(16)]
+    rows[7][column] = bad
+    return ["# GHz S RI R 50"] + [" ".join(r) for r in rows]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_touchstone_rejects_non_finite(tmp_path, bad, column):
+    path = tmp_path / "sweep.s1p"
+    _write_s1p(path, _touchstone_lines(bad, column))
+    with pytest.raises(ParseError, match="line 9"):
+        w.ingest_impedance(path, fmt="s1p")
+
+
+@pytest.mark.parametrize("z_ref", ["nan", "inf", "0", "-50", "x"])
+def test_touchstone_rejects_bad_reference_impedance(tmp_path, z_ref):
+    path = tmp_path / "sweep.s1p"
+    _write_s1p(path, [f"# GHz S RI R {z_ref}"] + _touchstone_lines("0.1", 1)[1:])
+    with pytest.raises(ParseError, match="line 1: reference impedance"):
+        w.ingest_impedance(path, fmt="s1p")
+
+
+def test_touchstone_rejects_overflowing_db_magnitude(tmp_path):
+    # finite fields whose dB magnitude overflows a float
+    path = tmp_path / "sweep.s1p"
+    _write_s1p(path, ["# GHz S DB R 50"] + [f"{1 + 0.1 * k:.3f} 7000 0" for k in range(16)])
+    with pytest.raises(ParseError, match="line 2"):
         w.ingest_impedance(path, fmt="s1p")
 
 
