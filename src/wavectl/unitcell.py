@@ -331,9 +331,10 @@ def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> 
     r_d = float(np.average(z_ser.real, weights=weight**2))
     # scale the columns to unit norm first: w and 1/w differ by some 20
     # orders of magnitude, and unscaled the 1/C_d column is lost to rounding
-    columns = np.column_stack((w, -1.0 / w)) * weight[:, None]
-    norms = np.linalg.norm(columns, axis=0)
-    solution = np.linalg.lstsq(columns / norms, weight * z_ser.imag, rcond=None)[0] / norms
+    columns = np.stack((w, -1.0 / w)) * weight  # one row per column, contiguous
+    norms = np.linalg.norm(columns, axis=1)
+    solution = np.linalg.lstsq((columns / norms[:, None]).T, weight * z_ser.imag,
+                               rcond=None)[0] / norms
     l_d, inv_c_d = solution.tolist()
     if not (r_d > 0 and l_d > 0 and inv_c_d > 0):
         raise FitError(f"fitted R_d = {r_d:.6g}, L_d = {l_d:.6g}, 1/C_d = {inv_c_d:.6g}: "
@@ -342,14 +343,6 @@ def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> 
 
 
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-
-
-def _finite_float(text):
-    """float(text), with ValueError for nan and +-inf, which float() accepts."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
 
 
 def _parse_touchstone(path):
@@ -402,7 +395,9 @@ def _parse_touchstone(path):
                     f"expected 3 columns (frequency and one S value), got {len(parts)}", lineno
                 )
             try:
-                f_val, a, b = (_finite_float(p) for p in parts)
+                f_val, a, b = (float(p) for p in parts)
+                if not math.isfinite(f_val + a + b):  # float() takes nan and inf
+                    raise ValueError
                 if fmt == "ri":
                     s = complex(a, b)
                 else:
@@ -415,17 +410,7 @@ def _parse_touchstone(path):
             if s == 1:
                 raise ParseError("S = 1 exactly; impedance is undefined", lineno)
             rows.append((lineno, f_val * unit, z_ref * (1.0 + s) / (1.0 - s)))
-    if not rows:
-        raise ParseError("no data rows found")
-    freqs = [r[1] for r in rows]
-    for (ln_a, f_a, _), (ln_b, f_b, _) in zip(rows, rows[1:]):
-        if f_b <= f_a:
-            raise ParseError("frequencies must be strictly increasing", ln_b)
-    return ImpedanceSamples(
-        reference_impedance=z_ref,
-        frequencies=np.array(freqs),
-        impedances=np.array([r[2] for r in rows]),
-    )
+    return _sweep_samples(rows, z_ref)
 
 
 def _parse_impedance_csv(path):
@@ -444,20 +429,27 @@ def _parse_impedance_csv(path):
         if len(parts) != 3:
             raise ParseError(f"expected 3 columns, got {len(parts)}", lineno)
         try:
-            f_val, re_z, im_z = (_finite_float(p) for p in parts)
+            f_val, re_z, im_z = (float(p) for p in parts)
+            if not math.isfinite(f_val + re_z + im_z):  # float() takes nan and inf
+                raise ValueError
         except ValueError:
-            raise ParseError(f"non-numeric or non-finite data in {line!r}", lineno) from None
+            raise ParseError(
+                f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
+            ) from None
         rows.append((lineno, f_val, complex(re_z, im_z)))
+    return _sweep_samples(rows, 50.0)
+
+
+def _sweep_samples(rows, reference_impedance):
+    """ImpedanceSamples from parsed (lineno, f_hz, z) rows; errors name the line."""
     if not rows:
         raise ParseError("no data rows found")
-    for (ln_a, f_a, _), (ln_b, f_b, _) in zip(rows, rows[1:]):
-        if f_b <= f_a:
-            raise ParseError("frequencies must be strictly increasing", ln_b)
-    return ImpedanceSamples(
-        reference_impedance=50.0,
-        frequencies=np.array([r[1] for r in rows]),
-        impedances=np.array([r[2] for r in rows]),
-    )
+    f = np.array([r[1] for r in rows])
+    falls = np.diff(f) <= 0
+    if np.any(falls):
+        raise ParseError("frequencies must be strictly increasing", rows[np.argmax(falls) + 1][0])
+    return ImpedanceSamples(reference_impedance=reference_impedance, frequencies=f,
+                            impedances=np.array([r[2] for r in rows]))
 
 
 def ingest_impedance(path, fmt: str = "auto") -> ImpedanceSamples:
