@@ -28,11 +28,13 @@ import time
 import warnings
 from dataclasses import replace
 
+import numpy as np
+
 from .btl import Mode, Termination, rectified_bias, standing_wave_amplitude
 from .cascade import RectifierSpec, build_network, rectified_from_phasors, solve_taps
 from .config import RunConfig, load_bundled_config, load_config
 from .errors import ConfigError, FitError, InputError, ParseError, SolverError
-from .radiation import PatternRequest, array_factor, default_theta_grid, pattern_csv_rows
+from .radiation import PatternRequest, array_factor, default_theta_grid, pattern_csv_columns
 from .serialize import sha256_of, write_csv, write_json
 from .steering import SearchSpec, optimize_single_beam, specular_scan
 from .unitcell import fit_circuit_model, ingest_impedance, reflection_profile
@@ -187,8 +189,8 @@ def _cmd_bias(args):
     bias = rectified_bias(config.design, exc)
     name = f"bias.{args.format}"
     if args.format == "csv":
-        rows = ((m, x, v) for m, (x, v) in enumerate(zip(bias.positions, bias.voltages)))
-        write_csv(os.path.join(out_dir, name), ("element", "position_m", "bias_v"), rows)
+        write_csv(os.path.join(out_dir, name), ("element", "position_m", "bias_v"),
+                  columns=(np.arange(bias.voltages.size), bias.positions, bias.voltages))
     else:
         write_json(os.path.join(out_dir, name), {
             "frequency_hz": exc.fundamental_frequency,
@@ -215,10 +217,10 @@ def _cmd_pattern(args):
     if args.format == "csv":
         write_csv(os.path.join(out_dir, name),
                   ("theta_deg", "magnitude", "magnitude_db"),
-                  pattern_csv_rows(pattern))
+                  columns=pattern_csv_columns(pattern))
     else:
         write_json(os.path.join(out_dir, name), {
-            "theta_deg": [math.degrees(t) for t in pattern.theta],
+            "theta_deg": np.rad2deg(pattern.theta),
             "magnitude": pattern.magnitude,
             "magnitude_db": pattern.magnitude_db(),
             "metrics": pattern.metrics.to_dict(),
@@ -264,14 +266,17 @@ def _cmd_scan(args):
                           probes, f_c=config.carrier_frequency)
     name = f"scan.{args.format}"
     if args.format == "csv":
-        def rows():
-            for grid in grids:
-                probe_deg = math.degrees(grid.probe_angle)
-                for i, f in enumerate(grid.f_axis):
-                    for j, w in enumerate(grid.w_axis):
-                        yield (probe_deg, f, w, grid.values[i, j])
+        # rows run probe-major, then frequency, then amplitude
+        f_axis, w_axis = grids[0].f_axis, grids[0].w_axis
+        cells = f_axis.size * w_axis.size
+        columns = (
+            np.concatenate([np.full(cells, math.degrees(g.probe_angle)) for g in grids]),
+            np.tile(np.repeat(f_axis, w_axis.size), len(grids)),
+            np.tile(w_axis, f_axis.size * len(grids)),
+            np.concatenate([g.values.ravel() for g in grids]),
+        )
         write_csv(os.path.join(out_dir, name),
-                  ("probe_deg", "frequency_hz", "amplitude_v", "magnitude"), rows())
+                  ("probe_deg", "frequency_hz", "amplitude_v", "magnitude"), columns=columns)
     else:
         write_json(os.path.join(out_dir, name), [grid.to_dict() for grid in grids])
     return out_dir, [name], sha256_of(config.to_dict())
@@ -326,10 +331,10 @@ def _cmd_cascade(args):
     ideal = rectified_bias(config.design, exc)
     name = f"cascade.{args.format}"
     if args.format == "csv":
-        rows = ((m, x, iv, tv, tv - iv) for m, (x, iv, tv) in enumerate(
-            zip(ideal.positions, ideal.voltages, tapped.voltages)))
         write_csv(os.path.join(out_dir, name),
-                  ("element", "position_m", "ideal_v", "tapped_v", "delta_v"), rows)
+                  ("element", "position_m", "ideal_v", "tapped_v", "delta_v"),
+                  columns=(np.arange(ideal.voltages.size), ideal.positions, ideal.voltages,
+                           tapped.voltages, tapped.voltages - ideal.voltages))
     else:
         write_json(os.path.join(out_dir, name), {
             "frequency_hz": drive,

@@ -229,8 +229,11 @@ def _metrics_from_arrays(theta, magnitude):
     )
 
 
+def pattern_csv_columns(pattern: RadiationPattern):
+    """Columns of the theta_deg,magnitude,magnitude_db CSV schema."""
+    return np.rad2deg(pattern.theta), pattern.magnitude, pattern.magnitude_db()
+
+
 def pattern_csv_rows(pattern: RadiationPattern):
-    """Rows for the theta_deg,magnitude_linear,magnitude_db CSV schema."""
-    db = pattern.magnitude_db()
-    for th, mag, mag_db in zip(pattern.theta, pattern.magnitude, db):
-        yield math.degrees(float(th)), float(mag), float(mag_db)
+    """Rows of the same schema, one tuple of floats per angle."""
+    return zip(*(column.tolist() for column in pattern_csv_columns(pattern)))

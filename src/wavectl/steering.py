@@ -40,9 +40,13 @@ class MinimizeSpecular:
 Objective = Union[MaximizeAt, MinimizeSpecular]
 
 
-# largest (f, W) grid a search may span, 29x the default 300 x 121 grid:
-# at the cap each complex (Nf, Nw, M) tensor of a 60-element search is 1 GB
+# largest (f, W) grid a search may span, 29x the default 300 x 121 grid
 _MAX_GRID_POINTS = 2**20
+# largest (Nf, Nw, M) tensor: a 60-element line over the largest grid,
+# where each complex tensor is 1 GB
+_MAX_TENSOR_POINTS = _MAX_GRID_POINTS * 60
+# tensor points evaluated at a time: 512 kB of complex values, in cache
+_BLOCK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -161,21 +165,42 @@ class PhaseWrapBudget(NamedTuple):
     within_budget: bool
 
 
-def _objective_values(design, cell, table, f_axis, w_axis, w0, f_c, theta):
-    """|F(theta)| over the (f, W) grid, fully vectorized.
+def _reflection_tensor(design, cell, table, f_axis, w_axis, w0, f_c):
+    """Reflection of every tap over the (f, W) grid: (gamma, clamped).
 
-    Identical math to the rectified_bias -> reflection_profile ->
-    array_factor pipeline for a single-tone excitation; only the
-    evaluation order differs.
+    gamma has shape (Nf, Nw, M).  Identical math to the rectified_bias
+    -> reflection_profile pipeline for a single-tone excitation; only
+    the evaluation order differs.
     """
+    points = len(f_axis) * len(w_axis) * design.element_count
+    if points > _MAX_TENSOR_POINTS:
+        raise InputError(f"design.element_count ({design.element_count}) times the "
+                         f"f_range/f_step x w_range/w_step grid ({len(f_axis)} x "
+                         f"{len(w_axis)}) spans more than {_MAX_TENSOR_POINTS} points")
     envelope = _btl.single_tone_envelope(design, f_axis)
     w_axis = np.asarray(w_axis, dtype=float)
-    bias = w0 + w_axis[None, :, None] * envelope[:, None, :]  # (Nf, Nw, M)
-    gamma, clamped = _unitcell._reflection_array(cell, table, bias, f_c)
+    gamma = np.empty((len(f_axis), len(w_axis), design.element_count), dtype=complex)
+    clamped = False
+    # a few frequencies at a time, so each elementwise step runs in cache
+    rows = max(1, _BLOCK_POINTS // (w_axis.size * design.element_count))
+    for i in range(0, len(f_axis), rows):
+        bias = w0 + w_axis[None, :, None] * envelope[i:i + rows, None, :]
+        gamma[i:i + rows], block_clamped = _unitcell._reflection_array(cell, table, bias, f_c)
+        clamped = clamped or block_clamped
+    return gamma, clamped
+
+
+def _probe_values(design, gamma, f_c, theta):
+    """|F(theta)| over the grid: the array factor of each (f, W) row of gamma."""
     psi = 2.0 * math.pi * f_c / C0 * design.spacing * math.sin(theta)
     steer = np.exp(1j * psi * np.arange(design.element_count))
-    values = np.abs((gamma * steer).mean(axis=-1))
-    return values, clamped
+    return np.abs((gamma * steer).mean(axis=-1))
+
+
+def _objective_values(design, cell, table, f_axis, w_axis, w0, f_c, theta):
+    """|F(theta)| over the (f, W) grid and whether any bias was clamped."""
+    gamma, clamped = _reflection_tensor(design, cell, table, f_axis, w_axis, w0, f_c)
+    return _probe_values(design, gamma, f_c, theta), clamped
 
 
 def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
@@ -302,24 +327,22 @@ def phase_wrap_budget(theta_p: float, d_x: float, f_c: float, element_count: int
 
 def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
                   f_c: float = 2.45e9):
-    """Dense |F(theta_probe)| maps over the grid, one per probe angle."""
-    probe_angles = list(probe_angles)
+    """Dense |F(theta_probe)| maps over the grid, one per probe angle.
+
+    The reflection tensor does not depend on the probe, so it is built
+    once; each probe then costs one contraction over the taps.
+    """
+    probe_angles = [float(probe) for probe in probe_angles]
     if not probe_angles:
         raise InputError("at least one probe angle is required")
+    if not all(abs(probe) <= math.pi / 2 for probe in probe_angles):
+        raise InputError("probe angles must lie within +-90 degrees")
     f_axis = spec.f_axis()
     w_axis = spec.w_axis()
-    grids = []
-    clamped_any = False
-    for probe in probe_angles:
-        if not abs(probe) <= math.pi / 2:
-            raise InputError("probe angles must lie within +-90 degrees")
-        values, clamped = _objective_values(
-            design, cell, table, f_axis, w_axis, spec.w0, f_c, float(probe)
-        )
-        clamped_any = clamped_any or clamped
-        grids.append(
-            ScanGrid(probe_angle=float(probe), f_axis=f_axis, w_axis=w_axis, values=values)
-        )
-    if clamped_any:
+    gamma, clamped = _reflection_tensor(design, cell, table, f_axis, w_axis, spec.w0, f_c)
+    if clamped:
         warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=2)
-    return tuple(grids)
+    return tuple(
+        ScanGrid(probe_angle=probe, f_axis=f_axis, w_axis=w_axis,
+                 values=_probe_values(design, gamma, f_c, probe))
+        for probe in probe_angles)

@@ -271,3 +271,13 @@ def test_oversized_scan_grid_exits_2(tmp_path, capsys, grid):
     assert "Traceback" not in err
     assert any("f_range/f_step and w_range/w_step" in line
                for line in err.splitlines() if line.startswith("wavectl:"))
+
+
+def test_oversized_reflection_tensor_exits_2(tmp_path, capsys):
+    # 300 x 121 grid points x 2000 elements, refused before any allocation
+    assert _run_cli(["steer", "--theta", "-5", "--elements", "2000",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any("design.element_count" in line and "f_range/f_step" in line
+               for line in err.splitlines() if line.startswith("wavectl:"))

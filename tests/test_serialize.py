@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wavectl.serialize import (
     csv_text,
     format_cell,
     format_float,
+    format_floats,
     json_text,
     sha256_of,
     write_csv,
@@ -68,3 +71,56 @@ def test_write_round_trip(tmp_path):
     q = tmp_path / "t.json"
     write_json(q, {"k": 1.0})
     assert q.read_bytes() == b'{\n  "k": 1.00000000e+00\n}\n'
+
+
+TINY = np.finfo(float).smallest_subnormal
+HUGE = np.finfo(float).max
+# shapes (n,), (n, k), (0,) and (n, 0)
+SHAPES = st.one_of(
+    st.tuples(st.integers(0, 12)),
+    st.tuples(st.integers(1, 6), st.integers(0, 5)),
+)
+FINITE = hnp.arrays(np.float64, SHAPES, elements=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, TINY, -TINY, HUGE, -HUGE])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FINITE)
+@example(np.array([-0.0, 0.0, TINY, -TINY, HUGE, -HUGE, 2.5e-310]))
+@example(np.zeros((3, 0)))
+@example(np.zeros(0))
+def test_array_formatter_matches_format_float(a):
+    assert format_floats(a) == [format_float(x) for x in a.ravel()]
+    assert json_text(a) == json_text(a.tolist())
+    assert json_text({"k": [a, {"v": a}]}) == json_text({"k": [a.tolist(), {"v": a.tolist()}]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(FINITE.filter(lambda a: a.ndim == 1))
+def test_csv_columns_match_csv_text(tmp_path_factory, a):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    index = np.arange(a.size) - 3
+    columns = (index, a, a[::-1].copy())
+    text = write_csv(path, ("i", "x", "y"), columns=columns)
+    assert text == csv_text(("i", "x", "y"), zip(*(c.tolist() for c in columns)))
+    assert path.read_text(encoding="utf-8") == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(FINITE.filter(lambda a: a.size > 0), st.data(),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_one_non_finite_value_is_refused(tmp_path_factory, a, data, bad):
+    a = a.copy()
+    a.flat[data.draw(st.integers(0, a.size - 1))] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        json_text({"x": a})
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_csv(path, ("x",), columns=(a.ravel(),))
+
+
+def test_csv_columns_span_several_blocks(tmp_path):
+    x = np.linspace(-1.0, 1.0, 10_001)
+    text = write_csv(tmp_path / "t.csv", ("m", "x"), columns=(np.arange(x.size), x))
+    assert text == csv_text(("m", "x"), zip(range(x.size), x.tolist()))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wavectl as w
+from wavectl import steering
 from wavectl.errors import InputError
 
 SMALL = w.SearchSpec(f_range=(1.0e6, 8.0e6), f_step=0.5e6,
@@ -212,3 +213,53 @@ def test_specular_scan_rejects_nan_probe(design, cell, table):
                         w_step=1.0, w0=4.0)
     with pytest.raises(InputError):
         w.specular_scan(design, cell, table, spec, [math.nan])
+
+
+@pytest.mark.parametrize("termination", list(w.Termination), ids=lambda t: t.value)
+def test_scan_equals_one_probe_at_a_time(design, cell, table, termination):
+    # one shared reflection tensor gives exactly the per-probe objective
+    line = replace(design, termination=termination)
+    spec = w.SearchSpec(f_range=(0.5e6, 12.5e6), f_step=1.5e6, w_range=(0.0, 12.0),
+                        w_step=1.5, w0=4.0)
+    probes = [math.radians(deg) for deg in (-30.0, 0.5, 12.0)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grids = w.specular_scan(line, cell, table, spec, probes)
+    assert [c.category for c in caught] == [w.ClampWarning]
+    for probe, grid in zip(probes, grids):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values, clamped = steering._objective_values(
+                line, cell, table, spec.f_axis(), spec.w_axis(), spec.w0, 2.45e9, probe)
+        assert clamped
+        assert np.array_equal(grid.values, values)
+
+
+@pytest.mark.parametrize("elements, kwargs", [
+    (2000, {}),  # the default 300 x 121 grid
+    (61, dict(f_range=(1.0, float(2**20)), f_step=1.0, w_range=(0.0, 0.0), w_step=1.0)),
+])
+def test_search_bounds_the_reflection_tensor(design, cell, table, elements, kwargs):
+    # refused before the (Nf, Nw, M) tensor is allocated
+    line = replace(design, element_count=elements)
+    spec = w.SearchSpec(**kwargs)
+    with pytest.raises(InputError, match="design.element_count.*f_range/f_step"):
+        w.optimize_single_beam(line, cell, table, math.radians(-5.0), spec)
+    with pytest.raises(InputError, match="design.element_count.*f_range/f_step"):
+        w.specular_scan(line, cell, table, spec, [0.0])
+
+
+def test_reflection_tensor_blocks_are_exact(design, cell, table, monkeypatch):
+    # evaluating the tensor a few frequencies at a time changes nothing;
+    # only the first frequency drives a tap past the 15 V table end
+    f_axis = np.concatenate([[8.0e6], SMALL.f_axis()[:3]])
+    w_axis = np.array([0.0, 6.0, 12.0])
+    args = (design, cell, table, f_axis, w_axis, 4.0, 2.45e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
+        blocked, blocked_clamped = steering._reflection_tensor(*args)
+        monkeypatch.setattr(steering, "_BLOCK_POINTS", 2**40)
+        whole, whole_clamped = steering._reflection_tensor(*args)
+    assert np.array_equal(blocked, whole)
+    assert blocked_clamped and whole_clamped
