@@ -45,7 +45,7 @@ _MAX_GRID_POINTS = 2**20
 # largest (Nf, Nw, M) tensor: a 60-element line over the largest grid,
 # where each complex tensor is 1 GB
 _MAX_TENSOR_POINTS = _MAX_GRID_POINTS * 60
-# tensor points evaluated at a time: 512 kB of complex values, in cache
+# tensor points evaluated at a time (512 kB of complex values)
 _BLOCK_POINTS = 2**15
 
 
