@@ -24,11 +24,31 @@ GOLDEN = {
                          "c460a4f9e266de3d64800638550645f682bf6c5d3de47d1c5a014287f02745e0"),
 }
 
+# the steering search and the loaded-line options: case id -> (argv, artifact, digest)
+GOLDEN_OPTIONS = {
+    "steer-8": (("steer", "--theta=-8"), "steer.json",
+                "1a36151e27b13bd0371009a63244c6632d64d02936264dde90a18cb965f67cb8"),
+    "steer-8-coarse": (("steer", "--theta=-8", "--coarse-only"), "steer.json",
+                       "78a72791bceca6334c38b07402fcf6e1fa9b157a9ca2c06766fba0d2327f3f5f"),
+    "cascade-zrect300-loss1-csv": (
+        ("cascade", "--zrect", "300", "--loss-db", "1", "--format", "csv"), "cascade.csv",
+        "f7efcb9fddb01eac05aac1976864fbf601e6284e981e192da9560451f0f35c81"),
+}
+
+
+def _digest(out, argv, name):
+    assert main([*argv, "--termination", "short", "--out", str(out)]) == 0
+    return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("command, fmt", sorted(GOLDEN), ids="-".join)
 def test_artifact_digest(tmp_path, command, fmt):
     extra = ["--probe", "0,5"] if command == "scan" else []
-    assert main([command, *extra, "--termination", "short", "--format", fmt,
-                 "--out", str(tmp_path)]) == 0
     name, digest = GOLDEN[command, fmt]
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    assert _digest(tmp_path, [command, *extra, "--format", fmt], name) == digest
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_OPTIONS))
+def test_option_artifact_digest(tmp_path, case):
+    argv, name, digest = GOLDEN_OPTIONS[case]
+    assert _digest(tmp_path, argv, name) == digest
