@@ -6,7 +6,9 @@ transmission-line segments with a shunt rectifier impedance at every
 tap, a coupling capacitor and decoupling inductor at the feed, and a
 reactive or floating termination at the far end.  Solving the chain
 gives the tap voltage phasors of the loaded line, which can then be
-rectified and compared against the ideal pattern.
+rectified and compared against the ideal pattern.  The slowness,
+geometry and termination are the BtlDesign's, the same description
+the ideal model uses.
 
 The solve propagates a single (V, I) state from the termination to
 the generator.  Seeding the state at the termination and rescaling at
@@ -20,54 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .btl import (BtlDesign, BiasPattern, MicrostripSpec, Termination, detected_bias,
-                  slowness_factor)
-from .constants import C0
+from .btl import BtlDesign, BiasPattern, Termination, detected_bias
 from .errors import InputError, SolverError
 from .numutil import is_at_infinity
 
 # dB per neper
 _DB_PER_NP = 20.0 / math.log(10.0)
-
-
-class CascadeTermination(Enum):
-    """Far-end closure of the cascade model."""
-
-    SHORT_VIA_CF = "short_via_cf"
-    OPEN_FLOATING = "open_floating"
-
-
-@dataclass(frozen=True)
-class RectifierSpec:
-    """Rectifier tap: dc load, hold capacitor, and line loading.
-
-    load_resistance and hold_capacitance set the peak-detector time
-    constant; line_loading is the shunt impedance the tap presents to
-    the line (the diode input resistance bounds it to roughly a few
-    hundred ohms up to the low hundreds of MHz).
-    """
-
-    load_resistance: float = 10.0e3
-    hold_capacitance: float = 200.0e-12
-    line_loading: complex = 1000.0 + 0.0j
-
-    def __post_init__(self):
-        if not (self.load_resistance > 0):
-            raise InputError("load_resistance must be positive")
-        if not (self.hold_capacitance > 0):
-            raise InputError("hold_capacitance must be positive")
-        z = complex(self.line_loading)
-        if not is_at_infinity(z) and z.real < 0:
-            raise InputError("line_loading must be passive (nonnegative real part)")
-
-    @property
-    def time_constant(self):
-        """Peak-detector discharge time constant R_r * C_r, seconds."""
-        return self.load_resistance * self.hold_capacitance
 
 
 @dataclass(frozen=True)
@@ -78,7 +41,11 @@ class CascadeNetwork:
     reference frequency; a negative imaginary part encodes loss) for
     the M segments between consecutive taps and from the last tap to
     the feed.  lead_angle covers the stretch from the termination to
-    the first tap.
+    the first tap.  termination is the line's: SHORT closes it through
+    the coupling capacitor, OPEN leaves it floating, and MATCHED has no
+    lumped model here, so it is refused.  Every value must be finite
+    except the lumped elements and tap loads, where infinity means
+    ideal and open respectively.
     """
 
     frequency: float
@@ -91,24 +58,28 @@ class CascadeNetwork:
     segment_angles: np.ndarray
     tap_loads: np.ndarray
     tap_positions: np.ndarray
-    termination: CascadeTermination
+    termination: Termination
 
     def __post_init__(self):
-        if not (self.frequency > 0):
-            raise InputError("frequency must be positive")
-        if not (self.generator_impedance > 0):
-            raise InputError("generator_impedance must be positive")
-        if not (self.coupling_capacitance > 0):
-            raise InputError("coupling_capacitance must be positive")
-        if not (self.decoupling_inductance > 0):
-            raise InputError("decoupling_inductance must be positive")
-        if not (self.characteristic_impedance > 0):
-            raise InputError("characteristic_impedance must be positive")
+        if self.termination is Termination.MATCHED:
+            raise InputError("the cascade model terminates in a short or an open, not a match")
+        for name in ("frequency", "generator_impedance", "characteristic_impedance"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise InputError(f"{name} must be positive and finite")
+        if not math.isfinite(self.generator_voltage):
+            raise InputError("generator_voltage must be finite")
+        for name in ("coupling_capacitance", "decoupling_inductance"):
+            if not (getattr(self, name) > 0):
+                raise InputError(f"{name} must be positive")
         angles = np.asarray(self.segment_angles, dtype=complex).copy()
         loads = np.asarray(self.tap_loads, dtype=complex).copy()
         pos = np.asarray(self.tap_positions, dtype=float).copy()
         if angles.ndim != 1 or loads.shape != angles.shape or pos.shape != angles.shape:
             raise InputError("segments, tap loads, and tap positions must align")
+        if not (np.isfinite(angles).all() and np.isfinite(complex(self.lead_angle))):
+            raise InputError("segment_angles and lead_angle must be finite")
+        if np.isnan(loads).any():
+            raise InputError("tap_loads must have no NaN part")
         finite = ~np.isinf(loads.real) & ~np.isinf(loads.imag)
         if np.any(loads.real[finite] < 0):
             raise InputError("tap loads must be passive (nonnegative real part)")
@@ -145,51 +116,33 @@ class NodeVoltages:
         return self.tap_voltages.size + 1
 
 
-def build_network(design: BtlDesign, microstrip, rectifier: RectifierSpec, f: float,
-                  z_rect=None, coupling_capacitance: float = 1.0e-6,
+def build_network(design: BtlDesign, f: float, z_rect=1000.0,
+                  coupling_capacitance: float = 1.0e-6,
                   decoupling_inductance: float = 680.0e-6, total_loss_db: float = 0.0,
                   generator_voltage: float = 10.0,
                   generator_impedance: float = 50.0) -> CascadeNetwork:
-    """Assemble the loaded-line model at one frequency.
+    """Assemble the loaded-line model of ``design`` at one frequency.
 
-    Electrical lengths come from the microstrip's effective index and
-    meander path when a MicrostripSpec is given, otherwise from the
-    design's slowness directly; both describe the same propagation per
-    axial meter.  Pass math.inf for the coupling or decoupling
-    elements to make them ideal, and z_rect (scalar or per-tap array,
-    may be inf) to override the rectifier line loading.
+    Electrical lengths come from the design's slowness and the line
+    closes in the design's termination (a short through the coupling
+    capacitor, or a floating open; a matched line is refused).  z_rect
+    is the shunt impedance each tap's rectifier presents to the line,
+    a scalar or a per-tap array; math.inf leaves a tap unloaded.  Pass
+    math.inf for the coupling or decoupling elements to make them
+    ideal.
     """
-    if not (f > 0):
-        raise InputError("frequency must be positive")
+    if not (0 < f < math.inf):
+        raise InputError("frequency must be positive and finite")
     if not (0 <= total_loss_db < math.inf):
         raise InputError("total_loss_db must be nonnegative and finite")
-    if design.termination is Termination.SHORT:
-        termination = CascadeTermination.SHORT_VIA_CF
-    elif design.termination is Termination.OPEN:
-        termination = CascadeTermination.OPEN_FLOATING
-    else:
-        raise InputError("the cascade model terminates in a short or an open, not a match")
 
-    if microstrip is not None:
-        if not isinstance(microstrip, MicrostripSpec):
-            raise InputError("microstrip must be a MicrostripSpec or None")
-        n_slow = slowness_factor(microstrip, design.spacing)
-    else:
-        n_slow = design.slowness
-
-    beta = 2.0 * math.pi * f * n_slow / C0  # rad per axial meter
+    beta = design.wavenumber(f)  # rad per axial meter
     lengths = np.full(design.element_count, design.spacing)
     lengths[-1] = design.right_extension
     alpha = 0.0
     if total_loss_db > 0:
         alpha = total_loss_db / _DB_PER_NP / design.total_length  # nepers per axial meter
     gamma = beta - 1j * alpha  # complex electrical angle per meter
-    segment_angles = gamma * lengths
-    lead_angle = gamma * design.left_extension
-
-    if z_rect is None:
-        z_rect = complex(rectifier.line_loading)
-    loads = np.broadcast_to(np.asarray(z_rect, dtype=complex), (design.element_count,)).copy()
 
     return CascadeNetwork(
         frequency=f,
@@ -198,11 +151,11 @@ def build_network(design: BtlDesign, microstrip, rectifier: RectifierSpec, f: fl
         coupling_capacitance=coupling_capacitance,
         decoupling_inductance=decoupling_inductance,
         characteristic_impedance=design.characteristic_impedance,
-        lead_angle=lead_angle,
-        segment_angles=segment_angles,
-        tap_loads=loads,
+        lead_angle=gamma * design.left_extension,
+        segment_angles=gamma * lengths,
+        tap_loads=np.broadcast_to(np.asarray(z_rect, dtype=complex), (design.element_count,)),
         tap_positions=design.tap_positions(),
-        termination=termination,
+        termination=design.termination,
     )
 
 
@@ -219,7 +172,7 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
     z0 = net.characteristic_impedance
 
     # seed the state at the termination with unit current / voltage
-    if net.termination is CascadeTermination.SHORT_VIA_CF:
+    if net.termination is Termination.SHORT:
         if math.isinf(net.coupling_capacitance):
             v, i = 0.0 + 0.0j, 1.0 + 0.0j  # ideal short
         else:

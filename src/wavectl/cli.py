@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from .btl import Mode, Termination, rectified_bias, standing_wave_amplitude
-from .cascade import RectifierSpec, build_network, rectified_from_phasors, solve_taps
+from .cascade import build_network, rectified_from_phasors, solve_taps
 from .config import RunConfig, load_bundled_config, load_config
 from .errors import ConfigError, FitError, InputError, ParseError, SolverError
 from .radiation import PatternRequest, array_factor, default_theta_grid, pattern_csv_columns
@@ -301,8 +301,6 @@ def _cmd_fit(args):
 
 
 def _parse_zrect(raw):
-    if raw is None:
-        return None
     if raw.strip().lower() == "inf":
         return math.inf
     try:
@@ -321,8 +319,9 @@ def _cmd_cascade(args):
     if len(exc.modes) != 1:
         raise InputError("the tapped-line comparison uses a single drive tone")
     drive = exc.modes[0].mode_index * exc.fundamental_frequency
-    net = build_network(config.design, None, RectifierSpec(), drive,
-                        z_rect=_parse_zrect(args.zrect),
+    # without --zrect the taps keep build_network's default loading
+    loading = {} if args.zrect is None else {"z_rect": _parse_zrect(args.zrect)}
+    net = build_network(config.design, drive, **loading,
                         total_loss_db=args.loss_db,
                         generator_voltage=exc.generator_voltage,
                         generator_impedance=exc.generator_impedance)

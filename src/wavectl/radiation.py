@@ -232,8 +232,3 @@ def _metrics_from_arrays(theta, magnitude):
 def pattern_csv_columns(pattern: RadiationPattern):
     """Columns of the theta_deg,magnitude,magnitude_db CSV schema."""
     return np.rad2deg(pattern.theta), pattern.magnitude, pattern.magnitude_db()
-
-
-def pattern_csv_rows(pattern: RadiationPattern):
-    """Rows of the same schema, one tuple of floats per angle."""
-    return zip(*(column.tolist() for column in pattern_csv_columns(pattern)))

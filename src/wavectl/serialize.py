@@ -9,7 +9,7 @@ comma-separated cells and a single trailing newline.
 Float arrays take a whole-array path with the same output: one
 finiteness check and one ``-0.0`` collapse per array, then one format
 call per value (``format_floats``).  In JSON each innermost row of a
-float ndarray is joined into one string; a CSV given as columns is
+float ndarray is joined into one string; a CSV is given as columns and
 written in blocks of rows, each row through one ``str.format``
 template.
 """
@@ -50,47 +50,17 @@ def format_floats(values):
     return list(map(_FLOAT.format, _finite_floats(values).ravel().tolist()))
 
 
-def format_cell(value):
-    """Render one CSV cell: ints verbatim, floats via format_float."""
-    if isinstance(value, bool):
-        raise TypeError("booleans have no CSV representation here")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        if "," in value or "\n" in value:
-            raise ValueError(f"CSV cell may not contain separators: {value!r}")
-        return value
-    raise TypeError(f"unsupported CSV cell type {type(value).__name__}")
-
-
-def csv_text(header, rows):
-    """Assemble a full CSV document as a string."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-# rows formatted and written at a time by the columnar CSV path
+# rows formatted and written at a time
 _BLOCK_ROWS = 4096
 
 
-def write_csv(path, header, rows=None, *, columns=None):
-    """Write a CSV file from ``rows`` or ``columns``; return its text.
+def write_csv(path, header, columns):
+    """Write a CSV file from equal-length 1-D column arrays; return its text.
 
-    ``rows`` is an iterable of row tuples, each cell rendered by
-    format_cell.  ``columns`` is a sequence of equal-length 1-D arrays,
-    integer ones printed as ``{:d}`` and float ones as format_float
-    prints them; they are written in blocks of rows, each row through
-    one template.
+    Integer columns print as ``{:d}`` and float columns as format_float
+    prints them.  Rows are written in blocks, each row through one
+    template.
     """
-    if columns is None:
-        text = csv_text(header, rows)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        return text
     columns, template = _csv_columns(columns)
     parts = [",".join(header) + "\n"]
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -5,7 +5,7 @@ profile along the array, the amplitude scales it, and together they
 pick the phase gradient the elements apply to the carrier.  The
 operations here evaluate the full bias -> reflection -> pattern
 pipeline at one operating point, scan it over a grid, and optimize it
-for beam-steering or specular-suppression objectives.
+for one objective: the largest |F| at the target angle theta_p.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,21 +23,6 @@ from . import unitcell as _unitcell
 from .constants import C0
 from .errors import ClampWarning, InputError
 from .numutil import golden_section_maximize
-
-
-@dataclass(frozen=True)
-class MaximizeAt:
-    """Steer: maximize |F| at a target angle (radians)."""
-
-    theta_p: float
-
-
-@dataclass(frozen=True)
-class MinimizeSpecular:
-    """Suppress the broadside (specular) response."""
-
-
-Objective = Union[MaximizeAt, MinimizeSpecular]
 
 
 # largest (f, W) grid a search may span, 29x the default 300 x 121 grid
@@ -64,7 +49,6 @@ class SearchSpec:
     w_step: float = 0.1
     w0: float = 4.0
     refine: bool = True
-    objective: Optional[Objective] = None
 
     def __post_init__(self):
         f_lo, f_hi = (float(self.f_range[0]), float(self.f_range[1]))
@@ -103,26 +87,19 @@ def _axis(lo, hi, step):
 
 @dataclass(frozen=True)
 class SteeringSolution:
-    """An optimized operating point and what it achieves."""
+    """An optimized operating point and |F(theta_p)| it achieves."""
 
     f_b: float
     w_b: float
     achieved_pattern: _radiation.RadiationPattern
     objective_value: float
-    objective: Objective
+    theta_p: float
 
     def to_dict(self):
-        if isinstance(self.objective, MaximizeAt):
-            objective = {
-                "kind": "maximize_at",
-                "theta_deg": math.degrees(self.objective.theta_p),
-            }
-        else:
-            objective = {"kind": "minimize_specular"}
         return {
             "f_hz": self.f_b,
             "w_volts": self.w_b,
-            "objective": objective,
+            "objective": {"kind": "maximize_at", "theta_deg": math.degrees(self.theta_p)},
             "objective_value": self.objective_value,
             "pattern": {
                 "theta_deg": np.rad2deg(self.achieved_pattern.theta),
@@ -225,8 +202,8 @@ def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
 
 
 def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
-                         f_c: float = 2.45e9, theta_grid=None) -> SteeringSolution:
-    """Pick (f_b, W_b) for the requested objective.
+                         f_c: float = 2.45e9) -> SteeringSolution:
+    """Pick (f_b, W_b) that maximize |F(theta_p)|.
 
     Exhaustive scan of the SearchSpec grid, then (optionally) two
     rounds of coordinate-wise golden-section refinement bounded to one
@@ -235,27 +212,19 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     """
     if not (abs(theta_p) <= math.pi / 2):
         raise InputError("theta_p must lie within +-90 degrees")
-    objective = spec.objective if spec.objective is not None else MaximizeAt(theta_p)
-    if isinstance(objective, MaximizeAt):
-        obj_angle = objective.theta_p
-        sense = 1.0
-    else:
-        obj_angle = 0.0
-        sense = -1.0
-
     f_axis = spec.f_axis()
     w_axis = spec.w_axis()
     if f_axis.size == 0 or w_axis.size == 0:
         raise InputError("empty search space")
 
     values, clamped = _objective_values(
-        design, cell, table, f_axis, w_axis, spec.w0, f_c, obj_angle
+        design, cell, table, f_axis, w_axis, spec.w0, f_c, theta_p
     )
     if clamped:
         warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=2)
 
     # flat argmax scans f-major then W-minor, which is the tie order
-    flat = int(np.argmax(sense * values))
+    flat = int(np.argmax(values))
     i_f, i_w = divmod(flat, w_axis.size)
     best_f = float(f_axis[i_f])
     best_w = float(w_axis[i_w])
@@ -263,44 +232,27 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
 
     def point_value(f_b, w_b):
         vals, _ = _objective_values(
-            design, cell, table, np.array([f_b]), np.array([w_b]), spec.w0, f_c, obj_angle
+            design, cell, table, np.array([f_b]), np.array([w_b]), spec.w0, f_c, theta_p
         )
         return float(vals[0, 0])
 
     if spec.refine:
-        # golden section works on the signed objective so the same
-        # code path serves both senses; strict improvement keeps the
-        # coarse point on exact ties
-        best_signed = sense * best_val
+        # strict improvement keeps the coarse point on exact ties
         for _ in range(2):
             lo = max(spec.f_range[0], best_f - spec.f_step)
             hi = min(spec.f_range[1], best_f + spec.f_step)
-            x, sval = golden_section_maximize(
-                lambda f: sense * point_value(f, best_w), lo, hi, 1.0e3
-            )
-            if sval > best_signed:
-                best_f = x
-                best_signed = sval
+            x, val = golden_section_maximize(lambda f: point_value(f, best_w), lo, hi, 1.0e3)
+            if val > best_val:
+                best_f, best_val = x, val
             lo = max(spec.w_range[0], best_w - spec.w_step)
             hi = min(spec.w_range[1], best_w + spec.w_step)
-            x, sval = golden_section_maximize(
-                lambda w: sense * point_value(best_f, w), lo, hi, 0.01
-            )
-            if sval > best_signed:
-                best_w = x
-                best_signed = sval
-        best_val = sense * best_signed
+            x, val = golden_section_maximize(lambda w: point_value(best_f, w), lo, hi, 0.01)
+            if val > best_val:
+                best_w, best_val = x, val
 
-    pattern = evaluate_operating_point(
-        design, cell, table, best_f, best_w, spec.w0, f_c, theta_grid
-    )
-    return SteeringSolution(
-        f_b=best_f,
-        w_b=best_w,
-        achieved_pattern=pattern,
-        objective_value=point_value(best_f, best_w),
-        objective=objective,
-    )
+    pattern = evaluate_operating_point(design, cell, table, best_f, best_w, spec.w0, f_c)
+    return SteeringSolution(f_b=best_f, w_b=best_w, achieved_pattern=pattern,
+                            objective_value=best_val, theta_p=theta_p)
 
 
 def large_angle_frequency(theta_p: float, f_c: float, n_slow: float) -> LargeAngleFrequency:

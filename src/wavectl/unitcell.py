@@ -465,9 +465,3 @@ def ingest_impedance(path, fmt: str = "auto") -> ImpedanceSamples:
     if fmt in ("s1p", "touchstone"):
         return _parse_touchstone(path)
     raise InputError(f"unknown impedance format {fmt!r}")
-
-
-def impedance_samples_csv_rows(samples: ImpedanceSamples):
-    """Rows for the f_hz,re_z,im_z CSV schema."""
-    for f, z in zip(samples.frequencies, samples.impedances):
-        yield float(f), float(z.real), float(z.imag)

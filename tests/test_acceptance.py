@@ -321,7 +321,7 @@ def test_ideal_tapped_line_matches_closed_form(bundle):
             shape = np.sin if term is w.Termination.SHORT else np.cos
             expected = exc.dc_offset + amp * np.abs(shape(d.wavenumber(float(f)) * u))
             net = w.build_network(
-                d, None, w.RectifierSpec(), float(f),
+                d, float(f),
                 z_rect=math.inf,
                 coupling_capacitance=math.inf,
                 decoupling_inductance=math.inf,

@@ -11,7 +11,6 @@ import pytest
 import wavectl as w
 from wavectl.cli import main
 from wavectl.serialize import write_csv
-from wavectl.unitcell import impedance_samples_csv_rows
 
 
 def _read_json(path):
@@ -114,7 +113,8 @@ def test_fit_command_round_trip(tmp_path):
     cell = w.CellCircuit(R_d=0.17, C_d=0.74e-12, L_d=1.64e-9, L_s=1.60e-9)
     sweep = tmp_path / "sweep.csv"
     samples = w.synthesize_samples(cell, np.linspace(1e9, 9e9, 4001))
-    write_csv(sweep, ("f_hz", "re_z", "im_z"), impedance_samples_csv_rows(samples))
+    write_csv(sweep, ("f_hz", "re_z", "im_z"),
+              (samples.frequencies, samples.impedances.real, samples.impedances.imag))
     out = tmp_path / "run"
     thickness = cell.L_s / w.MU0
     assert main(["fit", "--input", str(sweep), "--thickness", str(thickness),

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavectl as w
 from wavectl.errors import InputError
-from wavectl.radiation import DB_FLOOR, pattern_csv_rows
+from wavectl.radiation import DB_FLOOR, pattern_csv_columns
 
 F_C = 2.45e9
 D_X = 0.02
@@ -145,10 +145,10 @@ def test_metrics_to_dict_keys():
 
 def test_pattern_csv_rows_floor():
     pattern = w.array_factor(_profile_from(np.zeros(4)), _request())
-    rows = list(pattern_csv_rows(pattern))
-    assert len(rows) == 3601
-    assert all(r[2] == DB_FLOOR for r in rows)
-    assert rows[0][0] == pytest.approx(-90.0)
+    theta_deg, _, magnitude_db = pattern_csv_columns(pattern)
+    assert len(theta_deg) == len(magnitude_db) == 3601
+    assert np.all(magnitude_db == DB_FLOOR)
+    assert theta_deg[0] == pytest.approx(-90.0)
 
 
 def test_peak_refinement_beats_grid_resolution():

@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wavectl.serialize import (
-    csv_text,
-    format_cell,
     format_float,
     format_floats,
     json_text,
@@ -30,19 +28,28 @@ def test_format_float_rejects_nonfinite():
         format_float(math.inf)
 
 
-def test_format_cell_types():
-    assert format_cell(7) == "7"
-    assert format_cell(np.int64(7)) == "7"
-    assert format_cell(np.float64(0.5)) == "5.00000000e-01"
-    assert format_cell("label") == "label"
-    with pytest.raises(TypeError):
-        format_cell(True)
-    with pytest.raises(ValueError):
-        format_cell("a,b")
+def csv_text(header, columns):
+    """Oracle: the CSV text of columns, one format_float call per float."""
+    rows = zip(*(c.tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(
+        ",".join(str(v) if isinstance(v, int) else format_float(v) for v in row) + "\n"
+        for row in rows)
 
 
-def test_csv_layout():
-    text = csv_text(("a", "b"), [(1, 0.5), (2, 1.5)])
+def test_format_cell_types(tmp_path):
+    # integer columns print verbatim, float columns through format_float;
+    # other dtypes have no CSV form
+    path = tmp_path / "t.csv"
+    text = write_csv(path, ("i", "u", "x"), (np.array([7, -1]), np.array([7, 0], dtype=np.uint8),
+                                             np.array([0.5, -0.0])))
+    assert text == "i,u,x\n7,7,5.00000000e-01\n-1,0,0.00000000e+00\n"
+    for bad in (np.array([True]), np.array(["label"]), np.array([1j])):
+        with pytest.raises(TypeError):
+            write_csv(path, ("v",), (bad,))
+
+
+def test_csv_layout(tmp_path):
+    text = write_csv(tmp_path / "t.csv", ("a", "b"), (np.array([1, 2]), np.array([0.5, 1.5])))
     assert text == "a,b\n1,5.00000000e-01\n2,1.50000000e+00\n"
 
 
@@ -66,7 +73,7 @@ def test_sha256_stable_across_key_order():
 
 def test_write_round_trip(tmp_path):
     p = tmp_path / "t.csv"
-    write_csv(p, ("x",), [(1,)])
+    write_csv(p, ("x",), (np.array([1]),))
     assert p.read_bytes() == b"x\n1\n"
     q = tmp_path / "t.json"
     write_json(q, {"k": 1.0})
@@ -102,8 +109,8 @@ def test_csv_columns_match_csv_text(tmp_path_factory, a):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     index = np.arange(a.size) - 3
     columns = (index, a, a[::-1].copy())
-    text = write_csv(path, ("i", "x", "y"), columns=columns)
-    assert text == csv_text(("i", "x", "y"), zip(*(c.tolist() for c in columns)))
+    text = write_csv(path, ("i", "x", "y"), columns)
+    assert text == csv_text(("i", "x", "y"), columns)
     assert path.read_text(encoding="utf-8") == text
 
 
@@ -117,10 +124,11 @@ def test_one_non_finite_value_is_refused(tmp_path_factory, a, data, bad):
         json_text({"x": a})
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     with pytest.raises(ValueError, match="non-finite"):
-        write_csv(path, ("x",), columns=(a.ravel(),))
+        write_csv(path, ("x",), (a.ravel(),))
 
 
 def test_csv_columns_span_several_blocks(tmp_path):
     x = np.linspace(-1.0, 1.0, 10_001)
-    text = write_csv(tmp_path / "t.csv", ("m", "x"), columns=(np.arange(x.size), x))
-    assert text == csv_text(("m", "x"), zip(range(x.size), x.tolist()))
+    columns = (np.arange(x.size), x)
+    text = write_csv(tmp_path / "t.csv", ("m", "x"), columns)
+    assert text == csv_text(("m", "x"), columns)

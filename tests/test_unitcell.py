@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import wavectl as w
 from wavectl.errors import ClampWarning, FitError, InputError, ParseError, SingularInputError
 from wavectl.serialize import write_csv
-from wavectl.unitcell import ImpedanceSamples, impedance_samples_csv_rows
+from wavectl.unitcell import ImpedanceSamples
 
 # an earlier published value set for this cell family; used as a fit
 # target because its resonances sit inside an easy sweep range
@@ -250,7 +250,8 @@ def test_impedance_samples_validation():
 def test_csv_ingest_round_trip(tmp_path, cell):
     samples = w.synthesize_samples(cell, np.linspace(1e9, 2e10, 256))
     path = tmp_path / "sweep.csv"
-    write_csv(path, ("f_hz", "re_z", "im_z"), impedance_samples_csv_rows(samples))
+    write_csv(path, ("f_hz", "re_z", "im_z"),
+              (samples.frequencies, samples.impedances.real, samples.impedances.imag))
     back = w.ingest_impedance(path)
     assert np.allclose(back.frequencies, samples.frequencies, rtol=1e-8)
     assert np.allclose(back.impedances, samples.impedances, rtol=1e-7, atol=1e-9)
@@ -391,7 +392,8 @@ def test_touchstone_requires_increasing_frequency(tmp_path):
 def test_ingest_format_sniffing(tmp_path, cell):
     samples = w.synthesize_samples(cell, np.linspace(1e9, 2e10, 64))
     csv_path = tmp_path / "data.txt"
-    write_csv(csv_path, ("f_hz", "re_z", "im_z"), impedance_samples_csv_rows(samples))
+    write_csv(csv_path, ("f_hz", "re_z", "im_z"),
+              (samples.frequencies, samples.impedances.real, samples.impedances.imag))
     assert w.ingest_impedance(csv_path, fmt="auto").frequencies.size == 64
 
     s1p_path = tmp_path / "data.s1p"
