@@ -98,8 +98,11 @@ class BtlDesign:
         return np.arange(self.element_count) * self.spacing
 
     def wavenumber(self, f):
-        """Wavenumber along the array axis at frequency f (rad/m)."""
-        return 2.0 * math.pi * f * self.slowness / C0
+        """Wavenumber along the array axis at frequency f (rad/m); InputError if it overflows."""
+        k = 2.0 * math.pi * f * self.slowness / C0
+        if not np.isfinite(k).all():
+            raise InputError(f"frequency {float(np.max(f))!r} Hz overflows the wavenumber")
+        return k
 
 
 @dataclass(frozen=True)
@@ -356,6 +359,14 @@ def rectified_bias(design: BtlDesign, exc: Excitation, diode_drop: float = 0.0,
     return detected_bias(x, exc.dc_offset, _envelope_peaks(phasors, exc), diode_drop)
 
 
+def _electrical_length(design: BtlDesign, f: float) -> float:
+    """kappa, the whole line's electrical length at f (rad); InputError if it overflows."""
+    kappa = 2.0 * math.pi * f * design.slowness * design.total_length / C0
+    if not math.isfinite(kappa):
+        raise InputError(f"frequency {f!r} Hz overflows the line's electrical length")
+    return kappa
+
+
 def input_impedance(design: BtlDesign, f: float):
     """Impedance seen looking into the feed end of the line.
 
@@ -365,9 +376,9 @@ def input_impedance(design: BtlDesign, f: float):
     if not (f > 0):
         raise InputError("frequency must be positive")
     z0 = design.characteristic_impedance
-    kappa = 2.0 * math.pi * f * design.slowness * design.total_length / C0
     if design.termination is Termination.MATCHED:
         return complex(z0)
+    kappa = _electrical_length(design, f)
     s = math.sin(kappa)
     c = math.cos(kappa)
     if design.termination is Termination.SHORT:
@@ -399,7 +410,7 @@ def standing_wave_amplitude(design: BtlDesign, exc: Excitation, f: float) -> flo
         return v_g
     z0 = design.characteristic_impedance
     z_g = exc.generator_impedance
-    kappa = 2.0 * math.pi * f * design.slowness * design.total_length / C0
+    kappa = _electrical_length(design, f)
     s = math.sin(kappa)
     c = math.cos(kappa)
     if design.termination is Termination.SHORT:

@@ -6,12 +6,22 @@ produce byte-identical artifacts on any platform.  JSON objects are
 emitted with sorted keys and a fixed indentation; CSV uses bare
 comma-separated cells and a single trailing newline.
 
-Float arrays take a whole-array path with the same output: one
-finiteness check and one ``-0.0`` collapse per array, then one format
-call per value (``format_floats``).  In JSON each innermost row of a
-float ndarray is joined into one string; a CSV is given as columns and
-written in blocks of rows, each row through one ``str.format``
-template.
+Float arrays are checked for finiteness and have ``-0.0`` collapsed
+once per array; from ``_VECTOR_MIN`` values up they are formatted in
+one numpy pass, smaller ones one value at a time (``format_floats``).
+The numpy pass writes each value as a NUL-padded 16-byte slot of
+lookup-table words, and one mask drops the pads.  In JSON each
+innermost row of a float ndarray is joined into one string; a CSV is
+given as columns and written in blocks of rows, each block one byte
+matrix of all its columns.
+
+The numpy pass is exact.  With e the decade of |x| (corrected by one
+where s leaves [1e8, 1e9)) and k = 8 - e, 10**k is an exact double for
+|k| <= 22, so s = |x|·10**k is one correctly rounded multiply or
+divide, within 6e-8 of the true product below 1e9.  rint(s), bumped a
+decade at 1e9, is then the digit string _FLOAT prints, unless the
+product may sit at a half-way point: values with |s mod 1 - 0.5| <
+1e-6 or |k| > 22 (which covers every |e| > 99) go through _FLOAT.
 """
 
 import hashlib
@@ -24,6 +34,30 @@ import numpy as np
 
 # 9 significant digits in scientific form, the one float format
 _FLOAT = "{:.8e}"
+# float arrays, and CSV blocks counted in float cells, below this size are
+# formatted one value at a time: the measured crossover of the two paths
+_VECTOR_MIN = 128
+
+
+def _words(cells):
+    """Four-character ASCII strings, NUL-padded, as one uint32 word each."""
+    return np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint32)
+
+
+# A float's slot is four words: sign (or NUL), first digit, point and
+# second digit | the next four digits | the last three and a NUL | "e",
+# the exponent's sign and two digits.  The longest _FLOAT string of a
+# finite float, "-1.23456789e-308", also fills the 16 bytes.
+_SLOT_WORDS = 4
+_LEAD = _words([sign + f"{d // 10}.{d % 10}" for sign in ("\0", "-") for d in range(100)])
+_QUAD = _words([f"{i:04d}" for i in range(10000)])
+_TRIPLE = _words([f"{i:03d}\0" for i in range(1000)])
+_EXPONENT = _words([f"e{e:+03d}" for e in range(-99, 100)])
+_COMMA, _NEWLINE = _words([",\0\0\0", "\n\0\0\0"])
+# 10**k for -22 <= k <= 22 as a factor and a divisor, one of them 1; each
+# power of ten up to 10**22 is an exact double
+_UP = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
+_DOWN = np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)])
 
 
 def format_float(x):
@@ -47,7 +81,84 @@ def _finite_floats(values):
 
 def format_floats(values):
     """format_float of every value of a float array, in C order."""
-    return list(map(_FLOAT.format, _finite_floats(values).ravel().tolist()))
+    a = _finite_floats(values).ravel()
+    if a.size < _VECTOR_MIN:
+        return list(map(_FLOAT.format, a.tolist()))
+    out = np.zeros((a.size, _SLOT_WORDS + 1), np.uint32)
+    _float_slots(a, out[:, :_SLOT_WORDS])
+    out[:, _SLOT_WORDS] = _NEWLINE
+    return _text(out).splitlines()
+
+
+def _text(out):
+    """The bytes of a C-contiguous NUL-padded word matrix, without the NULs."""
+    b = out.view(np.uint8)
+    return b[b != 0].tobytes().decode("ascii")
+
+
+def _float_slots(x, out):
+    """Write _FLOAT of each value of finite ``x`` into the zeroed words ``out``.
+
+    ``out`` has the shape of ``x`` and one more axis of 4 words.
+    """
+    zero = x == 0.0
+    a = np.where(zero, 1.0, np.abs(x))
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = _scaled(a, e)
+    off = (s >= 1e9).view(np.int8) - (s < 1e8).view(np.int8)  # log10 may miss by one
+    if off.any():
+        fix = np.nonzero(off)
+        e[fix] += off[fix]
+        s[fix] = _scaled(a[fix], e[fix])
+    slow = (np.abs(8 - e) > 22) | (np.abs(s - np.floor(s) - 0.5) < 1e-6)
+    n = np.rint(s)
+    top = n >= 1e9  # rounded up into the next decade
+    e += top
+    n[top] = 1e8
+    keep = ~(slow | zero)
+    n = np.where(keep, n, 0.0).astype(np.int64)
+    e = np.where(keep, e, 0)
+    lead = n // 10 ** 7
+    mid = n // 1000
+    out[..., 0] = _LEAD[lead + 100 * (x < 0.0)]
+    out[..., 1] = _QUAD[mid - 10000 * lead]
+    out[..., 2] = _TRIPLE[n - 1000 * mid]
+    out[..., 3] = _EXPONENT[e + 99]
+    fallback = np.nonzero(slow)
+    if fallback[0].size:
+        text = np.array(list(map(_FLOAT.format, x[fallback].tolist())), dtype="S16")
+        out[fallback] = text.view(np.uint32).reshape(-1, _SLOT_WORDS)
+
+
+def _scaled(a, e):
+    """a·10**(8 - e): one correctly rounded multiply or divide where |8 - e| <= 22."""
+    i = 30 - e  # 8 - e + 22
+    return a * np.take(_UP, i, mode="clip") / np.take(_DOWN, i, mode="clip")
+
+
+def _int_width(v):
+    """Words that hold the sign and digits of every integer of ``v``."""
+    return len(str(max(int(v.max()), -int(v.min())))) // 4 + 1
+
+
+def _int_slots(v, out):
+    """Write str() of each value of 1-D integer ``v`` into the zeroed words ``out``."""
+    width = out.shape[1]
+    if v.dtype.kind == "i":
+        mag = np.abs(v.astype(np.int64)).view(np.uint64)  # -2**63 included
+    else:
+        mag = v.astype(np.uint64)
+    digits = np.ones(v.size, np.int64)
+    for i in range(1, min(4 * width, 20)):
+        digits += mag >= np.uint64(10 ** i)
+    for j in range(width - 1, -1, -1):
+        out[:, j] = _QUAD[mag % 10000]
+        mag = mag // 10000
+    b = out.view(np.uint8)
+    first = 4 * width - digits  # byte of the leading digit
+    b[np.arange(4 * width) < first[:, None]] = 0
+    neg = np.flatnonzero(v < 0)
+    b[neg, first[neg] - 1] = ord("-")
 
 
 # rows formatted and written at a time
@@ -58,36 +169,60 @@ def write_csv(path, header, columns):
     """Write a CSV file from equal-length 1-D column arrays; return its text.
 
     Integer columns print as ``{:d}`` and float columns as format_float
-    prints them.  Rows are written in blocks, each row through one
-    template.
+    prints them.  Rows are written in blocks, each built as one byte
+    matrix of all its columns.
     """
-    columns, template = _csv_columns(columns)
+    columns = _csv_columns(columns)
     parts = [",".join(header) + "\n"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(parts[0])
         for start in range(0, columns[0].size, _BLOCK_ROWS):
-            block = "".join(map(template.format, *(
-                c[start:start + _BLOCK_ROWS].tolist() for c in columns)))
+            block = _csv_block([c[start:start + _BLOCK_ROWS] for c in columns])
             fh.write(block)
             parts.append(block)
     return "".join(parts)
 
 
 def _csv_columns(columns):
-    """Checked columns and the row template that prints them."""
+    """Checked column arrays, float columns finite with -0.0 collapsed."""
     arrays = [np.asarray(c) for c in columns]
     if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
         raise ValueError("CSV columns must be 1-D arrays of equal length")
-    fields = []
     for i, a in enumerate(arrays):
-        if a.dtype.kind in "iu":
-            fields.append("{:d}")
-        elif a.dtype.kind == "f":
+        if a.dtype.kind == "f":
             arrays[i] = _finite_floats(a)
-            fields.append(_FLOAT)
-        else:
+        elif a.dtype.kind not in "iu":
             raise TypeError(f"unsupported CSV column dtype {a.dtype}")
-    return arrays, ",".join(fields) + "\n"
+    return arrays
+
+
+def _csv_block(columns):
+    """The CSV rows of a block of columns: each cell's words, then a separator word.
+
+    The float cells of all columns are formatted in one pass.  A block
+    of fewer than _VECTOR_MIN float cells, integer cells aside, is
+    formatted one cell at a time.
+    """
+    floats = [c.dtype.kind == "f" for c in columns]
+    if columns[0].size * sum(floats) < _VECTOR_MIN:
+        cells = [map(_FLOAT.format if f else str, c.tolist()) for c, f in zip(columns, floats)]
+        return "".join([",".join(row) + "\n" for row in zip(*cells)])
+    widths = [_SLOT_WORDS if f else _int_width(c) for c, f in zip(columns, floats)]
+    out = np.zeros((columns[0].size, sum(widths) + len(widths)), np.uint32)
+    slots = np.zeros((columns[0].size, sum(floats), _SLOT_WORDS), np.uint32)
+    if slots.size:
+        _float_slots(np.stack([c for c, f in zip(columns, floats) if f], axis=1), slots)
+    at = j = 0
+    for c, f, width in zip(columns, floats, widths):
+        if f:
+            out[:, at:at + width] = slots[:, j]
+            j += 1
+        else:
+            _int_slots(c, out[:, at:at + width])
+        at += width + 1
+        out[:, at - 1] = _COMMA
+    out[:, -1] = _NEWLINE
+    return _text(out)
 
 
 def _emit(obj, indent, out):

@@ -146,3 +146,26 @@ def test_no_non_finite_value_enters_the_line(design, kwargs, message):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InputError, match=message):
             w.solve_taps(w.build_network(design, **kwargs))
+
+
+@pytest.mark.parametrize("f", [1e-300, 1e-200, 1e-100])
+def test_overflowing_state_raises_solver_error(design, f):
+    # the solve refuses an overflowed state by frequency, without a numpy
+    # RuntimeWarning and without handing on zeros scaled by 1/inf
+    net = w.build_network(design, f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match=f"overflows at {f!r} Hz"):
+            w.solve_taps(net)
+
+
+def test_overflowing_electrical_length_raises_input_error(design):
+    exc = _exc(1e308)
+    with pytest.raises(InputError, match="1e\\+308 Hz overflows the line's electrical length"):
+        w.standing_wave_amplitude(design, exc, 1e308)
+    with pytest.raises(InputError, match="1e\\+308 Hz overflows the line's electrical length"):
+        w.input_impedance(design, 1e308)
+    assert w.input_impedance(replace(design, termination=w.Termination.MATCHED),
+                             1e308) == design.characteristic_impedance
+    with pytest.raises(InputError, match="1e\\+308 Hz overflows the wavenumber"):
+        w.build_network(design, 1e308)

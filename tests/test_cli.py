@@ -281,3 +281,26 @@ def test_oversized_reflection_tensor_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
     assert any("design.element_count" in line and "f_range/f_step" in line
                for line in err.splitlines() if line.startswith("wavectl:"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bias", "--fb", "1e308"], "frequency 1e+308 Hz overflows the line's electrical length"),
+    (["pattern", "--fb", "1e308"], "frequency 1e+308 Hz overflows the line's electrical length"),
+    (["cascade", "--fb", "1e308"], "frequency 1e+308 Hz overflows the line's electrical length"),
+    (["bias", "--fb", "1e308", "--wb", "1"], "frequency 1e+308 Hz overflows the wavenumber"),
+    (["pattern", "--fb", "1.7e308", "--wb", "1"], "frequency 1.7e+308 Hz overflows the wavenumber"),
+])
+def test_overflowing_frequency_exits_2_naming_it(tmp_path, capsys, argv, message):
+    # finite flags whose electrical length overflows to inf
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"wavectl: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fb", ["1e-300", "1e-100"])
+def test_overflowing_cascade_state_exits_4_naming_the_frequency(tmp_path, capsys, fb):
+    # the decoupling inductor's current v/(j w L) overflows near 0 Hz
+    assert main(["cascade", "--fb", fb, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        f"wavectl: the tapped-line state overflows at {float(fb)!r} Hz\n")
