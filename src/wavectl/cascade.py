@@ -166,25 +166,13 @@ def _propagate(v, i, angle, z0):
     return v * c + 1j * z0 * s * i, 1j * v * s / z0 + i * c
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by frequency
 def solve_taps(net: CascadeNetwork) -> NodeVoltages:
     """Tap voltage phasors of the loaded line driven by its generator.
 
     SolverError if any part of the line state overflows, as the
     decoupling inductor's current does near 0 Hz.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        taps, v, i, v_required = _unit_solve(net)
-        scale = net.generator_voltage / v_required
-        nodes = NodeVoltages(tap_positions=net.tap_positions, tap_voltages=taps * scale,
-                             input_voltage=v * scale)
-    if not (np.isfinite([i, v_required, nodes.input_voltage]).all()
-            and np.isfinite(nodes.tap_voltages).all()):
-        raise SolverError(f"the tapped-line state overflows at {net.frequency!r} Hz")
-    return nodes
-
-
-def _unit_solve(net):
-    """Taps, input voltage and current, and the generator voltage they need, for a unit seed."""
     w = 2.0 * math.pi * net.frequency
     z0 = net.characteristic_impedance
 
@@ -210,6 +198,7 @@ def _unit_solve(net):
             i = i + v / load
         v, i = _propagate(v, i, net.segment_angles[m], z0)
 
+    input_voltage = v
     if not math.isinf(net.decoupling_inductance):
         i = i + v / (1j * w * net.decoupling_inductance)
     z_cf = 0.0 if math.isinf(net.coupling_capacitance) else 1.0 / (1j * w * net.coupling_capacitance)
@@ -218,7 +207,17 @@ def _unit_solve(net):
     scale_ref = max(abs(v), abs(i) * z0, 1.0)
     if abs(v_required) < 1e-12 * scale_ref:
         raise SolverError("line input impedance cancels the source; the solve is singular")
-    return taps, v, i, v_required
+    scale = net.generator_voltage / v_required
+    taps = taps * scale
+    input_voltage = input_voltage * scale
+    if not (np.isfinite([i, v_required, input_voltage]).all() and np.isfinite(taps).all()):
+        raise SolverError(f"the tapped-line state overflows at {net.frequency!r} Hz")
+
+    return NodeVoltages(
+        tap_positions=net.tap_positions,
+        tap_voltages=taps,
+        input_voltage=input_voltage,
+    )
 
 
 def rectified_from_phasors(nodes: NodeVoltages, dc_offset: float,

@@ -36,12 +36,22 @@ import numpy as np
 _FLOAT = "{:.8e}"
 # float arrays, and CSV blocks counted in float cells, below this size are
 # formatted one value at a time: the measured crossover of the two paths
-_VECTOR_MIN = 128
+# when each call also opens and writes its file, as every caller does
+_VECTOR_MIN = 256
 
 
 def _words(cells):
     """Four-character ASCII strings, NUL-padded, as one uint32 word each."""
     return np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint32)
+
+
+def _digit_words(width):
+    """The zero-padded ``width`` ASCII digits of 0 .. 10**width - 1, a word each."""
+    i = np.arange(10 ** width)
+    b = np.zeros((i.size, 4), np.uint8)
+    for col in range(width):
+        b[:, col] = ord("0") + i // 10 ** (width - 1 - col) % 10
+    return b.view(np.uint32).ravel()
 
 
 # A float's slot is four words: sign (or NUL), first digit, point and
@@ -50,8 +60,8 @@ def _words(cells):
 # finite float, "-1.23456789e-308", also fills the 16 bytes.
 _SLOT_WORDS = 4
 _LEAD = _words([sign + f"{d // 10}.{d % 10}" for sign in ("\0", "-") for d in range(100)])
-_QUAD = _words([f"{i:04d}" for i in range(10000)])
-_TRIPLE = _words([f"{i:03d}\0" for i in range(1000)])
+_QUAD = _digit_words(4)
+_TRIPLE = _digit_words(3)
 _EXPONENT = _words([f"e{e:+03d}" for e in range(-99, 100)])
 _COMMA, _NEWLINE = _words([",\0\0\0", "\n\0\0\0"])
 # 10**k for -22 <= k <= 22 as a factor and a divisor, one of them 1; each

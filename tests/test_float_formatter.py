@@ -129,12 +129,16 @@ def _csv_oracle(header, columns):
         for row in rows)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 63, 64, 65, 300])
+# two float columns: one block of all rows takes the numpy path from here up
+SWITCH_ROWS = serialize._VECTOR_MIN // 2
+
+
+@pytest.mark.parametrize("rows", [1, 2, SWITCH_ROWS - 1, SWITCH_ROWS, SWITCH_ROWS + 1, 300])
 def test_csv_blocks_agree_with_per_value_text(tmp_path, monkeypatch, rows):
     # fallback values (half-way points, subnormals, three-digit exponents)
     # on both sides of every block boundary, with integer columns of both
     # signs and widths; small blocks format value by value unless the numpy
-    # path is forced, one block of all rows takes it from 64 rows up
+    # path is forced, one block of all rows takes it from SWITCH_ROWS up
     rng = np.random.default_rng(rows)
     slow = np.array([100000000.5, 2.5e-310, -DBL_MAX, 1e100, -0.0, 999999999.5, 1e-15])
     x = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 25, rows)
