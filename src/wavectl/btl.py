@@ -246,24 +246,21 @@ def _spatial_factor(design, k, x, alpha=0.0):
     return np.exp(-gamma * ((design.length + design.right_extension) - x))
 
 
-def _mode_phasors(design, exc, x, attenuation=0.0, path_ratio=1.0):
+def _mode_phasors(design, exc, x, attenuation=0.0):
     """Complex envelope of each mode at axial position(s) x.
 
     The instantaneous line voltage is
         w(x, t) = W0 + sum_n Re{ P[..., n] * exp(j*(n*w_b*t + phi_n)) }
     where P is the returned array (last axis runs over modes).
 
-    attenuation is in nepers per meter along the meander path;
-    path_ratio converts it to the array axis (path length per axial
-    meter).  The default is lossless.
+    attenuation is in nepers per axial meter.  The default is lossless.
     """
     x = np.asarray(x, dtype=float)
     modes = exc.modes
     out = np.zeros(x.shape + (len(modes),), dtype=complex)
-    alpha = attenuation * path_ratio  # nepers per axial meter
     for j, mode in enumerate(modes):
         k = design.wavenumber(mode.mode_index * exc.fundamental_frequency)
-        out[..., j] = mode.amplitude * _spatial_factor(design, k, x, alpha)
+        out[..., j] = mode.amplitude * _spatial_factor(design, k, x, attenuation)
     return out
 
 
@@ -291,15 +288,14 @@ def _ac_sum(coeff, indices, tau):
     return (basis @ coeff[..., None])[..., 0].real
 
 
-def standing_wave_voltage(design: BtlDesign, exc: Excitation, x: float, t: float,
-                          attenuation: float = 0.0, path_ratio: float = 1.0) -> float:
+def standing_wave_voltage(design: BtlDesign, exc: Excitation, x: float, t: float) -> float:
     """Instantaneous line voltage at position x and time t."""
     if x < -design.left_extension or x > design.length + design.right_extension:
         raise InputError(
             f"x = {x} m is outside the line "
             f"[{-design.left_extension}, {design.length + design.right_extension}] m"
         )
-    phasors = _mode_phasors(design, exc, float(x), attenuation, path_ratio)
+    phasors = _mode_phasors(design, exc, float(x))
     coeff, indices = _ac_coefficients(phasors, exc)
     tau = 2.0 * math.pi * exc.fundamental_frequency * t
     return float(exc.dc_offset + _ac_sum(coeff, indices, np.array([tau]))[0])
@@ -349,13 +345,14 @@ def detected_bias(positions, dc_offset, peaks, diode_drop) -> BiasPattern:
 
 
 def rectified_bias(design: BtlDesign, exc: Excitation, diode_drop: float = 0.0,
-                   attenuation: float = 0.0, path_ratio: float = 1.0) -> BiasPattern:
+                   attenuation: float = 0.0) -> BiasPattern:
     """Dc bias at every tap: dc offset plus the peak of the local ac sum.
 
-    diode_drop models a constant rectifier drop, applied by detected_bias.
+    diode_drop models a constant rectifier drop, applied by detected_bias;
+    attenuation is the line loss in nepers per axial meter.
     """
     x = design.tap_positions()
-    phasors = _mode_phasors(design, exc, x, attenuation, path_ratio)
+    phasors = _mode_phasors(design, exc, x, attenuation)
     return detected_bias(x, exc.dc_offset, _envelope_peaks(phasors, exc), diode_drop)
 
 

@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -354,9 +355,31 @@ _COMMANDS = {
 }
 
 
+# opens with a negative number, which argparse takes for an option unless
+# the whole token is one
+_NEGATIVE_LEAD = re.compile(r"-\.?\d")
+
+
+def _bind_probe_list(argv):
+    """Join ``--probe -12.5,3`` (or ``--prob -12.5,3``) into ``--probe=-12.5,3``.
+
+    argparse reads only a plain negative number such as ``-12.5`` as a
+    value, so a probe list that opens with a negative angle would
+    otherwise be taken for an unknown option.
+    """
+    out = []
+    for token in argv:
+        if (out and len(out[-1]) > 2 and "--probe".startswith(out[-1])
+                and _NEGATIVE_LEAD.match(token)):
+            out[-1] = f"--probe={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_probe_list(sys.argv[1:] if argv is None else argv))
 
     started = time.perf_counter()
     try:

@@ -2,15 +2,16 @@
 
 A run configuration is a single JSON object with one section per
 domain type; every quantity is in SI base units (hertz, meters,
-volts, ohms, farads, henries).  Validation walks the whole document
-and reports every problem with its JSON path before any computation
-runs.
+volts, ohms, farads, henries).  One schema table per JSON object
+(``_RUN``) reads, checks and renders it, reporting every problem with
+its JSON path before any computation runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -39,117 +40,219 @@ class RunConfig:
             raise InputError("carrier_frequency must be positive")
 
     def to_dict(self):
-        doc = {
-            "design": {
-                "element_count": self.design.element_count,
-                "spacing": self.design.spacing,
-                "left_extension": self.design.left_extension,
-                "right_extension": self.design.right_extension,
-                "slowness": self.design.slowness,
-                "characteristic_impedance": self.design.characteristic_impedance,
-                "termination": self.design.termination.value,
-            },
-            "cell": {
-                "R_d": self.cell.R_d,
-                "C_d": self.cell.C_d,
-                "L_d": self.cell.L_d,
-                "L_s": self.cell.L_s,
-            },
-            "varactors": {
-                "series_inductance": self.varactors.series_inductance,
-                "rows": [
-                    {"bias_voltage": v, "capacitance": c, "resistance": r}
-                    for v, c, r in self.varactors.rows
-                ],
-            },
-            "excitation": {
-                "dc_offset": self.excitation.dc_offset,
-                "modes": [
-                    {"mode_index": m.mode_index, "amplitude": m.amplitude, "phase": m.phase}
-                    for m in self.excitation.modes
-                ],
-                "fundamental_frequency": self.excitation.fundamental_frequency,
-                "generator_voltage": self.excitation.generator_voltage,
-                "generator_impedance": self.excitation.generator_impedance,
-            },
-            "carrier_frequency": self.carrier_frequency,
-        }
-        if self.microstrip is not None:
-            doc["microstrip"] = {
-                "relative_permittivity": self.microstrip.relative_permittivity,
-                "substrate_thickness": self.microstrip.substrate_thickness,
-                "trace_width": self.microstrip.trace_width,
-                "path_length_per_cell": self.microstrip.path_length_per_cell,
-            }
-        if self.output_dir is not None:
-            doc["output_dir"] = self.output_dir
+        return _RUN.render(self)
+
+
+class _Problems(list):
+    """One ``path: message`` line per problem, in the order found."""
+
+    def add(self, path, message):
+        self.append(f"{path}: {message}")
+
+
+_ABSENT = object()  # the value of a key the document leaves out
+
+
+def _number(value, path, problems):
+    """A required finite number as a float, or None once the problem is recorded."""
+    if value is _ABSENT:
+        problems.add(path, "missing required field")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        problems.add(path, "must be a number")
+    elif not math.isfinite(value):
+        problems.add(path, "must be a finite number")
+    else:
+        return float(value)
+    return None
+
+
+def _integer(value, path, problems):
+    if value is _ABSENT:
+        problems.add(path, "missing required field")
+    elif isinstance(value, bool) or not isinstance(value, int):
+        problems.add(path, "must be an integer")
+    else:
+        return value
+    return None
+
+
+def _nullable_number(value, path, problems):
+    return None if value is None else _number(value, path, problems)
+
+
+def _termination(value, path, problems):
+    try:
+        return Termination("short" if value is _ABSENT else value)
+    except ValueError:
+        problems.add(path, "must be one of short, open, matched")
+        return None
+
+
+def _text(value, path, problems):
+    if value is _ABSENT or value is None or isinstance(value, str):
+        return None if value is _ABSENT else value
+    problems.add(path, "must be a string")
+    return None
+
+
+class _Leaf:
+    """A scalar key: ``read`` checks its JSON value, ``render`` writes it back."""
+
+    def __init__(self, read, render=lambda value: value):
+        self.read = read
+        self.render = render
+
+
+def _optional_number(default, positive=False):
+    """A number that is ``default`` when absent, or when bad once the problem is recorded."""
+
+    def read(value, path, problems):
+        number = default if value is _ABSENT else _number(value, path, problems)
+        if number is None:
+            return default
+        if positive and number <= 0:
+            problems.add(path, "must be positive")
+        return number
+
+    return _Leaf(read)
+
+
+def _build(build, path, values, problems):
+    """build(**values); None if a value is missing or the type refuses them."""
+    if None in values.values():
+        return None
+    try:
+        return build(**values)
+    except InputError as err:
+        problems.add(path, str(err))
+        return None
+
+
+class _Object:
+    """A JSON object whose keys, in reading order, are the table's.
+
+    Unknown keys are reported first, then each key is read, then the
+    values build the type; with no type they are returned as a dict.
+    """
+
+    not_object = "must be an object"
+
+    def __init__(self, table, build=None):
+        self.table = table
+        self.build = build
+
+    def read(self, value, path, problems):
+        if not isinstance(value, dict):
+            problems.add(path, self.not_object)
+            return None
+        for key in value:
+            if key not in self.table:
+                problems.add(f"{path}.{key}", "unrecognized field")
+        values = {key: field.read(value.get(key, _ABSENT), f"{path}.{key}", problems)
+                  for key, field in self.table.items()}
+        return values if self.build is None else _build(self.build, path, values, problems)
+
+    def render(self, obj):
+        if type(obj) is tuple:  # a varactor row, kept as a plain tuple of numbers
+            return dict(zip(self.table, obj))
+        doc = {}
+        for key, field in self.table.items():
+            value = getattr(obj, key)
+            if value is not None:
+                doc[key] = field.render(value)
         return doc
 
 
-class _Problems:
-    def __init__(self):
-        self.items = []
+class _Section(_Object):
+    """A top-level object, named in problems without the root; absent, a problem if required."""
 
-    def add(self, path, message):
-        self.items.append((path, message))
+    not_object = "must be a JSON object"
 
-    def raise_if_any(self):
-        if self.items:
-            lines = [f"{path}: {message}" for path, message in self.items]
-            raise ConfigError(None, "\n".join(lines))
+    def __init__(self, table, build=None, required=True):
+        super().__init__(table, build)
+        self.required = required
+
+    def read(self, value, path, problems):
+        path = path.removeprefix("$.")
+        if value is _ABSENT:
+            if self.required:
+                problems.add(path, "missing required section")
+            return None
+        return super().read(value, path, problems)
 
 
-def _section(doc, key, problems, required=True):
-    if key not in doc:
-        if required:
-            problems.add(key, "missing required section")
+class _Array:
+    """A JSON array of objects: required and nonempty, or else empty when absent."""
+
+    def __init__(self, item, required=True):
+        self.item = item
+        self.required = required
+
+    def read(self, value, path, problems):
+        if value is _ABSENT and not self.required:
+            return ()
+        if not isinstance(value, list) or (self.required and not value):
+            problems.add(path, "must be a nonempty array" if self.required else "must be an array")
+            return None
+        items = [self.item.read(item, f"{path}[{i}]", problems) for i, item in enumerate(value)]
+        return None if None in items else tuple(items)
+
+    def render(self, items):
+        return [self.item.render(item) for item in items]
+
+
+_NUMBER = _Leaf(_number)
+_INTEGER = _Leaf(_integer)
+_Row = namedtuple("_Row", ("bias_voltage", "capacitance", "resistance"))
+
+# One table per JSON object, keyed by the attributes of the type it
+# builds, in reading order, which is the order problems are reported
+# in.  The design is built last: a null slowness comes from microstrip.
+_RUN = _Object({
+    "design": _Section({
+        "element_count": _INTEGER, "spacing": _NUMBER,
+        "left_extension": _NUMBER, "right_extension": _NUMBER,
+        "slowness": _Leaf(_nullable_number),
+        "characteristic_impedance": _NUMBER,
+        "termination": _Leaf(_termination, lambda termination: termination.value),
+    }),
+    "microstrip": _Section({
+        "relative_permittivity": _NUMBER, "substrate_thickness": _NUMBER,
+        "trace_width": _NUMBER, "path_length_per_cell": _NUMBER,
+    }, MicrostripSpec, required=False),
+    "cell": _Section({"R_d": _NUMBER, "C_d": _NUMBER, "L_d": _NUMBER, "L_s": _NUMBER},
+                     CellCircuit),
+    "varactors": _Section({
+        "series_inductance": _NUMBER,
+        "rows": _Array(_Object(dict.fromkeys(_Row._fields, _NUMBER), _Row)),
+    }, VaractorTable),
+    "excitation": _Section({
+        "dc_offset": _NUMBER, "fundamental_frequency": _NUMBER,
+        "generator_voltage": _optional_number(10.0),
+        "generator_impedance": _optional_number(50.0),
+        "modes": _Array(_Object({
+            "mode_index": _INTEGER, "amplitude": _NUMBER, "phase": _optional_number(0.0),
+        }, Mode), required=False),
+    }, Excitation),
+    "carrier_frequency": _optional_number(2.45e9, positive=True),
+    "output_dir": _Leaf(_text),
+})
+
+
+def _design(values, microstrip, problems):
+    """Build the line, deriving a null slowness from the microstrip section."""
+    if values is None or any(v is None for k, v in values.items() if k != "slowness"):
         return None
-    value = doc[key]
-    if not isinstance(value, dict):
-        problems.add(key, "must be a JSON object")
-        return None
-    return value
-
-
-def _number(section, path, key, problems, required=True, default=None, allow_null=False):
-    if section is None:
-        return default
-    if key not in section:
-        if required:
-            problems.add(f"{path}.{key}", "missing required field")
-        return default
-    value = section[key]
-    if value is None and allow_null:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.add(f"{path}.{key}", "must be a number")
-        return default
-    if not math.isfinite(value):
-        problems.add(f"{path}.{key}", "must be a finite number")
-        return default
-    return float(value)
-
-
-def _integer(section, path, key, problems, required=True, default=None):
-    if section is None:
-        return default
-    if key not in section:
-        if required:
-            problems.add(f"{path}.{key}", "missing required field")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.add(f"{path}.{key}", "must be an integer")
-        return default
-    return value
-
-
-def _check_keys(section, path, known, problems):
-    if section is None:
-        return
-    for key in section:
-        if key not in known:
-            problems.add(f"{path}.{key}", "unrecognized field")
+    if values["slowness"] is None:
+        if microstrip is None:
+            problems.add("design.slowness",
+                         "null requires a microstrip section to derive the value from")
+            return None
+        if not values["spacing"] > 0:
+            problems.add("design.spacing", "must be positive")
+            return None
+        values["slowness"] = slowness_factor(microstrip, values["spacing"])
+    return _build(BtlDesign, "design", values, problems)
 
 
 def config_from_dict(doc) -> RunConfig:
@@ -160,187 +263,13 @@ def config_from_dict(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(None, "configuration must be a JSON object")
     problems = _Problems()
-    known_top = {
-        "design", "microstrip", "cell", "varactors", "excitation",
-        "carrier_frequency", "output_dir",
-    }
-    _check_keys(doc, "$", known_top, problems)
-
-    d = _section(doc, "design", problems)
-    _check_keys(d, "design", {
-        "element_count", "spacing", "left_extension", "right_extension",
-        "slowness", "characteristic_impedance", "termination",
-    }, problems)
-    element_count = _integer(d, "design", "element_count", problems)
-    spacing = _number(d, "design", "spacing", problems)
-    left_ext = _number(d, "design", "left_extension", problems)
-    right_ext = _number(d, "design", "right_extension", problems)
-    slowness = _number(d, "design", "slowness", problems, required=True, allow_null=True)
-    z0 = _number(d, "design", "characteristic_impedance", problems)
-    termination = None
-    if d is not None:
-        term_raw = d.get("termination", "short")
-        try:
-            termination = Termination(term_raw)
-        except ValueError:
-            problems.add("design.termination", "must be one of short, open, matched")
-
-    ms = _section(doc, "microstrip", problems, required=False)
-    _check_keys(ms, "microstrip", {
-        "relative_permittivity", "substrate_thickness", "trace_width",
-        "path_length_per_cell",
-    }, problems)
-    microstrip = None
-    if ms is not None:
-        eps_r = _number(ms, "microstrip", "relative_permittivity", problems)
-        thickness = _number(ms, "microstrip", "substrate_thickness", problems)
-        width = _number(ms, "microstrip", "trace_width", problems)
-        path_len = _number(ms, "microstrip", "path_length_per_cell", problems)
-        if None not in (eps_r, thickness, width, path_len):
-            try:
-                microstrip = MicrostripSpec(
-                    relative_permittivity=eps_r,
-                    substrate_thickness=thickness,
-                    trace_width=width,
-                    path_length_per_cell=path_len,
-                )
-            except InputError as err:
-                problems.add("microstrip", str(err))
-
-    c = _section(doc, "cell", problems)
-    _check_keys(c, "cell", {"R_d", "C_d", "L_d", "L_s"}, problems)
-    cell = None
-    cell_vals = {key: _number(c, "cell", key, problems) for key in ("R_d", "C_d", "L_d", "L_s")}
-    if None not in cell_vals.values():
-        try:
-            cell = CellCircuit(**cell_vals)
-        except InputError as err:
-            problems.add("cell", str(err))
-
-    v = _section(doc, "varactors", problems)
-    _check_keys(v, "varactors", {"series_inductance", "rows"}, problems)
-    varactors = None
-    if v is not None:
-        l_v = _number(v, "varactors", "series_inductance", problems)
-        raw_rows = v.get("rows")
-        rows = []
-        if not isinstance(raw_rows, list) or not raw_rows:
-            problems.add("varactors.rows", "must be a nonempty array")
-        else:
-            for i, row in enumerate(raw_rows):
-                if not isinstance(row, dict):
-                    problems.add(f"varactors.rows[{i}]", "must be an object")
-                    continue
-                _check_keys(row, f"varactors.rows[{i}]",
-                            {"bias_voltage", "capacitance", "resistance"}, problems)
-                bias = _number(row, f"varactors.rows[{i}]", "bias_voltage", problems)
-                cap = _number(row, f"varactors.rows[{i}]", "capacitance", problems)
-                res = _number(row, f"varactors.rows[{i}]", "resistance", problems)
-                if None not in (bias, cap, res):
-                    rows.append((bias, cap, res))
-        if l_v is not None and rows and len(rows) == len(raw_rows or []):
-            try:
-                varactors = VaractorTable(series_inductance=l_v, rows=tuple(rows))
-            except InputError as err:
-                problems.add("varactors", str(err))
-
-    e = _section(doc, "excitation", problems)
-    _check_keys(e, "excitation", {
-        "dc_offset", "modes", "fundamental_frequency",
-        "generator_voltage", "generator_impedance",
-    }, problems)
-    excitation = None
-    if e is not None:
-        dc = _number(e, "excitation", "dc_offset", problems)
-        f_b = _number(e, "excitation", "fundamental_frequency", problems)
-        v_g = _number(e, "excitation", "generator_voltage", problems, required=False, default=10.0)
-        z_g = _number(e, "excitation", "generator_impedance", problems, required=False, default=50.0)
-        raw_modes = e.get("modes", [])
-        modes = []
-        ok = True
-        if not isinstance(raw_modes, list):
-            problems.add("excitation.modes", "must be an array")
-            ok = False
-        else:
-            for i, mode in enumerate(raw_modes):
-                if not isinstance(mode, dict):
-                    problems.add(f"excitation.modes[{i}]", "must be an object")
-                    ok = False
-                    continue
-                _check_keys(mode, f"excitation.modes[{i}]",
-                            {"mode_index", "amplitude", "phase"}, problems)
-                idx = _integer(mode, f"excitation.modes[{i}]", "mode_index", problems)
-                amp = _number(mode, f"excitation.modes[{i}]", "amplitude", problems)
-                ph = _number(mode, f"excitation.modes[{i}]", "phase", problems,
-                             required=False, default=0.0)
-                if None in (idx, amp):
-                    ok = False
-                else:
-                    try:
-                        modes.append(Mode(idx, amp, ph))
-                    except InputError as err:
-                        problems.add(f"excitation.modes[{i}]", str(err))
-                        ok = False
-        if ok and None not in (dc, f_b):
-            try:
-                excitation = Excitation(
-                    dc_offset=dc,
-                    modes=tuple(modes),
-                    fundamental_frequency=f_b,
-                    generator_voltage=v_g,
-                    generator_impedance=z_g,
-                )
-            except InputError as err:
-                problems.add("excitation", str(err))
-
-    carrier = _number(doc, "$", "carrier_frequency", problems, required=False, default=2.45e9)
-    if carrier is not None and carrier <= 0:
-        problems.add("$.carrier_frequency", "must be positive")
-
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        problems.add("$.output_dir", "must be a string")
-        output_dir = None
-
-    # resolve the line's slowness: explicit value, or derived from the
-    # microstrip cross-section when the field is null
-    design = None
-    if None not in (element_count, spacing, left_ext, right_ext, z0) and termination is not None:
-        if slowness is None:
-            if microstrip is None:
-                problems.add(
-                    "design.slowness",
-                    "null requires a microstrip section to derive the value from",
-                )
-            elif spacing > 0:
-                slowness = slowness_factor(microstrip, spacing)
-        if slowness is not None:
-            try:
-                design = BtlDesign(
-                    element_count=element_count,
-                    spacing=spacing,
-                    left_extension=left_ext,
-                    right_extension=right_ext,
-                    slowness=slowness,
-                    characteristic_impedance=z0,
-                    termination=termination,
-                )
-            except InputError as err:
-                problems.add("design", str(err))
-
-    problems.raise_if_any()
-    if design is None or cell is None or varactors is None or excitation is None:
+    values = _RUN.read(doc, "$", problems)
+    values["design"] = _design(values["design"], values["microstrip"], problems)
+    if problems:
+        raise ConfigError(None, "\n".join(problems))
+    if any(values[key] is None for key in ("design", "cell", "varactors", "excitation")):
         raise ConfigError(None, "configuration incomplete")  # pragma: no cover
-
-    return RunConfig(
-        design=design,
-        cell=cell,
-        varactors=varactors,
-        excitation=excitation,
-        microstrip=microstrip,
-        carrier_frequency=carrier,
-        output_dir=output_dir,
-    )
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

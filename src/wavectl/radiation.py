@@ -155,11 +155,6 @@ def ideal_phase_gradient(theta_p: float, d_x: float, f_c: float, element_count: 
     return wrap_phase(alpha)
 
 
-def pattern_metrics(pattern: RadiationPattern) -> PatternMetrics:
-    """Recompute metrics from the sampled arrays."""
-    return _metrics_from_arrays(pattern.theta, pattern.magnitude)
-
-
 def _metrics_from_arrays(theta, magnitude):
     if theta.size == 0:
         raise InputError("empty pattern")

@@ -109,6 +109,19 @@ def test_scan_csv_and_json(tmp_path):
     assert len(doc[0]["magnitude"]) == 3
 
 
+def test_scan_probe_list_opening_with_a_negative_angle(tmp_path):
+    grid = ["--fmin", "1e6", "--fmax", "3e6", "--fstep", "1e6",
+            "--wmin", "0", "--wmax", "2", "--wstep", "1"]
+    joined = tmp_path / "joined"
+    assert main(["scan", "--probe=-12.5,3", "--out", str(joined)] + grid) == 0
+    csv = (joined / "scan.csv").read_bytes()
+    assert csv.splitlines()[1].startswith(b"-1.25000000e+01,")
+    for flag in ("--probe", "--prob"):
+        spaced = tmp_path / flag
+        assert main(["scan", flag, "-12.5,3", "--out", str(spaced)] + grid) == 0
+        assert (spaced / "scan.csv").read_bytes() == csv
+
+
 def test_fit_command_round_trip(tmp_path):
     cell = w.CellCircuit(R_d=0.17, C_d=0.74e-12, L_d=1.64e-9, L_s=1.60e-9)
     sweep = tmp_path / "sweep.csv"

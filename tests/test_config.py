@@ -5,6 +5,7 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavectl as w
 from wavectl.cli import main
@@ -171,3 +172,164 @@ def test_non_finite_numbers_rejected_with_path(tmp_path, capsys):
             err_text = capsys.readouterr().err
             assert err_text.startswith("wavectl: ") and path in err_text
             assert "Traceback" not in err_text
+
+
+def _bundled_doc():
+    text = resources.files("wavectl").joinpath("data", "reference-design.json").read_text()
+    return json.loads(text)
+
+
+def _nodes(node, path="$"):
+    """(path, container, key) for every value in a document, paths as in errors.
+
+    Sections are named without the root (``design``); other top-level
+    keys keep it (``$.carrier_frequency``).
+    """
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, list):
+            sub = f"{path}[{key}]"
+        elif path == "$" and isinstance(value, dict):
+            sub = key
+        else:
+            sub = f"{path}.{key}"
+        yield sub, node, key
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, sub)
+
+
+def _paths(doc):
+    """Every path a problem in this document may be reported at."""
+    paths = {"$"}
+    for path, _, key in _nodes(doc):
+        paths.add(path)
+        if not path.startswith("$") and "." not in path:
+            paths.add(f"$.{key}")  # an unknown top-level key holding an object
+    return paths
+
+
+_BUNDLED_PATHS = [path for path, _, _ in _nodes(_bundled_doc())]
+_BAD_VALUES = ["text", [], {}, True, None, -1, 0, 0.5, -1.0, 1e-300, 1e300, -1e300]
+
+
+def _mutated(path, how, value=None):
+    """The bundled document with the node at path set, deleted, or given a sibling."""
+    doc = _bundled_doc()
+    _, node, key = next(n for n in _nodes(doc) if n[0] == path)
+    if how == "set":
+        node[key] = value
+    elif how == "delete":
+        del node[key]
+    else:  # an unknown key in the object at path, else in the one holding it
+        target = node[key] if isinstance(node[key], dict) else node
+        (target if isinstance(target, dict) else doc)["surplus"] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(_BUNDLED_PATHS), how=st.sampled_from(["set", "delete", "add"]),
+       value=st.sampled_from(_BAD_VALUES))
+def test_fuzzed_documents_load_or_name_their_paths(path, how, value):
+    doc = _mutated(path, how, value)
+    try:
+        w.config_from_dict(doc)
+    except ConfigError as err:
+        known = _paths(_bundled_doc()) | _paths(doc)
+        for line in str(err).splitlines():
+            assert line.split(": ", 1)[0] in known, line
+
+
+_CLI_SAMPLE = [
+    ("design.element_count", "set", "27"),
+    ("design.spacing", "set", -0.02),
+    ("design.termination", "set", None),
+    ("design.characteristic_impedance", "delete", None),
+    ("microstrip", "set", []),
+    ("microstrip.relative_permittivity", "set", 0.5),
+    ("cell.L_s", "set", True),
+    ("cell", "add", 1.0),
+    ("varactors.rows", "set", []),
+    ("varactors.rows[3]", "set", "row"),
+    ("varactors.rows[3].capacitance", "set", 1e-300),
+    ("excitation.modes", "set", {}),
+    ("excitation.modes[0].mode_index", "set", 0.5),
+    ("excitation.modes[0].phase", "set", "zero"),
+    ("excitation.dc_offset", "set", -1),
+    ("excitation.generator_impedance", "set", 0),
+    ("$.carrier_frequency", "set", -1e300),
+    ("excitation", "delete", None),
+]
+
+
+@pytest.mark.parametrize("path, how, value", _CLI_SAMPLE)
+def test_fuzzed_documents_exit_2_through_the_cli(tmp_path, capsys, path, how, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_mutated(path, how, value)))
+    assert main(["bias", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("wavectl: ")
+    assert "Traceback" not in err_text
+
+
+def test_several_problems_give_the_exact_message():
+    doc = _bundled_doc()
+    doc["notes"] = "draft"
+    doc["design"]["termination"] = "shorted"
+    doc["excitation"]["modes"][0].update(amplitude=-2.0, phase="quarter")
+    with pytest.raises(ConfigError) as err:
+        w.config_from_dict(doc)
+    assert str(err.value) == (
+        "$.notes: unrecognized field\n"
+        "design.termination: must be one of short, open, matched\n"
+        "excitation.modes[0].phase: must be a number\n"
+        "excitation.modes[0]: mode amplitude must be finite and nonnegative"
+    )
+
+    doc = _bundled_doc()
+    doc["design"]["element_count"] = 2.5
+    doc["cell"]["C_d"] = 0
+    doc["varactors"]["rows"][1] = [5.0, 6.97e-13, 0.34]
+    del doc["varactors"]["rows"][2]["resistance"]
+    doc["excitation"]["generator_impedance"] = -50.0
+    doc["carrier_frequency"] = 0
+    doc["output_dir"] = 7
+    with pytest.raises(ConfigError) as err:
+        w.config_from_dict(doc)
+    assert str(err.value) == (
+        "design.element_count: must be an integer\n"
+        "cell: C_d must be strictly positive and finite\n"
+        "varactors.rows[1]: must be an object\n"
+        "varactors.rows[2].resistance: missing required field\n"
+        "excitation: generator_impedance must be positive\n"
+        "$.carrier_frequency: must be positive\n"
+        "$.output_dir: must be a string"
+    )
+
+    doc = _bundled_doc()
+    del doc["microstrip"]
+    doc["cell"]["R_s"] = 0.1
+    doc["excitation"]["generator_voltage"] = "ten"
+    doc["excitation"]["modes"].append({"mode_index": 1, "amplitude": 2.0})
+    doc["carrier_frequency"] = "2.45 GHz"
+    with pytest.raises(ConfigError) as err:
+        w.config_from_dict(doc)
+    assert str(err.value) == (
+        "cell.R_s: unrecognized field\n"
+        "excitation.generator_voltage: must be a number\n"
+        "excitation: mode indices must be unique\n"
+        "$.carrier_frequency: must be a number\n"
+        "design.slowness: null requires a microstrip section to derive the value from"
+    )
+
+
+def test_bundled_config_hash_is_pinned():
+    assert sha256_of(w.load_bundled_config().to_dict()) == (
+        "d27a6a2b98d1808690e1eac1b2a6cdc2d273987cd07616a1017a9abfd76ec1ab")
+
+
+def test_null_slowness_needs_a_positive_spacing():
+    doc = _bundled_doc()
+    doc["design"]["spacing"] = 0
+    with pytest.raises(ConfigError) as err:
+        w.config_from_dict(doc)
+    assert str(err.value) == "design.spacing: must be positive"
