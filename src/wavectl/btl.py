@@ -80,7 +80,14 @@ class BtlDesign:
             raise InputError("characteristic_impedance must be positive and finite")
         if not isinstance(self.termination, Termination):
             raise InputError("termination must be a Termination value")
-        if not (self.total_length > 0):
+        try:
+            total_length = self.total_length
+        except OverflowError:  # an element_count beyond float range
+            total_length = math.inf
+        if total_length == math.inf:
+            raise InputError("element_count is too large: the line length "
+                             "(element_count - 1) * spacing + extensions overflows")
+        if not (total_length > 0):
             raise InputError("total line length must be strictly positive")
 
     @property

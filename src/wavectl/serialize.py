@@ -10,10 +10,11 @@ Float arrays are checked for finiteness and have ``-0.0`` collapsed
 once per array; from ``_VECTOR_MIN`` values up they are formatted in
 one numpy pass, smaller ones one value at a time (``format_floats``).
 The numpy pass writes each value as a NUL-padded 16-byte slot of
-lookup-table words, and one mask drops the pads.  In JSON each
-innermost row of a float ndarray is joined into one string; a CSV is
-given as columns and written in blocks of rows, each block one byte
-matrix of all its columns.
+lookup-table words, and one mask drops the pads.  A JSON float ndarray
+is one such matrix, with the commas, brackets and indentation between
+its values written into the words after each value; a CSV is given as columns
+and written in blocks of rows, each block one byte matrix of all its
+columns.
 
 The numpy pass is exact.  With e the decade of |x| (corrected by one
 where s leaves [1e8, 1e9)) and k = 8 - e, 10**k is an exact double for
@@ -92,12 +93,30 @@ def _finite_floats(values):
 def format_floats(values):
     """format_float of every value of a float array, in C order."""
     a = _finite_floats(values).ravel()
-    if a.size < _VECTOR_MIN:
-        return list(map(_FLOAT.format, a.tolist()))
-    out = np.zeros((a.size, _SLOT_WORDS + 1), np.uint32)
-    _float_slots(a, out[:, :_SLOT_WORDS])
-    out[:, _SLOT_WORDS] = _NEWLINE
-    return _text(out).splitlines()
+    return _joined_floats(a, 1, ["\n"], np.zeros(a.size, np.intp)).splitlines()
+
+
+def _joined_floats(x, inner, separators, ends):
+    """_FLOAT of each value of finite 1-D ``x``, as rows of ``inner`` values.
+
+    The values of a row are joined by ``separators[0]`` and row r is
+    followed by ``separators[ends[r]]``.  From _VECTOR_MIN values up the
+    text is one word matrix, a row of it to a row of values, decoded once.
+    """
+    rows = x.reshape(-1, inner)
+    if x.size < _VECTOR_MIN:
+        return "".join([separators[0].join(map(_FLOAT.format, row)) + separators[end]
+                        for row, end in zip(rows.tolist(), ends.tolist())])
+    gap = -(-len(separators[0]) // 4)  # words of the separator within a row
+    width = -(-max(map(len, separators)) // 4)
+    table = _words([sep.ljust(4 * width, "\0") for sep in separators]).reshape(-1, width)
+    step = _SLOT_WORDS + gap
+    out = np.zeros((rows.shape[0], inner * step - gap + width), np.uint32)
+    cells = out[:, :inner * step].reshape(-1, inner, step)
+    _float_slots(rows, cells[..., :_SLOT_WORDS])
+    cells[:, :-1, _SLOT_WORDS:] = table[0, :gap]
+    out[:, inner * step - gap:] = table[ends]
+    return _text(out)
 
 
 def _text(out):
@@ -281,18 +300,24 @@ def _emit(obj, indent, out):
 
 
 def _emit_floats(a, indent, out):
-    """A float ndarray as _emit prints its .tolist(), built row by row."""
-    items = format_floats(a)
-    for level in range(a.ndim - 1, -1, -1):
-        count = a.shape[level]
-        if count == 0:
-            items = ["[]"] * math.prod(a.shape[:level])
-            continue
-        pad = "  " * (indent + level)
-        sep = ",\n" + pad + "  "
-        items = ["[\n" + pad + "  " + sep.join(items[i:i + count]) + "\n" + pad + "]"
-                 for i in range(0, len(items), count)]
-    out.append(items[0])
+    """A float ndarray as _emit prints its .tolist(), in one string.
+
+    Each innermost row ends by closing the levels that end with it and
+    opening them again; which ones end follows from the row's index.
+    """
+    if not a.size:
+        _emit(a.tolist(), indent, out)
+        return
+    pads = ["  " * (indent + level) for level in range(a.ndim)]
+    opens = ["[\n" + pad + "  " for pad in pads]
+    closes = ["\n" + pad + "]" for pad in reversed(pads)]  # innermost first
+    separators = ["".join(closes[:k]) + ",\n" + pads[-1 - k] + "  " + "".join(opens[a.ndim - k:])
+                  for k in range(a.ndim)] + ["".join(closes)]
+    row = np.arange(1, a.size // a.shape[-1] + 1)
+    ends = sum((row % math.prod(a.shape[level:-1]) == 0 for level in range(a.ndim - 1)),
+               np.ones_like(row))
+    out.append("".join(opens)
+               + _joined_floats(_finite_floats(a).ravel(), a.shape[-1], separators, ends))
 
 
 def json_text(obj):

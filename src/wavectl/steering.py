@@ -11,6 +11,8 @@ for one objective: the largest |F| at the target angle theta_p.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,10 +29,10 @@ from .numutil import golden_section_maximize
 
 # largest (f, W) grid a search may span, 29x the default 300 x 121 grid
 _MAX_GRID_POINTS = 2**20
-# largest (Nf, Nw, M) tensor: a 60-element line over the largest grid,
-# where each complex tensor is 1 GB
+# largest Nf x Nw x M reflection a search may evaluate: a 60-element line
+# over the largest grid, where a complex tensor of it would be 1 GB
 _MAX_TENSOR_POINTS = _MAX_GRID_POINTS * 60
-# tensor points evaluated at a time (512 kB of complex values)
+# Nf x Nw x M points evaluated at a time (512 kB of complex values)
 _BLOCK_POINTS = 2**15
 
 
@@ -142,42 +144,78 @@ class PhaseWrapBudget(NamedTuple):
     within_budget: bool
 
 
-def _reflection_tensor(design, cell, table, f_axis, w_axis, w0, f_c):
-    """Reflection of every tap over the (f, W) grid: (gamma, clamped).
+def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
+    """|F(theta)| over the (f, W) grid for each angle, and whether any bias was clamped.
 
-    gamma has shape (Nf, Nw, M).  Identical math to the rectified_bias
-    -> reflection_profile pipeline for a single-tone excitation; only
-    the evaluation order differs.
+    maps has shape (len(thetas), Nf, Nw).  The grid is evaluated a few
+    frequencies at a time, each block contracted against every angle's
+    steering vector as soon as it is built, so the (Nf, Nw, M)
+    reflection tensor never exists.  The calling thread and one helper
+    thread per further CPU take blocks from one queue; each block writes
+    its own rows with the single-threaded arithmetic, so the maps do not
+    depend on how many threads ran.  Identical math to the rectified_bias
+    -> reflection_profile -> array_factor pipeline for a single-tone
+    excitation; only the evaluation order differs.
     """
-    points = len(f_axis) * len(w_axis) * design.element_count
-    if points > _MAX_TENSOR_POINTS:
-        raise InputError(f"design.element_count ({design.element_count}) times the "
+    count = design.element_count
+    if len(f_axis) * len(w_axis) * count > _MAX_TENSOR_POINTS:
+        raise InputError(f"design.element_count ({count}) times the "
                          f"f_range/f_step x w_range/w_step grid ({len(f_axis)} x "
                          f"{len(w_axis)}) spans more than {_MAX_TENSOR_POINTS} points")
     envelope = _btl.single_tone_envelope(design, f_axis)
     w_axis = np.asarray(w_axis, dtype=float)
-    gamma = np.empty((len(f_axis), len(w_axis), design.element_count), dtype=complex)
-    clamped = False
+    steer = [np.exp(1j * (2.0 * math.pi * f_c / C0 * design.spacing * math.sin(theta))
+                    * np.arange(count)) for theta in thetas]
+    maps = np.empty((len(steer), len(f_axis), w_axis.size))
     # a few frequencies at a time, so each elementwise step runs in cache
-    rows = max(1, _BLOCK_POINTS // (w_axis.size * design.element_count))
-    for i in range(0, len(f_axis), rows):
-        bias = w0 + w_axis[None, :, None] * envelope[i:i + rows, None, :]
-        gamma[i:i + rows], block_clamped = _unitcell._reflection_array(cell, table, bias, f_c)
-        clamped = clamped or block_clamped
-    return gamma, clamped
+    rows = max(1, min(_BLOCK_POINTS // (w_axis.size * count), len(f_axis)))
+    starts = iter(range(0, len(f_axis), rows))
+    workers = min(_cpu_count(), -(-len(f_axis) // rows))
+    # allocated here, once: blocks evaluated into them leave nothing in
+    # the helper threads' malloc arenas
+    shape = (rows, w_axis.size, count)
+    buffers = [_unitcell._Buffers(np.empty(shape), np.empty(shape, complex),
+                                  np.empty(shape, complex)) for _ in range(workers)]
+    clamped = [False] * workers
+    errors = []
+    lock = threading.Lock()
+
+    def work(k):
+        try:
+            while not errors:
+                with lock:
+                    i = next(starts, None)
+                if i is None:
+                    return
+                block = envelope[i:i + rows, None, :]
+                buf = _unitcell._Buffers(*(b[:len(block)] for b in buffers[k]))
+                bias = np.add(w0, np.multiply(w_axis[None, :, None], block, out=buf.real),
+                              out=buf.real)
+                gamma, block_clamped = _unitcell._reflection_array(cell, table, bias, f_c, buf)
+                clamped[k] = clamped[k] or block_clamped
+                for p, s in enumerate(steer):
+                    np.abs(np.multiply(gamma, s, out=buf.tmp).mean(axis=-1),
+                           out=maps[p, i:i + rows])
+        except BaseException as err:  # re-raised in the calling thread
+            errors.append(err)
+
+    helpers = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return maps, any(clamped)
 
 
-def _probe_values(design, gamma, f_c, theta):
-    """|F(theta)| over the grid: the array factor of each (f, W) row of gamma."""
-    psi = 2.0 * math.pi * f_c / C0 * design.spacing * math.sin(theta)
-    steer = np.exp(1j * psi * np.arange(design.element_count))
-    return np.abs((gamma * steer).mean(axis=-1))
-
-
-def _objective_values(design, cell, table, f_axis, w_axis, w0, f_c, theta):
-    """|F(theta)| over the (f, W) grid and whether any bias was clamped."""
-    gamma, clamped = _reflection_tensor(design, cell, table, f_axis, w_axis, w0, f_c)
-    return _probe_values(design, gamma, f_c, theta), clamped
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
@@ -217,8 +255,8 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     if f_axis.size == 0 or w_axis.size == 0:
         raise InputError("empty search space")
 
-    values, clamped = _objective_values(
-        design, cell, table, f_axis, w_axis, spec.w0, f_c, theta_p
+    (values,), clamped = _grid_maps(
+        design, cell, table, f_axis, w_axis, spec.w0, f_c, [theta_p]
     )
     if clamped:
         warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=2)
@@ -231,10 +269,10 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     best_val = float(values[i_f, i_w])
 
     def point_value(f_b, w_b):
-        vals, _ = _objective_values(
-            design, cell, table, np.array([f_b]), np.array([w_b]), spec.w0, f_c, theta_p
+        maps, _ = _grid_maps(
+            design, cell, table, np.array([f_b]), np.array([w_b]), spec.w0, f_c, [theta_p]
         )
-        return float(vals[0, 0])
+        return float(maps[0, 0, 0])
 
     if spec.refine:
         # strict improvement keeps the coarse point on exact ties
@@ -281,8 +319,8 @@ def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
                   f_c: float = 2.45e9):
     """Dense |F(theta_probe)| maps over the grid, one per probe angle.
 
-    The reflection tensor does not depend on the probe, so it is built
-    once; each probe then costs one contraction over the taps.
+    The reflection of each block of the grid does not depend on the
+    probe, so it is built once and contracted against every probe.
     """
     probe_angles = [float(probe) for probe in probe_angles]
     if not probe_angles:
@@ -291,10 +329,8 @@ def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
         raise InputError("probe angles must lie within +-90 degrees")
     f_axis = spec.f_axis()
     w_axis = spec.w_axis()
-    gamma, clamped = _reflection_tensor(design, cell, table, f_axis, w_axis, spec.w0, f_c)
+    maps, clamped = _grid_maps(design, cell, table, f_axis, w_axis, spec.w0, f_c, probe_angles)
     if clamped:
         warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=2)
-    return tuple(
-        ScanGrid(probe_angle=probe, f_axis=f_axis, w_axis=w_axis,
-                 values=_probe_values(design, gamma, f_c, probe))
-        for probe in probe_angles)
+    return tuple(ScanGrid(probe_angle=probe, f_axis=f_axis, w_axis=w_axis, values=values)
+                 for probe, values in zip(probe_angles, maps))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,8 +207,9 @@ def ris_impedance(cell: CellCircuit, z_varactor: complex, f: float) -> complex:
     if is_at_infinity(z_varactor):
         return complex(equivalent_impedance(cell, f))
     try:
-        return complex(_surface_array(cell, complex(z_varactor), 2.0 * math.pi * f))
-    except ZeroDivisionError:
+        with np.errstate(divide="raise", invalid="raise"):
+            return complex(_surface_array(cell, complex(z_varactor), 2.0 * math.pi * f))
+    except FloatingPointError:
         raise InputError("degenerate parallel combination: branch impedances cancel") from None
 
 
@@ -216,41 +218,64 @@ def reflection_coefficient(z_ris: complex) -> complex:
     z_ris = complex(z_ris)
     if z_ris == -ETA0:
         raise SingularInputError("surface impedance equals -eta0; reflection undefined")
-    return _gamma_array(z_ris)
+    return complex(_gamma_array(z_ris))
 
 
 # The bias -> reflection kernel in its three steps.  Each takes arrays
-# (the steering grid's (Nf, Nw, M) tensor) or scalars (the public
-# views above), so every path evaluates the same expressions.
+# (a block of the steering grid) or scalars (the public views above),
+# so every path evaluates the same ufuncs.  Each step writes its
+# intermediates and result into the arrays of a _Buffers, or into new
+# ones where a field is None.
 
-def _varactor_array(table, caps, res, w):
-    """Varactor impedance R_v + j(w L_v - 1/(w C_v)) at angular frequency w."""
-    return res + 1j * (w * table.series_inductance - 1.0 / (w * caps))
+class _Buffers(NamedTuple):
+    """Arrays of one shape for the kernel: a float and two complex ones."""
+
+    real: np.ndarray | None = None
+    z: np.ndarray | None = None
+    tmp: np.ndarray | None = None
 
 
-def _surface_array(cell, z_v, w):
-    """Surface impedance (R_d + jwL_d + C_d||Z_v) || jwL_s; z_v None unloads C_d."""
+_NEW = _Buffers()
+
+
+def _varactor_array(table, caps, res, w, buf=_NEW):
+    """Varactor impedance R_v + j(w L_v - 1/(w C_v)) at angular frequency w, in buf.z."""
+    x = np.multiply(w, caps, out=buf.real)
+    x = np.divide(1.0, x, out=buf.real)
+    x = np.subtract(w * table.series_inductance, x, out=buf.real)
+    return np.add(res, np.multiply(1j, x, out=buf.z), out=buf.z)
+
+
+def _surface_array(cell, z_v, w, buf=_NEW):
+    """Surface impedance (R_d + jwL_d + C_d||Z_v) || jwL_s, in buf.z; z_v None unloads C_d."""
     z_cd = -1j / (w * cell.C_d)
-    series = cell.R_d + 1j * w * cell.L_d + (
-        z_cd if z_v is None else z_v * z_cd / (z_v + z_cd))
+    if z_v is not None:
+        den = np.add(z_v, z_cd, out=buf.tmp)
+        z_cd = np.divide(np.multiply(z_v, z_cd, out=buf.z), den, out=buf.z)
+    series = np.add(cell.R_d + 1j * w * cell.L_d, z_cd, out=buf.z)
     z_s = 1j * w * cell.L_s
-    return series * z_s / (series + z_s)
+    den = np.add(series, z_s, out=buf.tmp)
+    return np.divide(np.multiply(series, z_s, out=buf.z), den, out=buf.z)
 
 
-def _gamma_array(z_ris):
-    """Normal-incidence reflection coefficient (Z - eta0) / (Z + eta0)."""
-    return (z_ris - ETA0) / (z_ris + ETA0)
+def _gamma_array(z_ris, buf=_NEW):
+    """Normal-incidence reflection coefficient (Z - eta0) / (Z + eta0), in buf.z."""
+    den = np.add(z_ris, ETA0, out=buf.tmp)
+    return np.divide(np.subtract(z_ris, ETA0, out=buf.z), den, out=buf.z)
 
 
-def _reflection_array(cell, table, volts, f_c):
+def _reflection_array(cell, table, volts, f_c, buf=_NEW):
     """Vectorized bias -> reflection pipeline shared by profile and scans.
 
     Returns (gamma, clamped): complex reflection coefficients for each
-    bias sample plus a flag telling whether any lookup was clamped.
+    bias sample, in buf.z, plus a flag telling whether any lookup was
+    clamped.  volts may be buf.real; the kernel overwrites buf.real and
+    buf.tmp.
     """
     caps, res, clamped = _lookup_arrays(table, volts)
     w = 2.0 * math.pi * f_c
-    gamma = _gamma_array(_surface_array(cell, _varactor_array(table, caps, res, w), w))
+    gamma = _gamma_array(_surface_array(cell, _varactor_array(table, caps, res, w, buf), w, buf),
+                         buf)
     return gamma, clamped
 
 

@@ -333,3 +333,23 @@ def test_null_slowness_needs_a_positive_spacing():
     with pytest.raises(ConfigError) as err:
         w.config_from_dict(doc)
     assert str(err.value) == "design.spacing: must be positive"
+
+
+def test_element_count_beyond_float_range_is_a_config_error():
+    doc = _bundled_doc()
+    doc["design"]["element_count"] = 10**400
+    with pytest.raises(ConfigError) as err:
+        w.config_from_dict(doc)
+    assert str(err.value).startswith("design: element_count is too large")
+
+
+def test_element_count_beyond_float_range_exits_2_through_the_cli(tmp_path, capsys):
+    doc = _bundled_doc()
+    doc["design"]["element_count"] = 10**400
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bias", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("wavectl: ")
+    assert "design: element_count is too large" in err_text
+    assert "Traceback" not in err_text

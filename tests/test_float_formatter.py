@@ -122,6 +122,27 @@ def test_both_paths_below_and_above_the_crossover():
     assert json_text({"g": grid}) == json_text({"g": grid.tolist()})
 
 
+# fallback values (half-way points, subnormals, three-digit exponents) and
+# -0.0, spread over every array below
+SLOW = np.array([100000000.5, 2.5e-310, -DBL_MAX, 1e100, -0.0, 999999999.5, 1e-15])
+
+
+@pytest.mark.parametrize("shape", [
+    (), (0,), (1,), (7,), (300,), (0, 4), (4, 0), (1, 1), (3, 1), (1, 300), (300, 1),
+    (12, 25), (0, 0, 0), (2, 5, 0), (0, 2, 5), (1, 1, 1), (3, 4, 5), (2, 1, 130), (4, 3, 30),
+], ids=str)
+@pytest.mark.parametrize("vector_min", [serialize._VECTOR_MIN, 0])
+def test_json_float_arrays_print_as_their_lists(monkeypatch, shape, vector_min):
+    # each array, at three indents, prints as the nested lists of its
+    # values; vector_min 0 puts every non-empty array through the word matrix
+    monkeypatch.setattr(serialize, "_VECTOR_MIN", vector_min)
+    rng = np.random.default_rng(len(shape) + math.prod(shape))
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-40, 40, shape)
+    a.ravel()[::5] = np.resize(SLOW, a.ravel()[::5].size)
+    for wrap in (lambda x: x, lambda x: {"g": x}, lambda x: [{"k": [1, x]}, 2.5]):
+        assert json_text(wrap(a)) == json_text(wrap(a.tolist()))
+
+
 def _csv_oracle(header, columns):
     rows = zip(*(c.tolist() for c in columns))
     return ",".join(header) + "\n" + "".join(

@@ -234,8 +234,8 @@ def test_scan_equals_one_probe_at_a_time(design, cell, table, termination):
     for probe, grid in zip(probes, grids):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            values, clamped = steering._objective_values(
-                line, cell, table, spec.f_axis(), spec.w_axis(), spec.w0, 2.45e9, probe)
+            (values,), clamped = steering._grid_maps(
+                line, cell, table, spec.f_axis(), spec.w_axis(), spec.w0, 2.45e9, [probe])
         assert clamped
         assert np.array_equal(grid.values, values)
 
@@ -255,16 +255,93 @@ def test_search_bounds_the_reflection_tensor(design, cell, table, elements, kwar
 
 
 def test_reflection_tensor_blocks_are_exact(design, cell, table, monkeypatch):
-    # evaluating the tensor a few frequencies at a time changes nothing;
+    # evaluating the grid a few frequencies at a time changes nothing;
     # only the first frequency drives a tap past the 15 V table end
     f_axis = np.concatenate([[8.0e6], SMALL.f_axis()[:3]])
     w_axis = np.array([0.0, 6.0, 12.0])
-    args = (design, cell, table, f_axis, w_axis, 4.0, 2.45e9)
+    args = (design, cell, table, f_axis, w_axis, 4.0, 2.45e9, [-0.5, 0.0, 0.2])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
-        blocked, blocked_clamped = steering._reflection_tensor(*args)
+        blocked, blocked_clamped = steering._grid_maps(*args)
         monkeypatch.setattr(steering, "_BLOCK_POINTS", 2**40)
-        whole, whole_clamped = steering._reflection_tensor(*args)
+        whole, whole_clamped = steering._grid_maps(*args)
     assert np.array_equal(blocked, whole)
     assert blocked_clamped and whole_clamped
+
+
+# a grid of 11 frequencies that clamps on every line: with a 3.5 V dc
+# offset its W = 0 column lies below the 4 V table start, and its 8 MHz
+# row drives the taps of longer lines past the 15 V end; probe angles
+# on both sides of broadside
+CLAMPING_F = np.concatenate([SMALL.f_axis()[:10], [8.0e6]])
+CLAMPING_W = np.linspace(0.0, 12.0, 7)
+W0 = 3.5
+PROBES = [math.radians(deg) for deg in (-40.0, -6.0, 0.0, 3.5)]
+
+
+@pytest.mark.parametrize("elements", [1, 27, 60])
+@pytest.mark.parametrize("termination", list(w.Termination), ids=lambda t: t.value)
+def test_grid_maps_equal_the_whole_grid_contracted_at_once(design, cell, table, termination,
+                                                           elements):
+    # the oracle builds the whole (Nf, Nw, M) reflection tensor in one
+    # call and contracts it per angle
+    line = replace(design, termination=termination, element_count=elements)
+    maps, clamped = steering._grid_maps(line, cell, table, CLAMPING_F, CLAMPING_W, W0,
+                                        2.45e9, PROBES)
+    envelope = w.btl.single_tone_envelope(line, CLAMPING_F)
+    bias = W0 + CLAMPING_W[None, :, None] * envelope[:, None, :]
+    gamma, whole_clamped = w.unitcell._reflection_array(cell, table, bias, 2.45e9)
+    assert clamped and whole_clamped
+    assert maps.shape == (len(PROBES), CLAMPING_F.size, CLAMPING_W.size)
+    for probe, values in zip(PROBES, maps):
+        psi = 2.0 * math.pi * 2.45e9 / w.C0 * line.spacing * math.sin(probe)
+        steer = np.exp(1j * psi * np.arange(elements))
+        assert np.array_equal(values, np.abs((gamma * steer).mean(axis=-1)))
+
+
+def test_grid_maps_do_not_depend_on_the_thread_count(design, cell, table, monkeypatch):
+    # one row per block gives 11 blocks; a worker count above that
+    # still starts one thread per block at most
+    started = []
+
+    class Thread(steering.threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
+    monkeypatch.setattr(steering.threading, "Thread", Thread)
+    runs = []
+    for cpus in (1, 2, 3, 16):
+        monkeypatch.setattr(steering, "_cpu_count", lambda cpus=cpus: cpus)
+        started.clear()
+        runs.append(steering._grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0,
+                                        2.45e9, PROBES))
+        assert len(started) == min(cpus, CLAMPING_F.size) - 1
+    for maps, clamped in runs:
+        assert clamped
+        assert np.array_equal(maps, runs[0][0])
+
+
+def test_non_finite_bias_in_a_helper_thread_raises_input_error(design, cell, table,
+                                                               monkeypatch):
+    # a helper thread's block carries an infinite bias; the main thread
+    # holds its first block until a helper has taken one
+    reflection_array = w.unitcell._reflection_array
+    helper_called = steering.threading.Event()
+
+    def spoiled(cell, table, volts, f_c, buf):
+        if steering.threading.current_thread() is steering.threading.main_thread():
+            helper_called.wait(10.0)
+        else:
+            volts[-1, -1, -1] = math.inf
+            helper_called.set()
+        return reflection_array(cell, table, volts, f_c, buf)
+
+    monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
+    monkeypatch.setattr(steering, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(w.unitcell, "_reflection_array", spoiled)
+    with pytest.raises(InputError, match="bias voltage must be finite"):
+        steering._grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0, 2.45e9, PROBES)
+    assert helper_called.is_set()
