@@ -11,8 +11,6 @@ for one objective: the largest |F| at the target angle theta_p.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -148,14 +146,12 @@ def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
     """|F(theta)| over the (f, W) grid for each angle, and whether any bias was clamped.
 
     maps has shape (len(thetas), Nf, Nw).  The grid is evaluated a few
-    frequencies at a time, each block contracted against every angle's
-    steering vector as soon as it is built, so the (Nf, Nw, M)
-    reflection tensor never exists.  The calling thread and one helper
-    thread per further CPU take blocks from one queue; each block writes
-    its own rows with the single-threaded arithmetic, so the maps do not
-    depend on how many threads ran.  Identical math to the rectified_bias
-    -> reflection_profile -> array_factor pipeline for a single-tone
-    excitation; only the evaluation order differs.
+    frequencies at a time into buffers allocated once per call, each
+    block contracted against every angle's steering vector as soon as it
+    is built, so the (Nf, Nw, M) reflection tensor never exists.
+    Identical math to the rectified_bias -> reflection_profile ->
+    array_factor pipeline for a single-tone excitation; only the
+    evaluation order differs.
     """
     count = design.element_count
     if len(f_axis) * len(w_axis) * count > _MAX_TENSOR_POINTS:
@@ -169,53 +165,20 @@ def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
     maps = np.empty((len(steer), len(f_axis), w_axis.size))
     # a few frequencies at a time, so each elementwise step runs in cache
     rows = max(1, min(_BLOCK_POINTS // (w_axis.size * count), len(f_axis)))
-    starts = iter(range(0, len(f_axis), rows))
-    workers = min(_cpu_count(), -(-len(f_axis) // rows))
-    # allocated here, once: blocks evaluated into them leave nothing in
-    # the helper threads' malloc arenas
     shape = (rows, w_axis.size, count)
-    buffers = [_unitcell._Buffers(np.empty(shape), np.empty(shape, complex),
-                                  np.empty(shape, complex)) for _ in range(workers)]
-    clamped = [False] * workers
-    errors = []
-    lock = threading.Lock()
-
-    def work(k):
-        try:
-            while not errors:
-                with lock:
-                    i = next(starts, None)
-                if i is None:
-                    return
-                block = envelope[i:i + rows, None, :]
-                buf = _unitcell._Buffers(*(b[:len(block)] for b in buffers[k]))
-                bias = np.add(w0, np.multiply(w_axis[None, :, None], block, out=buf.real),
-                              out=buf.real)
-                gamma, block_clamped = _unitcell._reflection_array(cell, table, bias, f_c, buf)
-                clamped[k] = clamped[k] or block_clamped
-                for p, s in enumerate(steer):
-                    np.abs(np.multiply(gamma, s, out=buf.tmp).mean(axis=-1),
-                           out=maps[p, i:i + rows])
-        except BaseException as err:  # re-raised in the calling thread
-            errors.append(err)
-
-    helpers = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    work(0)
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return maps, any(clamped)
-
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
+    buffers = _unitcell._Buffers(np.empty(shape), np.empty(shape, complex),
+                                 np.empty(shape, complex))
+    clamped = False
+    for i in range(0, len(f_axis), rows):
+        block = envelope[i:i + rows, None, :]
+        buf = _unitcell._Buffers(*(b[:len(block)] for b in buffers))
+        bias = np.add(w0, np.multiply(w_axis[None, :, None], block, out=buf.real),
+                      out=buf.real)
+        gamma, block_clamped = _unitcell._reflection_array(cell, table, bias, f_c, buf)
+        clamped = clamped or block_clamped
+        for p, s in enumerate(steer):
+            np.abs(np.multiply(gamma, s, out=buf.tmp).mean(axis=-1), out=maps[p, i:i + rows])
+    return maps, clamped
 
 
 def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,

@@ -300,48 +300,34 @@ def test_grid_maps_equal_the_whole_grid_contracted_at_once(design, cell, table, 
         assert np.array_equal(values, np.abs((gamma * steer).mean(axis=-1)))
 
 
-def test_grid_maps_do_not_depend_on_the_thread_count(design, cell, table, monkeypatch):
-    # one row per block gives 11 blocks; a worker count above that
-    # still starts one thread per block at most
-    started = []
-
-    class Thread(steering.threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
-    monkeypatch.setattr(steering.threading, "Thread", Thread)
+def test_grid_maps_do_not_depend_on_the_block_size(design, cell, table, monkeypatch):
+    # 1, 2, 3 and 11 frequencies a block: 11 frequencies leave a short
+    # last block at 2 and 3, which evaluates into the front of the buffers
     runs = []
-    for cpus in (1, 2, 3, 16):
-        monkeypatch.setattr(steering, "_cpu_count", lambda cpus=cpus: cpus)
-        started.clear()
+    row_points = CLAMPING_W.size * design.element_count
+    for rows in (1, 2, 3, CLAMPING_F.size):
+        monkeypatch.setattr(steering, "_BLOCK_POINTS", rows * row_points)
         runs.append(steering._grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0,
                                         2.45e9, PROBES))
-        assert len(started) == min(cpus, CLAMPING_F.size) - 1
     for maps, clamped in runs:
         assert clamped
         assert np.array_equal(maps, runs[0][0])
 
 
-def test_non_finite_bias_in_a_helper_thread_raises_input_error(design, cell, table,
-                                                               monkeypatch):
-    # a helper thread's block carries an infinite bias; the main thread
-    # holds its first block until a helper has taken one
+def test_non_finite_bias_in_a_later_block_raises_input_error(design, cell, table,
+                                                            monkeypatch):
+    # the last block of the grid carries an infinite bias
     reflection_array = w.unitcell._reflection_array
-    helper_called = steering.threading.Event()
+    blocks = []
 
     def spoiled(cell, table, volts, f_c, buf):
-        if steering.threading.current_thread() is steering.threading.main_thread():
-            helper_called.wait(10.0)
-        else:
+        blocks.append(volts.shape)
+        if len(blocks) == CLAMPING_F.size:
             volts[-1, -1, -1] = math.inf
-            helper_called.set()
         return reflection_array(cell, table, volts, f_c, buf)
 
     monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
-    monkeypatch.setattr(steering, "_cpu_count", lambda: 2)
     monkeypatch.setattr(w.unitcell, "_reflection_array", spoiled)
     with pytest.raises(InputError, match="bias voltage must be finite"):
         steering._grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0, 2.45e9, PROBES)
-    assert helper_called.is_set()
+    assert len(blocks) == CLAMPING_F.size
