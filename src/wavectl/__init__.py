@@ -15,14 +15,11 @@ from .btl import (
     MicrostripSpec,
     Mode,
     Termination,
-    dc_current_estimate,
     effective_permittivity,
     fundamental_frequency,
-    input_impedance,
     rectified_bias,
     slowness_factor,
     standing_wave_amplitude,
-    standing_wave_voltage,
 )
 from .cascade import (
     CascadeNetwork,
@@ -39,11 +36,10 @@ from .errors import (
     FitError,
     InputError,
     ParseError,
-    SingularInputError,
     SolverError,
     WavectlError,
 )
-from .numutil import AT_INFINITY, is_at_infinity, wrap_phase
+from .numutil import wrap_phase
 from .radiation import (
     PatternMetrics,
     PatternRequest,
@@ -54,15 +50,11 @@ from .radiation import (
     ideal_phase_gradient,
 )
 from .steering import (
-    LargeAngleFrequency,
-    PhaseWrapBudget,
     ScanGrid,
     SearchSpec,
     SteeringSolution,
     evaluate_operating_point,
-    large_angle_frequency,
     optimize_single_beam,
-    phase_wrap_budget,
     specular_scan,
 )
 from .unitcell import (
@@ -73,19 +65,13 @@ from .unitcell import (
     equivalent_impedance,
     fit_circuit_model,
     ingest_impedance,
-    linear_ideal_phase,
-    reflection_coefficient,
     reflection_profile,
-    ris_impedance,
     synthesize_samples,
-    varactor_impedance,
-    varactor_lookup,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AT_INFINITY",
     "BiasPattern",
     "BtlDesign",
     "C0",
@@ -98,7 +84,6 @@ __all__ = [
     "FitError",
     "ImpedanceSamples",
     "InputError",
-    "LargeAngleFrequency",
     "MU0",
     "MicrostripSpec",
     "Mode",
@@ -106,13 +91,11 @@ __all__ = [
     "ParseError",
     "PatternMetrics",
     "PatternRequest",
-    "PhaseWrapBudget",
     "RadiationPattern",
     "ReflectionProfile",
     "RunConfig",
     "ScanGrid",
     "SearchSpec",
-    "SingularInputError",
     "SolverError",
     "SteeringSolution",
     "Termination",
@@ -122,7 +105,6 @@ __all__ = [
     "build_network",
     "config_from_dict",
     "db_from_linear",
-    "dc_current_estimate",
     "default_theta_grid",
     "effective_permittivity",
     "equivalent_impedance",
@@ -131,27 +113,17 @@ __all__ = [
     "fundamental_frequency",
     "ideal_phase_gradient",
     "ingest_impedance",
-    "input_impedance",
-    "is_at_infinity",
-    "large_angle_frequency",
-    "linear_ideal_phase",
     "load_bundled_config",
     "load_config",
     "optimize_single_beam",
-    "phase_wrap_budget",
     "rectified_bias",
     "rectified_from_phasors",
-    "reflection_coefficient",
     "reflection_profile",
-    "ris_impedance",
     "slowness_factor",
     "solve_taps",
     "specular_scan",
     "standing_wave_amplitude",
-    "standing_wave_voltage",
     "synthesize_samples",
-    "varactor_impedance",
-    "varactor_lookup",
     "wrap_phase",
     "__version__",
 ]

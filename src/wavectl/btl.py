@@ -7,9 +7,8 @@ wave, so every tap along the line sees a different envelope; a peak
 detector at each tap converts that envelope into a dc bias voltage.
 
 This module models the line itself: the wave in space and time, the
-rectified dc pattern at the taps, the input impedance seen by the
-generator, and the standing-wave amplitude a real (non-ideal)
-generator actually delivers.
+rectified dc pattern at the taps, and the standing-wave amplitude a
+real (non-ideal) generator actually delivers.
 
 Conventions
 -----------
@@ -32,11 +31,10 @@ import numpy as np
 
 from .constants import C0
 from .errors import InputError
-from .numutil import AT_INFINITY
 
-# Below this, a trigonometric factor is treated as an exact zero when
-# classifying impedance poles.
-_POLE_TOL = 1e-9
+# most taps a line may carry: a 3601-angle pattern over this many taps
+# peaks near 0.5 GB, and every per-tap array stays small
+_MAX_ELEMENTS = 2**12
 
 
 class Termination(Enum):
@@ -70,6 +68,8 @@ class BtlDesign:
             raise InputError("element_count must be an integer")
         if self.element_count < 1:
             raise InputError("element_count must be at least 1")
+        if self.element_count > _MAX_ELEMENTS:
+            raise InputError(f"element_count is too large: at most {_MAX_ELEMENTS} taps")
         if not (0 < self.spacing < math.inf):
             raise InputError("spacing must be positive and finite")
         if not (0 <= self.left_extension < math.inf and 0 <= self.right_extension < math.inf):
@@ -80,13 +80,10 @@ class BtlDesign:
             raise InputError("characteristic_impedance must be positive and finite")
         if not isinstance(self.termination, Termination):
             raise InputError("termination must be a Termination value")
-        try:
-            total_length = self.total_length
-        except OverflowError:  # an element_count beyond float range
-            total_length = math.inf
+        total_length = self.total_length
         if total_length == math.inf:
-            raise InputError("element_count is too large: the line length "
-                             "(element_count - 1) * spacing + extensions overflows")
+            raise InputError("the line length (element_count - 1) * spacing + extensions "
+                             "overflows")
         if not (total_length > 0):
             raise InputError("total line length must be strictly positive")
 
@@ -295,19 +292,6 @@ def _ac_sum(coeff, indices, tau):
     return (basis @ coeff[..., None])[..., 0].real
 
 
-def standing_wave_voltage(design: BtlDesign, exc: Excitation, x: float, t: float) -> float:
-    """Instantaneous line voltage at position x and time t."""
-    if x < -design.left_extension or x > design.length + design.right_extension:
-        raise InputError(
-            f"x = {x} m is outside the line "
-            f"[{-design.left_extension}, {design.length + design.right_extension}] m"
-        )
-    phasors = _mode_phasors(design, exc, float(x))
-    coeff, indices = _ac_coefficients(phasors, exc)
-    tau = 2.0 * math.pi * exc.fundamental_frequency * t
-    return float(exc.dc_offset + _ac_sum(coeff, indices, np.array([tau]))[0])
-
-
 def _envelope_peaks(phasors, exc):
     """Peak over one fundamental period of the ac sum, per position.
 
@@ -363,37 +347,6 @@ def rectified_bias(design: BtlDesign, exc: Excitation, diode_drop: float = 0.0,
     return detected_bias(x, exc.dc_offset, _envelope_peaks(phasors, exc), diode_drop)
 
 
-def _electrical_length(design: BtlDesign, f: float) -> float:
-    """kappa, the whole line's electrical length at f (rad); InputError if it overflows."""
-    kappa = 2.0 * math.pi * f * design.slowness * design.total_length / C0
-    if not math.isfinite(kappa):
-        raise InputError(f"frequency {f!r} Hz overflows the line's electrical length")
-    return kappa
-
-
-def input_impedance(design: BtlDesign, f: float):
-    """Impedance seen looking into the feed end of the line.
-
-    Pole frequencies return the AT_INFINITY marker instead of an
-    overflowing float.
-    """
-    if not (f > 0):
-        raise InputError("frequency must be positive")
-    z0 = design.characteristic_impedance
-    if design.termination is Termination.MATCHED:
-        return complex(z0)
-    kappa = _electrical_length(design, f)
-    s = math.sin(kappa)
-    c = math.cos(kappa)
-    if design.termination is Termination.SHORT:
-        if abs(c) < _POLE_TOL:
-            return AT_INFINITY
-        return 1j * z0 * s / c
-    if abs(s) < _POLE_TOL:
-        return AT_INFINITY
-    return 1j * z0 * c / s
-
-
 def standing_wave_amplitude(design: BtlDesign, exc: Excitation, f: float) -> float:
     """Standing-wave amplitude W_b delivered by the generator at f.
 
@@ -414,7 +367,9 @@ def standing_wave_amplitude(design: BtlDesign, exc: Excitation, f: float) -> flo
         return v_g
     z0 = design.characteristic_impedance
     z_g = exc.generator_impedance
-    kappa = _electrical_length(design, f)
+    kappa = 2.0 * math.pi * f * design.slowness * design.total_length / C0  # electrical length
+    if not math.isfinite(kappa):
+        raise InputError(f"frequency {f!r} Hz overflows the line's electrical length")
     s = math.sin(kappa)
     c = math.cos(kappa)
     if design.termination is Termination.SHORT:
@@ -422,12 +377,3 @@ def standing_wave_amplitude(design: BtlDesign, exc: Excitation, f: float) -> flo
     else:
         den = abs(1j * z0 * c + z_g * s)
     return z0 * v_g / den
-
-
-def dc_current_estimate(element_count: int, dc_offset: float, load_resistance: float) -> float:
-    """Total dc current drawn by M identical rectifier loads."""
-    if not (load_resistance > 0):
-        raise InputError("load_resistance must be positive")
-    if element_count < 0:
-        raise InputError("element_count must be nonnegative")
-    return element_count * dc_offset / load_resistance

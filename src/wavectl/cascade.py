@@ -27,7 +27,6 @@ import numpy as np
 
 from .btl import BtlDesign, BiasPattern, Termination, detected_bias
 from .errors import InputError, SolverError
-from .numutil import is_at_infinity
 
 # dB per neper
 _DB_PER_NP = 20.0 / math.log(10.0)
@@ -189,10 +188,11 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
     v, i = _propagate(v, i, net.lead_angle, z0)
 
     taps = np.zeros(net.element_count, dtype=complex)
+    open_taps = np.isinf(net.tap_loads).tolist()  # an infinite part: no load
     for m in range(net.element_count):
         taps[m] = v
         load = net.tap_loads[m]
-        if not is_at_infinity(load):
+        if not open_taps[m]:
             if load == 0:
                 raise SolverError(f"tap {m} is a dead short; the solve is singular")
             i = i + v / load

@@ -279,6 +279,8 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(None, f"not valid JSON: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ConfigError(None, f"not UTF-8 text: {err}") from None
     return config_from_dict(doc)
 
 

@@ -9,10 +9,6 @@ class InputError(WavectlError, ValueError):
     """An argument is outside the domain an operation accepts."""
 
 
-class SingularInputError(InputError):
-    """An input sits exactly on a pole of the requested quantity."""
-
-
 class ConfigError(WavectlError, ValueError):
     """A configuration document failed validation.
 

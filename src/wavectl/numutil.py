@@ -1,19 +1,9 @@
-"""Small numeric helpers: open-circuit markers, phase wrapping, a
-golden-section line search and a three-point parabola vertex."""
+"""Small numeric helpers: phase wrapping, a golden-section line search
+and a three-point parabola vertex."""
 
 import math
 
 import numpy as np
-
-# Explicit marker for an impedance pole / removed branch.  Comparing
-# floats against this is avoided; use is_at_infinity instead.
-AT_INFINITY = complex(math.inf, math.inf)
-
-
-def is_at_infinity(z):
-    """True when ``z`` represents an open circuit (any infinite part)."""
-    z = complex(z)
-    return math.isinf(z.real) or math.isinf(z.imag)
 
 
 def wrap_phase(angle):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -132,16 +131,6 @@ class ScanGrid:
         }
 
 
-class LargeAngleFrequency(NamedTuple):
-    frequency: float
-    degenerate: bool
-
-
-class PhaseWrapBudget(NamedTuple):
-    total_span: float
-    within_budget: bool
-
-
 def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
     """|F(theta)| over the (f, W) grid for each angle, and whether any bias was clamped.
 
@@ -254,28 +243,6 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     pattern = evaluate_operating_point(design, cell, table, best_f, best_w, spec.w0, f_c)
     return SteeringSolution(f_b=best_f, w_b=best_w, achieved_pattern=pattern,
                             objective_value=best_val, theta_p=theta_p)
-
-
-def large_angle_frequency(theta_p: float, f_c: float, n_slow: float) -> LargeAngleFrequency:
-    """Biasing frequency whose half-period bias ripple steers to theta_p.
-
-    Broadside needs no spatial variation at all, so theta_p = 0
-    returns zero hertz with the degenerate flag set.
-    """
-    if not (f_c > 0 and n_slow >= 1):
-        raise InputError("need f_c > 0 and n_slow >= 1")
-    if theta_p == 0:
-        return LargeAngleFrequency(0.0, True)
-    return LargeAngleFrequency(f_c * abs(math.sin(theta_p)) / (4.0 * n_slow), False)
-
-
-def phase_wrap_budget(theta_p: float, d_x: float, f_c: float, element_count: int) -> PhaseWrapBudget:
-    """Total ideal phase span across the aperture and whether it wraps."""
-    if element_count < 2:
-        raise InputError("need at least 2 elements")
-    lam = C0 / f_c
-    span = 2.0 * math.pi * (element_count - 1) * d_x * abs(math.sin(theta_p)) / lam
-    return PhaseWrapBudget(span, span < 2.0 * math.pi)
 
 
 def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,

@@ -16,6 +16,7 @@ branch left once the sheet inductance is removed; each sample weighs
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import ETA0, MU0
-from .errors import ClampWarning, FitError, InputError, ParseError, SingularInputError
-from .numutil import is_at_infinity, wrap_phase
+from .errors import ClampWarning, FitError, InputError, ParseError
+from .numutil import wrap_phase
 
 
 @dataclass(frozen=True)
@@ -178,54 +179,11 @@ def _lookup_arrays(table: VaractorTable, volts):
     return caps, res, clamped
 
 
-def varactor_lookup(table: VaractorTable, bias_voltage: float):
-    """(C_v, R_v) at a bias voltage, linear between rows, clamped outside."""
-    caps, res, clamped = _lookup_arrays(table, float(bias_voltage))
-    if clamped:
-        warnings.warn(_CLAMP_MESSAGE, ClampWarning, stacklevel=2)
-    return float(caps), float(res)
-
-
-def varactor_impedance(table: VaractorTable, bias_voltage: float, f: float) -> complex:
-    """Series RLC impedance of the varactor at bias V and frequency f."""
-    if not (f > 0):
-        raise InputError("frequency must be positive")
-    c_v, r_v = varactor_lookup(table, bias_voltage)
-    return complex(_varactor_array(table, c_v, r_v, 2.0 * math.pi * f))
-
-
-def ris_impedance(cell: CellCircuit, z_varactor: complex, f: float) -> complex:
-    """Surface impedance of the loaded cell.
-
-    The varactor sits in parallel with C_d, in series with R_d and
-    L_d, and the whole branch in parallel with the sheet inductance
-    L_s.  Passing an at-infinity varactor impedance removes that
-    branch (the unloaded cell, equal to equivalent_impedance).
-    """
-    if not (f > 0):
-        raise InputError("frequency must be positive")
-    if is_at_infinity(z_varactor):
-        return complex(equivalent_impedance(cell, f))
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            return complex(_surface_array(cell, complex(z_varactor), 2.0 * math.pi * f))
-    except FloatingPointError:
-        raise InputError("degenerate parallel combination: branch impedances cancel") from None
-
-
-def reflection_coefficient(z_ris: complex) -> complex:
-    """Normal-incidence reflection coefficient of a surface impedance."""
-    z_ris = complex(z_ris)
-    if z_ris == -ETA0:
-        raise SingularInputError("surface impedance equals -eta0; reflection undefined")
-    return complex(_gamma_array(z_ris))
-
-
 # The bias -> reflection kernel in its three steps.  Each takes arrays
-# (a block of the steering grid) or scalars (the public views above),
-# so every path evaluates the same ufuncs.  Each step writes its
-# intermediates and result into the arrays of a _Buffers, or into new
-# ones where a field is None.
+# (a bias pattern or a block of the steering grid), so every path
+# evaluates the same ufuncs.  Each step writes its intermediates and
+# result into the arrays of a _Buffers, or into new ones where a field
+# is None.
 
 class _Buffers(NamedTuple):
     """Arrays of one shape for the kernel: a float and two complex ones."""
@@ -291,23 +249,6 @@ def reflection_profile(cell: CellCircuit, table: VaractorTable, bias, f_c: float
     return ReflectionProfile(magnitudes=np.abs(gamma), phases=wrap_phase(np.angle(gamma)))
 
 
-def linear_ideal_phase(bias_voltage: float, v_min: float, v_max: float) -> float:
-    """Idealized lossless element: phase strictly linear in bias.
-
-    Runs 0 at v_min to a full turn at v_max, reported as a principal
-    value; out-of-range voltages are clamped with a warning.
-    """
-    if not (v_min < v_max):
-        raise InputError("v_min must be below v_max")
-    v = float(bias_voltage)
-    if v < v_min or v > v_max:
-        warnings.warn(
-            "bias voltage outside the linear-phase range; clamped", ClampWarning, stacklevel=2
-        )
-        v = min(max(v, v_min), v_max)
-    return wrap_phase(2.0 * math.pi * (v - v_min) / (v_max - v_min))
-
-
 def equivalent_impedance(cell: CellCircuit, frequencies) -> np.ndarray:
     """Unloaded-cell impedance sweep (varactor branch removed)."""
     return _surface_array(cell, None, 2.0 * math.pi * np.asarray(frequencies, dtype=float))
@@ -336,13 +277,26 @@ def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> 
     |Z| / |Z_ser|**2, the inverse of its error under relative noise on
     Z (dZ_ser = Z_ser**2 dZ / Z**2).  Noise-free data is recovered to
     rounding at any sweep that holds the sixteen points ImpedanceSamples
-    requires.  A fitted value that is not positive, or a sample at which
-    the series branch is undefined (Z = 0 or Z = jwL_s), raises FitError.
+    requires.  A fitted value that is not positive, a sample at which
+    the series branch is undefined (Z = 0 or Z = jwL_s), or a sweep
+    whose values are out of range for the arithmetic raises FitError.
     """
     if not (substrate_thickness > 0):
         raise InputError("substrate_thickness must be positive")
     l_s = MU0 * substrate_thickness
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            r_d, l_d, inv_c_d = _series_branch_fit(samples, l_s)
+    except FloatingPointError as err:
+        raise FitError(f"the sweep's values are out of range for the fit: {err}") from None
+    if not (r_d > 0 and l_d > 0 and inv_c_d > 0):
+        raise FitError(f"fitted R_d = {r_d:.6g}, L_d = {l_d:.6g}, 1/C_d = {inv_c_d:.6g}: "
+                       "not all positive; the sweep does not look like this circuit")
+    return CellCircuit(R_d=r_d, C_d=1.0 / inv_c_d, L_d=l_d, L_s=l_s)
 
+
+def _series_branch_fit(samples, l_s):
+    """(R_d, L_d, 1/C_d) by the weighted solve fit_circuit_model describes."""
     w = 2.0 * math.pi * samples.frequencies
     z = samples.impedances
     if np.any(z == 0):
@@ -360,14 +314,22 @@ def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> 
     norms = np.linalg.norm(columns, axis=1)
     solution = np.linalg.lstsq((columns / norms[:, None]).T, weight * z_ser.imag,
                                rcond=None)[0] / norms
-    l_d, inv_c_d = solution.tolist()
-    if not (r_d > 0 and l_d > 0 and inv_c_d > 0):
-        raise FitError(f"fitted R_d = {r_d:.6g}, L_d = {l_d:.6g}, 1/C_d = {inv_c_d:.6g}: "
-                       "not all positive; the sweep does not look like this circuit")
-    return CellCircuit(R_d=r_d, C_d=1.0 / inv_c_d, L_d=l_d, L_s=l_s)
+    return (r_d, *solution.tolist())
 
 
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+
+
+def _read_text(path):
+    """The file as UTF-8 text; ParseError naming the line of the first byte that is not."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(f"byte 0x{data[err.start]:02x} is not UTF-8 text",
+                         head.count(b"\n") + 1) from None
 
 
 def _parse_touchstone(path):
@@ -376,7 +338,7 @@ def _parse_touchstone(path):
     z_ref = 50.0
     rows = []
     saw_option = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline=None) as fh:  # universal newlines, as open()
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("!", 1)[0].strip()
             if not line:
@@ -440,8 +402,7 @@ def _parse_touchstone(path):
 
 def _parse_impedance_csv(path):
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file")
     header = [h.strip() for h in lines[0].split(",")]
@@ -470,6 +431,10 @@ def _sweep_samples(rows, reference_impedance):
     if not rows:
         raise ParseError("no data rows found")
     f = np.array([r[1] for r in rows])
+    below = f <= 0  # the fit divides by the angular frequency
+    if np.any(below):
+        lineno, f_hz, _ = rows[int(np.argmax(below))]
+        raise ParseError(f"frequency {f_hz!r} Hz is not positive", lineno)
     falls = np.diff(f) <= 0
     if np.any(falls):
         raise ParseError("frequencies must be strictly increasing", rows[np.argmax(falls) + 1][0])

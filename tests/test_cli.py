@@ -272,6 +272,49 @@ def test_fit_non_finite_sweep_exits_2(tmp_path, capsys, kind, column, bad):
     assert not (tmp_path / "run" / "cell.json").exists()
 
 
+def _sweep_bytes(kind, rows):
+    """A sweep file with one row per [f, a, b]: CSV f_hz,re_z,im_z or Touchstone RI in Hz."""
+    head = "f_hz,re_z,im_z" if kind == "csv" else "# Hz S RI R 50"
+    sep = "," if kind == "csv" else " "
+    return "\n".join([head] + [sep.join(r) for r in rows]).encode() + b"\n"
+
+
+@pytest.mark.parametrize("kind", ["csv", "s1p"])
+def test_fit_non_utf8_sweep_exits_2_naming_the_line(tmp_path, capsys, kind):
+    rows = [[f"{1 + 0.1 * k:.3f}e9", "0.1", "0.2"] for k in range(20)]
+    rows[7][2] = "0.X"
+    sweep = tmp_path / f"sweep.{kind}"
+    sweep.write_bytes(_sweep_bytes(kind, rows).replace(b"X", b"\xff"))
+    assert main(["fit", "--input", str(sweep), "--thickness", "1e-3",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "wavectl: line 9: byte 0xff is not UTF-8 text\n"
+    assert not (tmp_path / "run" / "cell.json").exists()
+
+
+@pytest.mark.parametrize("first", ["0.0", "0", "-1e9"])
+@pytest.mark.parametrize("kind", ["csv", "s1p"])
+def test_fit_non_positive_frequency_exits_2_naming_the_line(tmp_path, capsys, kind, first):
+    rows = [[f"{1 + 0.1 * k:.3f}e9", "0.1", "0.2"] for k in range(20)]
+    rows[0][0] = first
+    sweep = tmp_path / f"sweep.{kind}"
+    sweep.write_bytes(_sweep_bytes(kind, rows))
+    assert main(["fit", "--input", str(sweep), "--thickness", "1e-3",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"wavectl: line 2: frequency {float(first)!r} Hz is not positive\n")
+    assert not (tmp_path / "run" / "cell.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["bias"], ["pattern"], ["cascade"], ["steer", "--theta", "0"],
+                                  ["scan"]])
+@pytest.mark.parametrize("count", ["4097", "40000", "1" + "0" * 300],
+                         ids=["4097", "40000", "1e300"])
+def test_absurd_element_count_flag_exits_2(tmp_path, capsys, argv, count):
+    assert main([*argv, "--elements", count, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "wavectl: element_count is too large: at most 4096 taps\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("grid", [
     ["--fmax", "1e300"],
     # one point over the 2**20 cap, refused before any axis is built

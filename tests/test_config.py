@@ -343,6 +343,30 @@ def test_element_count_beyond_float_range_is_a_config_error():
     assert str(err.value).startswith("design: element_count is too large")
 
 
+@pytest.mark.parametrize("count", [2**12 + 1, 10**9, 10**300],
+                         ids=["4097", "1e9", "1e300"])
+def test_absurd_element_count_exits_2_through_the_cli(tmp_path, capsys, count):
+    doc = _bundled_doc()
+    doc["design"]["element_count"] = count
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bias", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "wavectl: design: element_count is too large: at most 4096 taps\n")
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    text = json.dumps(_bundled_doc()).encode()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text[:40] + b"\xff" + text[40:])
+    with pytest.raises(ConfigError, match="not UTF-8 text"):
+        w.load_config(cfg)
+    assert main(["bias", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("wavectl: not UTF-8 text: ")
+    assert "Traceback" not in err_text
+
+
 def test_element_count_beyond_float_range_exits_2_through_the_cli(tmp_path, capsys):
     doc = _bundled_doc()
     doc["design"]["element_count"] = 10**400

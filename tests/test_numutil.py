@@ -4,20 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wavectl.numutil import (
-    AT_INFINITY,
-    golden_section_maximize,
-    is_at_infinity,
-    parabola_vertex,
-    wrap_phase,
-)
-
-
-def test_at_infinity_marker():
-    assert is_at_infinity(AT_INFINITY)
-    assert is_at_infinity(complex(math.inf, 0.0))
-    assert is_at_infinity(complex(0.0, -math.inf))
-    assert not is_at_infinity(1e300 + 1e300j)
+from wavectl.numutil import golden_section_maximize, parabola_vertex, wrap_phase
 
 
 def test_wrap_phase_halfopen_interval():

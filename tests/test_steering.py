@@ -139,27 +139,6 @@ def test_solution_to_dict_structure(design, cell, table):
     assert "metrics" in d["pattern"]
 
 
-def test_large_angle_frequency_frozen():
-    out = w.large_angle_frequency(math.radians(13.6), 2.45e9, 19.34)
-    assert out.frequency == pytest.approx(7446977.470286266, rel=1e-12)
-    assert not out.degenerate
-    zero = w.large_angle_frequency(0.0, 2.45e9, 19.34)
-    assert zero.degenerate
-    assert zero.frequency == 0.0
-    # sign of the angle does not matter
-    neg = w.large_angle_frequency(math.radians(-13.6), 2.45e9, 19.34)
-    assert neg.frequency == pytest.approx(out.frequency)
-
-
-def test_phase_wrap_budget_frozen():
-    ok = w.phase_wrap_budget(math.radians(12.0), 0.02, 2.45e9, 27)
-    assert math.degrees(ok.total_span) == pytest.approx(318.0754396318307, rel=1e-12)
-    assert ok.within_budget
-    tight = w.phase_wrap_budget(math.radians(6.0), 0.02, 2.45e9, 60)
-    assert math.degrees(tight.total_span) == pytest.approx(362.88118839348196, rel=1e-12)
-    assert not tight.within_budget
-
-
 def test_specular_scan_grid(design, cell, table):
     spec = w.SearchSpec(f_range=(1e6, 4e6), f_step=1e6, w_range=(0.0, 2.0),
                         w_step=1.0, w0=4.0)

@@ -14,34 +14,42 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavectl as w
-from wavectl.errors import ClampWarning, FitError, InputError, ParseError, SingularInputError
+from wavectl.errors import ClampWarning, FitError, InputError, ParseError
 from wavectl.serialize import write_csv
-from wavectl.unitcell import ImpedanceSamples
+from wavectl.unitcell import ImpedanceSamples, _lookup_arrays, _surface_array, _varactor_array
 
 # an earlier published value set for this cell family; used as a fit
 # target because its resonances sit inside an easy sweep range
 LEGACY_CELL = dict(R_d=0.17, C_d=0.74e-12, L_d=1.64e-9, L_s=1.60e-9)
 
 
+def _lookup(table, volts):
+    caps, res, clamped = _lookup_arrays(table, volts)
+    return float(caps), float(res), clamped
+
+
+def _varactor_z(table, volts, f):
+    caps, res, _ = _lookup_arrays(table, volts)
+    return complex(_varactor_array(table, caps, res, 2.0 * math.pi * f))
+
+
 def test_varactor_lookup_rows_and_interpolation(table):
-    c, r = w.varactor_lookup(table, 4.0)
-    assert (c, r) == (0.802e-12, 0.509)
-    c, r = w.varactor_lookup(table, 7.5)
+    assert _lookup(table, 4.0) == (0.802e-12, 0.509, False)
+    c, r, clamped = _lookup(table, 7.5)
     assert c == pytest.approx(0.561e-12, rel=1e-12)
     assert r == pytest.approx(0.1165, rel=1e-12)
+    assert not clamped
 
 
-def test_varactor_lookup_clamps_with_warning(table):
+def test_varactor_lookup_clamps_with_warning(cell, table):
+    assert _lookup(table, 16.0) == (0.460e-12, 0.005, True)
+    assert _lookup(table, 3.0) == (0.802e-12, 0.509, True)
     with pytest.warns(ClampWarning):
-        c, r = w.varactor_lookup(table, 16.0)
-    assert (c, r) == (0.460e-12, 0.005)
-    with pytest.warns(ClampWarning):
-        c, r = w.varactor_lookup(table, 3.0)
-    assert (c, r) == (0.802e-12, 0.509)
+        w.reflection_profile(cell, table, 16.0, 2.45e9)
 
 
 def test_varactor_impedance_frozen(table):
-    z = w.varactor_impedance(table, 4.0, 2.45e9)
+    z = _varactor_z(table, 4.0, 2.45e9)
     assert z.real == pytest.approx(0.509, rel=1e-12)
     assert z.imag == pytest.approx(-44.977502701268728, rel=1e-12)
 
@@ -49,37 +57,23 @@ def test_varactor_impedance_frozen(table):
 def test_varactor_series_resonance_frozen(table):
     # L_v resonates with C_v(7 V) here; the reactance changes sign
     f_res = 4327611674.671055
-    assert w.varactor_impedance(table, 7.0, f_res).imag == pytest.approx(0.0, abs=1e-6)
-    assert w.varactor_impedance(table, 7.0, 0.99 * f_res).imag < 0
-    assert w.varactor_impedance(table, 7.0, 1.01 * f_res).imag > 0
+    assert _varactor_z(table, 7.0, f_res).imag == pytest.approx(0.0, abs=1e-6)
+    assert _varactor_z(table, 7.0, 0.99 * f_res).imag < 0
+    assert _varactor_z(table, 7.0, 1.01 * f_res).imag > 0
 
 
 def test_ris_impedance_and_reflection_frozen(table):
     cell = w.CellCircuit(**LEGACY_CELL)
-    z_v = w.varactor_impedance(table, 4.0, 2.45e9)
-    z = w.ris_impedance(cell, z_v, 2.45e9)
+    z_v = _varactor_z(table, 4.0, 2.45e9)
+    z = complex(_surface_array(cell, z_v, 2.0 * math.pi * 2.45e9))
     assert z.real == pytest.approx(0.5871391884261575, rel=1e-10)
     assert z.imag == pytest.approx(-5.487042731161679, rel=1e-10)
-    g = w.reflection_coefficient(z)
+    prof = w.reflection_profile(cell, table, 4.0, 2.45e9)
+    g = complex(prof.coefficients()[0])
     assert g.real == pytest.approx(-0.9964684426566407, rel=1e-10)
     assert g.imag == pytest.approx(-0.0290123961314427, rel=1e-10)
-    assert abs(g) == pytest.approx(0.9968907043100756, rel=1e-10)
-    assert math.degrees(math.atan2(g.imag, g.real)) == pytest.approx(
-        -178.33229200782718, abs=1e-8)
-
-
-def test_reflection_coefficient_singular():
-    with pytest.raises(SingularInputError):
-        w.reflection_coefficient(complex(-377.0, 0.0))
-
-
-def test_ris_impedance_unloaded_and_degenerate(cell):
-    for f in (1e9, 2.45e9, 7e9):
-        assert w.ris_impedance(cell, w.AT_INFINITY, f) == w.equivalent_impedance(cell, f)
-    # a varactor impedance that cancels C_d leaves no parallel combination
-    omega = 2.0 * math.pi * 2.45e9
-    with pytest.raises(InputError):
-        w.ris_impedance(cell, 1j / (omega * cell.C_d), 2.45e9)
+    assert prof.magnitudes[0] == pytest.approx(0.9968907043100756, rel=1e-10)
+    assert math.degrees(prof.phases[0]) == pytest.approx(-178.33229200782718, abs=1e-8)
 
 
 def test_equivalent_impedance_matches_rational_form(cell):
@@ -111,15 +105,6 @@ def test_reflection_passive_property(bias, f_c):
     cfg = w.load_bundled_config()
     prof = w.reflection_profile(cfg.cell, cfg.varactors, bias, f_c)
     assert prof.magnitudes[0] <= 1.0 + 1e-12
-
-
-def test_linear_ideal_phase_endpoints():
-    assert w.linear_ideal_phase(4.0, 4.0, 15.0) == pytest.approx(0.0)
-    assert w.linear_ideal_phase(9.5, 4.0, 15.0) == pytest.approx(math.pi)
-    # a full turn wraps back to zero
-    assert w.linear_ideal_phase(15.0, 4.0, 15.0) == pytest.approx(0.0, abs=1e-12)
-    with pytest.warns(ClampWarning):
-        w.linear_ideal_phase(3.0, 4.0, 15.0)
 
 
 def _fit_and_compare(values, f_lo, f_hi, n=4001):
