@@ -31,6 +31,7 @@ import numpy as np
 
 from .constants import C0
 from .errors import InputError
+from .numutil import freeze_field
 
 # most taps a line may carry: a 3601-angle pattern over this many taps
 # peaks near 0.5 GB, and every per-tap array stays small
@@ -196,16 +197,12 @@ class BiasPattern:
     voltages: np.ndarray
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=float).copy()
-        voltages = np.asarray(self.voltages, dtype=float).copy()
+        positions = freeze_field(self, "positions", self.positions)
+        voltages = freeze_field(self, "voltages", self.voltages)
         if positions.shape != voltages.shape or positions.ndim != 1:
             raise InputError("positions and voltages must be 1-d arrays of equal length")
         if not np.all(np.isfinite(voltages)):
             raise InputError("bias voltages must be finite")
-        positions.setflags(write=False)
-        voltages.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "voltages", voltages)
 
     def __len__(self):
         return self.voltages.size

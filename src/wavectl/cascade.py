@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .btl import BtlDesign, BiasPattern, Termination, detected_bias
+from .btl import BtlDesign, BiasPattern, Excitation, Termination, detected_bias
 from .errors import InputError, SolverError
+from .numutil import freeze_field
 
 # dB per neper
 _DB_PER_NP = 20.0 / math.log(10.0)
@@ -70,9 +71,9 @@ class CascadeNetwork:
         for name in ("coupling_capacitance", "decoupling_inductance"):
             if not (getattr(self, name) > 0):
                 raise InputError(f"{name} must be positive")
-        angles = np.asarray(self.segment_angles, dtype=complex).copy()
-        loads = np.asarray(self.tap_loads, dtype=complex).copy()
-        pos = np.asarray(self.tap_positions, dtype=float).copy()
+        angles = freeze_field(self, "segment_angles", self.segment_angles, complex)
+        loads = freeze_field(self, "tap_loads", self.tap_loads, complex)
+        pos = freeze_field(self, "tap_positions", self.tap_positions)
         if angles.ndim != 1 or loads.shape != angles.shape or pos.shape != angles.shape:
             raise InputError("segments, tap loads, and tap positions must align")
         if not (np.isfinite(angles).all() and np.isfinite(complex(self.lead_angle))):
@@ -82,11 +83,6 @@ class CascadeNetwork:
         finite = ~np.isinf(loads.real) & ~np.isinf(loads.imag)
         if np.any(loads.real[finite] < 0):
             raise InputError("tap loads must be passive (nonnegative real part)")
-        for arr in (angles, loads, pos):
-            arr.setflags(write=False)
-        object.__setattr__(self, "segment_angles", angles)
-        object.__setattr__(self, "tap_loads", loads)
-        object.__setattr__(self, "tap_positions", pos)
 
     @property
     def element_count(self):
@@ -102,14 +98,10 @@ class NodeVoltages:
     input_voltage: complex
 
     def __post_init__(self):
-        pos = np.asarray(self.tap_positions, dtype=float).copy()
-        taps = np.asarray(self.tap_voltages, dtype=complex).copy()
+        pos = freeze_field(self, "tap_positions", self.tap_positions)
+        taps = freeze_field(self, "tap_voltages", self.tap_voltages, complex)
         if pos.shape != taps.shape or pos.ndim != 1:
             raise InputError("positions and voltages must be 1-d arrays of equal length")
-        pos.setflags(write=False)
-        taps.setflags(write=False)
-        object.__setattr__(self, "tap_positions", pos)
-        object.__setattr__(self, "tap_voltages", taps)
 
     def __len__(self):
         return self.tap_voltages.size + 1
@@ -118,8 +110,8 @@ class NodeVoltages:
 def build_network(design: BtlDesign, f: float, z_rect=1000.0,
                   coupling_capacitance: float = 1.0e-6,
                   decoupling_inductance: float = 680.0e-6, total_loss_db: float = 0.0,
-                  generator_voltage: float = 10.0,
-                  generator_impedance: float = 50.0) -> CascadeNetwork:
+                  generator_voltage: float = Excitation.generator_voltage,
+                  generator_impedance: float = Excitation.generator_impedance) -> CascadeNetwork:
     """Assemble the loaded-line model of ``design`` at one frequency.
 
     Electrical lengths come from the design's slowness and the line
@@ -174,6 +166,8 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
     """
     w = 2.0 * math.pi * net.frequency
     z0 = net.characteristic_impedance
+    if w * net.coupling_capacitance == 0:  # underflows: 1/(jwC) is out of float range
+        raise SolverError(f"the tapped-line state overflows at {net.frequency!r} Hz")
 
     # seed the state at the termination with unit current / voltage
     if net.termination is Termination.SHORT:

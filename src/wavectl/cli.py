@@ -105,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_scan)
     p_scan.add_argument("--probe", default="0", metavar="DEG[,DEG...]",
                         help="comma-separated probe angles in degrees (default 0)")
-    p_scan.add_argument("--fmin", type=_finite, default=0.1e6, metavar="HZ")
-    p_scan.add_argument("--fmax", type=_finite, default=30.0e6, metavar="HZ")
-    p_scan.add_argument("--fstep", type=_finite, default=0.1e6, metavar="HZ")
-    p_scan.add_argument("--wmin", type=_finite, default=0.0, metavar="V")
-    p_scan.add_argument("--wmax", type=_finite, default=12.0, metavar="V")
-    p_scan.add_argument("--wstep", type=_finite, default=0.1, metavar="V")
+    p_scan.add_argument("--fmin", type=_finite, default=SearchSpec.f_range[0], metavar="HZ")
+    p_scan.add_argument("--fmax", type=_finite, default=SearchSpec.f_range[1], metavar="HZ")
+    p_scan.add_argument("--fstep", type=_finite, default=SearchSpec.f_step, metavar="HZ")
+    p_scan.add_argument("--wmin", type=_finite, default=SearchSpec.w_range[0], metavar="V")
+    p_scan.add_argument("--wmax", type=_finite, default=SearchSpec.w_range[1], metavar="V")
+    p_scan.add_argument("--wstep", type=_finite, default=SearchSpec.w_step, metavar="V")
     p_scan.add_argument("--w0", type=_finite, metavar="V")
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -139,54 +139,49 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_run_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else load_bundled_config()
     design = config.design
-    if getattr(args, "termination", None):
+    if args.termination:
         design = replace(design, termination=Termination(args.termination))
-    if getattr(args, "elements", None) is not None:
+    if args.elements is not None:
         design = replace(design, element_count=args.elements)
     if design is not config.design:
         config = replace(config, design=design)
     return config
 
 
-def _resolve_out(args, config: RunConfig | None) -> str:
-    out_dir = args.out or (config.output_dir if config else None) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+def _fit_inputs(args):
+    """What a fit's report hashes in place of a configuration."""
+    with open(args.input, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return {"input_sha256": digest, "thickness": float(args.thickness)}
 
 
-def _resolve_tone(config: RunConfig, fb, wb, w0):
+def _w0(args, config: RunConfig) -> float:
+    """The dc offset: --w0, else the configured one."""
+    return config.excitation.dc_offset if args.w0 is None else args.w0
+
+
+def _resolve_tone(args, config: RunConfig, wb=None):
     """Fold CLI tone flags into the configured excitation.
 
-    Without --wb, a single-mode (or empty) excitation derives its
+    Without wb, a single-mode (or empty) excitation derives its
     amplitude from the generator chain at the requested frequency; a
     multi-tone excitation passes through untouched.
     """
     exc = config.excitation
-    if fb is None:
-        fb = exc.fundamental_frequency
-    if w0 is None:
-        w0 = exc.dc_offset
-    if not (fb > 0):
-        raise InputError("bias frequency must be positive")
+    fb = exc.fundamental_frequency if args.fb is None else args.fb
     if wb is not None:
-        if wb < 0:
-            raise InputError("standing-wave amplitude must be nonnegative")
         modes = (Mode(1, wb),)
     elif len(exc.modes) <= 1:
-        old = exc.modes[0] if exc.modes else None
-        index = old.mode_index if old else 1
-        phase = old.phase if old else 0.0
-        amp = standing_wave_amplitude(config.design, exc, index * fb)
-        modes = (Mode(index, amp, phase),)
+        old = exc.modes[0] if exc.modes else Mode(1, 0.0)
+        amp = standing_wave_amplitude(config.design, exc, old.mode_index * fb)
+        modes = (replace(old, amplitude=amp),)
     else:
         modes = exc.modes
-    return replace(exc, dc_offset=w0, fundamental_frequency=fb, modes=modes)
+    return replace(exc, dc_offset=_w0(args, config), fundamental_frequency=fb, modes=modes)
 
 
-def _cmd_bias(args):
-    config = _load_run_config(args)
-    out_dir = _resolve_out(args, config)
-    exc = _resolve_tone(config, args.fb, args.wb, args.w0)
+def _cmd_bias(args, config, out_dir):
+    exc = _resolve_tone(args, config, args.wb)
     bias = rectified_bias(config.design, exc)
     name = f"bias.{args.format}"
     if args.format == "csv":
@@ -199,13 +194,11 @@ def _cmd_bias(args):
             "positions_m": bias.positions,
             "bias_v": bias.voltages,
         })
-    return out_dir, [name], sha256_of(config.to_dict())
+    return [name]
 
 
-def _cmd_pattern(args):
-    config = _load_run_config(args)
-    out_dir = _resolve_out(args, config)
-    exc = _resolve_tone(config, args.fb, args.wb, args.w0)
+def _cmd_pattern(args, config, out_dir):
+    exc = _resolve_tone(args, config, args.wb)
     bias = rectified_bias(config.design, exc)
     profile = reflection_profile(config.cell, config.varactors, bias,
                                  config.carrier_frequency)
@@ -213,7 +206,6 @@ def _cmd_pattern(args):
                          element_spacing=config.design.spacing,
                          theta_grid=default_theta_grid())
     pattern = array_factor(profile, req)
-    outputs = []
     name = f"pattern.{args.format}"
     if args.format == "csv":
         write_csv(os.path.join(out_dir, name),
@@ -226,43 +218,30 @@ def _cmd_pattern(args):
             "magnitude_db": pattern.magnitude_db(),
             "metrics": pattern.metrics.to_dict(),
         })
-    outputs.append(name)
     write_json(os.path.join(out_dir, "pattern-metrics.json"), pattern.metrics.to_dict())
-    outputs.append("pattern-metrics.json")
-    return out_dir, outputs, sha256_of(config.to_dict())
+    return [name, "pattern-metrics.json"]
 
 
-def _cmd_steer(args):
-    config = _load_run_config(args)
-    out_dir = _resolve_out(args, config)
-    if not (-90.0 <= args.theta <= 90.0):
-        raise InputError("target angle must lie in [-90, 90] degrees")
-    w0 = args.w0 if args.w0 is not None else config.excitation.dc_offset
-    spec = SearchSpec(w0=w0, refine=not args.coarse_only)
+def _cmd_steer(args, config, out_dir):
+    spec = SearchSpec(w0=_w0(args, config), refine=not args.coarse_only)
     solution = optimize_single_beam(config.design, config.cell, config.varactors,
                                     math.radians(args.theta), spec,
                                     f_c=config.carrier_frequency)
     write_json(os.path.join(out_dir, "steer.json"), solution.to_dict())
-    return out_dir, ["steer.json"], sha256_of(config.to_dict())
+    return ["steer.json"]
 
 
 def _parse_probes(raw: str):
     try:
-        probes = [_finite(tok) for tok in raw.split(",") if tok.strip()]
+        return [math.radians(_finite(tok)) for tok in raw.split(",") if tok.strip()]
     except argparse.ArgumentTypeError as err:
         raise InputError(f"--probe: {err}") from None
-    if not probes:
-        raise InputError("at least one probe angle is required")
-    return [math.radians(p) for p in probes]
 
 
-def _cmd_scan(args):
-    config = _load_run_config(args)
-    out_dir = _resolve_out(args, config)
+def _cmd_scan(args, config, out_dir):
     probes = _parse_probes(args.probe)
-    w0 = args.w0 if args.w0 is not None else config.excitation.dc_offset
     spec = SearchSpec(f_range=(args.fmin, args.fmax), f_step=args.fstep,
-                      w_range=(args.wmin, args.wmax), w_step=args.wstep, w0=w0)
+                      w_range=(args.wmin, args.wmax), w_step=args.wstep, w0=_w0(args, config))
     grids = specular_scan(config.design, config.cell, config.varactors, spec,
                           probes, f_c=config.carrier_frequency)
     name = f"scan.{args.format}"
@@ -280,13 +259,10 @@ def _cmd_scan(args):
                   ("probe_deg", "frequency_hz", "amplitude_v", "magnitude"), columns=columns)
     else:
         write_json(os.path.join(out_dir, name), [grid.to_dict() for grid in grids])
-    return out_dir, [name], sha256_of(config.to_dict())
+    return [name]
 
 
-def _cmd_fit(args):
-    out_dir = _resolve_out(args, None)
-    with open(args.input, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+def _cmd_fit(args, config, out_dir):
     samples = ingest_impedance(args.input, fmt=args.input_format)
     cell = fit_circuit_model(samples, args.thickness)
     write_json(os.path.join(out_dir, "cell.json"), {
@@ -297,8 +273,7 @@ def _cmd_fit(args):
         "electric_resonance_hz": cell.electric_resonance / (2.0 * math.pi),
         "magnetic_resonance_hz": cell.magnetic_resonance / (2.0 * math.pi),
     })
-    config_hash = sha256_of({"input_sha256": digest, "thickness": float(args.thickness)})
-    return out_dir, ["cell.json"], config_hash
+    return ["cell.json"]
 
 
 def _parse_zrect(raw):
@@ -313,10 +288,8 @@ def _parse_zrect(raw):
     return value
 
 
-def _cmd_cascade(args):
-    config = _load_run_config(args)
-    out_dir = _resolve_out(args, config)
-    exc = _resolve_tone(config, args.fb, None, args.w0)
+def _cmd_cascade(args, config, out_dir):
+    exc = _resolve_tone(args, config)
     if len(exc.modes) != 1:
         raise InputError("the tapped-line comparison uses a single drive tone")
     drive = exc.modes[0].mode_index * exc.fundamental_frequency
@@ -342,7 +315,7 @@ def _cmd_cascade(args):
             "ideal_v": ideal.voltages,
             "tapped_v": tapped.voltages,
         })
-    return out_dir, [name], sha256_of(config.to_dict())
+    return [name]
 
 
 _COMMANDS = {
@@ -385,7 +358,12 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out_dir, outputs, config_hash = _COMMANDS[args.command](args)
+            # fit reads no configuration; every other command reads one
+            config = None if args.command == "fit" else _load_run_config(args)
+            out_dir = args.out or (config.output_dir if config else None) or "."
+            os.makedirs(out_dir, exist_ok=True)
+            config_hash = sha256_of(config.to_dict() if config else _fit_inputs(args))
+            outputs = _COMMANDS[args.command](args, config, out_dir)
         notes = sorted({str(w.message) for w in caught})
         report_name = f"{args.command}-report.json"
         write_json(os.path.join(out_dir, report_name), {

@@ -36,8 +36,8 @@ class RunConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        if not (self.carrier_frequency > 0):
-            raise InputError("carrier_frequency must be positive")
+        if not (0 < self.carrier_frequency < math.inf):
+            raise InputError("carrier_frequency must be positive and finite")
 
     def to_dict(self):
         return _RUN.render(self)
@@ -82,7 +82,7 @@ def _nullable_number(value, path, problems):
 
 def _termination(value, path, problems):
     try:
-        return Termination("short" if value is _ABSENT else value)
+        return BtlDesign.termination if value is _ABSENT else Termination(value)
     except ValueError:
         problems.add(path, "must be one of short, open, matched")
         return None
@@ -228,13 +228,13 @@ _RUN = _Object({
     }, VaractorTable),
     "excitation": _Section({
         "dc_offset": _NUMBER, "fundamental_frequency": _NUMBER,
-        "generator_voltage": _optional_number(10.0),
-        "generator_impedance": _optional_number(50.0),
+        "generator_voltage": _optional_number(Excitation.generator_voltage),
+        "generator_impedance": _optional_number(Excitation.generator_impedance),
         "modes": _Array(_Object({
-            "mode_index": _INTEGER, "amplitude": _NUMBER, "phase": _optional_number(0.0),
+            "mode_index": _INTEGER, "amplitude": _NUMBER, "phase": _optional_number(Mode.phase),
         }, Mode), required=False),
     }, Excitation),
-    "carrier_frequency": _optional_number(2.45e9, positive=True),
+    "carrier_frequency": _optional_number(RunConfig.carrier_frequency, positive=True),
     "output_dir": _Leaf(_text),
 })
 

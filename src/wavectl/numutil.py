@@ -1,9 +1,21 @@
-"""Small numeric helpers: phase wrapping, a golden-section line search
-and a three-point parabola vertex."""
+"""Small numeric helpers: frozen array fields, phase wrapping, a
+golden-section line search and a three-point parabola vertex."""
 
 import math
 
 import numpy as np
+
+
+def freeze_field(obj, name, values, dtype=float):
+    """Store a C-contiguous, read-only copy of ``values`` as ``obj.name`` and return it.
+
+    ``obj`` may be a frozen dataclass: the copy is stored past its
+    ``__setattr__``.
+    """
+    array = np.array(values, dtype=dtype, order="C")
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+    return array
 
 
 def wrap_phase(angle):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import C0
 from .errors import InputError
-from .numutil import parabola_vertex, wrap_phase
+from .numutil import freeze_field, parabola_vertex, wrap_phase
 
 # reported dB values are floored here; a zero of the pattern would
 # otherwise serialize as -inf
@@ -58,15 +58,16 @@ class PatternRequest:
             raise InputError("carrier_frequency must be positive")
         if not (self.element_spacing > 0):
             raise InputError("element_spacing must be positive")
-        grid = np.asarray(self.theta_grid, dtype=float).copy()
+        if not math.isfinite(2.0 * math.pi * self.carrier_frequency / C0 * self.element_spacing):
+            raise InputError(f"the phase step k*d of a {float(self.carrier_frequency)!r} Hz carrier "
+                             f"over a {float(self.element_spacing)!r} m spacing is not finite")
+        grid = freeze_field(self, "theta_grid", self.theta_grid)
         if grid.ndim != 1 or grid.size < 2:
             raise InputError("theta_grid must be a 1-d array with at least 2 angles")
         if not np.all(np.diff(grid) > 0):
             raise InputError("theta_grid must be strictly increasing")
         if grid[0] < -math.pi / 2 - 1e-12 or grid[-1] > math.pi / 2 + 1e-12:
             raise InputError("theta_grid must lie within [-pi/2, pi/2]")
-        grid.setflags(write=False)
-        object.__setattr__(self, "theta_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,10 @@ class RadiationPattern:
     metrics: PatternMetrics
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float).copy()
-        mag = np.asarray(self.magnitude, dtype=float).copy()
+        theta = freeze_field(self, "theta", self.theta)
+        mag = freeze_field(self, "magnitude", self.magnitude)
         if theta.shape != mag.shape or theta.ndim != 1:
             raise InputError("theta and magnitude must be 1-d arrays of equal length")
-        theta.setflags(write=False)
-        mag.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "magnitude", mag)
 
     def magnitude_db(self):
         return db_from_linear(self.magnitude)

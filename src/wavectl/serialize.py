@@ -165,29 +165,11 @@ def _scaled(a, e):
     return a * np.take(_UP, i, mode="clip") / np.take(_DOWN, i, mode="clip")
 
 
-def _int_width(v):
-    """Words that hold the sign and digits of every integer of ``v``."""
-    return len(str(max(int(v.max()), -int(v.min())))) // 4 + 1
-
-
-def _int_slots(v, out):
-    """Write str() of each value of 1-D integer ``v`` into the zeroed words ``out``."""
-    width = out.shape[1]
-    if v.dtype.kind == "i":
-        mag = np.abs(v.astype(np.int64)).view(np.uint64)  # -2**63 included
-    else:
-        mag = v.astype(np.uint64)
-    digits = np.ones(v.size, np.int64)
-    for i in range(1, min(4 * width, 20)):
-        digits += mag >= np.uint64(10 ** i)
-    for j in range(width - 1, -1, -1):
-        out[:, j] = _QUAD[mag % 10000]
-        mag = mag // 10000
-    b = out.view(np.uint8)
-    first = 4 * width - digits  # byte of the leading digit
-    b[np.arange(4 * width) < first[:, None]] = 0
-    neg = np.flatnonzero(v < 0)
-    b[neg, first[neg] - 1] = ord("-")
+def _str_words(v):
+    """str() of each value of 1-D ``v``, NUL-padded to a whole number of words: a row each."""
+    text = np.array(list(map(str, v.tolist())), dtype=bytes)
+    width = -(-text.itemsize // 4)
+    return text.astype(f"S{4 * width}").view(np.uint32).reshape(v.size, width)
 
 
 # rows formatted and written at a time
@@ -236,19 +218,16 @@ def _csv_block(columns):
     if columns[0].size * sum(floats) < _VECTOR_MIN:
         cells = [map(_FLOAT.format if f else str, c.tolist()) for c, f in zip(columns, floats)]
         return "".join([",".join(row) + "\n" for row in zip(*cells)])
-    widths = [_SLOT_WORDS if f else _int_width(c) for c, f in zip(columns, floats)]
-    out = np.zeros((columns[0].size, sum(widths) + len(widths)), np.uint32)
     slots = np.zeros((columns[0].size, sum(floats), _SLOT_WORDS), np.uint32)
     if slots.size:
         _float_slots(np.stack([c for c, f in zip(columns, floats) if f], axis=1), slots)
-    at = j = 0
-    for c, f, width in zip(columns, floats, widths):
-        if f:
-            out[:, at:at + width] = slots[:, j]
-            j += 1
-        else:
-            _int_slots(c, out[:, at:at + width])
-        at += width + 1
+    float_cells = iter(slots.transpose(1, 0, 2))
+    cells = [next(float_cells) if f else _str_words(c) for c, f in zip(columns, floats)]
+    out = np.zeros((columns[0].size, sum(c.shape[1] + 1 for c in cells)), np.uint32)
+    at = 0
+    for words in cells:
+        out[:, at:at + words.shape[1]] = words
+        at += words.shape[1] + 1
         out[:, at - 1] = _COMMA
     out[:, -1] = _NEWLINE
     return _text(out)

@@ -19,6 +19,7 @@ import numpy as np
 from . import btl as _btl
 from . import radiation as _radiation
 from . import unitcell as _unitcell
+from .config import RunConfig
 from .constants import C0
 from .errors import ClampWarning, InputError
 from .numutil import golden_section_maximize
@@ -173,10 +174,6 @@ def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
 def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
                              theta_grid=None) -> _radiation.RadiationPattern:
     """Full pipeline at one (f_b, W_b) point: bias, reflection, pattern."""
-    if not (f_b > 0):
-        raise InputError("f_b must be positive")
-    if w_b < 0:
-        raise InputError("w_b must be nonnegative")
     exc = _btl.Excitation(
         dc_offset=w0,
         modes=(_btl.Mode(1, w_b),),
@@ -192,7 +189,7 @@ def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
 
 
 def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
-                         f_c: float = 2.45e9) -> SteeringSolution:
+                         f_c: float = RunConfig.carrier_frequency) -> SteeringSolution:
     """Pick (f_b, W_b) that maximize |F(theta_p)|.
 
     Exhaustive scan of the SearchSpec grid, then (optionally) two
@@ -202,11 +199,9 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     """
     if not (abs(theta_p) <= math.pi / 2):
         raise InputError("theta_p must lie within +-90 degrees")
+    _unitcell._check_carrier(cell, table, f_c)  # once, not per refinement point
     f_axis = spec.f_axis()
     w_axis = spec.w_axis()
-    if f_axis.size == 0 or w_axis.size == 0:
-        raise InputError("empty search space")
-
     (values,), clamped = _grid_maps(
         design, cell, table, f_axis, w_axis, spec.w0, f_c, [theta_p]
     )
@@ -246,7 +241,7 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
 
 
 def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
-                  f_c: float = 2.45e9):
+                  f_c: float = RunConfig.carrier_frequency):
     """Dense |F(theta_probe)| maps over the grid, one per probe angle.
 
     The reflection of each block of the grid does not depend on the
@@ -257,6 +252,7 @@ def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
         raise InputError("at least one probe angle is required")
     if not all(abs(probe) <= math.pi / 2 for probe in probe_angles):
         raise InputError("probe angles must lie within +-90 degrees")
+    _unitcell._check_carrier(cell, table, f_c)
     f_axis = spec.f_axis()
     w_axis = spec.w_axis()
     maps, clamped = _grid_maps(design, cell, table, f_axis, w_axis, spec.w0, f_c, probe_angles)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import ETA0, MU0
 from .errors import ClampWarning, FitError, InputError, ParseError
-from .numutil import wrap_phase
+from .numutil import freeze_field, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,8 @@ class VaractorTable:
             raise InputError("varactor rows must be finite")
         if len(rows) < 2:
             raise InputError("varactor table needs at least two rows")
-        volts = np.array([r[0] for r in rows])
-        caps = np.array([r[1] for r in rows])
-        res = np.array([r[2] for r in rows])
+        volts, caps, res = (freeze_field(self, name, column)
+                            for name, column in zip(("_volts", "_caps", "_res"), zip(*rows)))
         if not np.all(np.diff(volts) > 0):
             raise InputError("varactor rows must be strictly increasing in voltage")
         if not np.all(np.diff(caps) < 0):
@@ -60,12 +59,6 @@ class VaractorTable:
         if not np.all(res >= 0):
             raise InputError("varactor resistance must be nonnegative")
         object.__setattr__(self, "rows", rows)
-        volts.setflags(write=False)
-        caps.setflags(write=False)
-        res.setflags(write=False)
-        object.__setattr__(self, "_volts", volts)
-        object.__setattr__(self, "_caps", caps)
-        object.__setattr__(self, "_res", res)
 
     @property
     def bias_range(self):
@@ -111,8 +104,8 @@ class ImpedanceSamples:
     impedances: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float).copy()
-        z = np.asarray(self.impedances, dtype=complex).copy()
+        f = freeze_field(self, "frequencies", self.frequencies)
+        z = freeze_field(self, "impedances", self.impedances, complex)
         if f.ndim != 1 or f.shape != z.shape:
             raise InputError("frequencies and impedances must be 1-d arrays of equal length")
         if f.size < 16:
@@ -121,10 +114,6 @@ class ImpedanceSamples:
             raise InputError("frequencies and impedances must be finite")
         if not np.all(np.diff(f) > 0):
             raise InputError("frequencies must be strictly increasing")
-        f.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "impedances", z)
 
     def __len__(self):
         return self.frequencies.size
@@ -142,18 +131,14 @@ class ReflectionProfile:
     phases: np.ndarray
 
     def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=float).copy()
-        phases = np.asarray(self.phases, dtype=float).copy()
+        mags = freeze_field(self, "magnitudes", self.magnitudes)
+        phases = freeze_field(self, "phases", self.phases)
         if mags.ndim != 1 or mags.shape != phases.shape:
             raise InputError("magnitudes and phases must be 1-d arrays of equal length")
         if mags.size < 1:
             raise InputError("reflection profile may not be empty")
         if np.any(mags < 0):
             raise InputError("reflection magnitudes must be nonnegative")
-        mags.setflags(write=False)
-        phases.setflags(write=False)
-        object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "phases", phases)
 
     def __len__(self):
         return self.magnitudes.size
@@ -237,10 +222,29 @@ def _reflection_array(cell, table, volts, f_c, buf=_NEW):
     return gamma, clamped
 
 
+def _check_carrier(cell, table, f_c):
+    """InputError naming f_c unless it is positive and finite and the kernel stays finite there.
+
+    The kernel runs once over the table's own rows: every capacitance
+    and resistance a lookup returns lies between two of them, so the
+    rows bound each reactance the kernel forms.
+    """
+    if not (0 < f_c < math.inf):
+        raise InputError(f"carrier frequency {float(f_c)!r} Hz must be positive and finite")
+    w = 2.0 * math.pi * f_c
+    try:
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(_gamma_array(_surface_array(
+                cell, _varactor_array(table, table._caps, table._res, w), w))).all()
+    except ZeroDivisionError:  # w C_d underflows to 0
+        finite = False
+    if not finite:
+        raise InputError(f"carrier frequency {float(f_c)!r} Hz is out of range for the cell model")
+
+
 def reflection_profile(cell: CellCircuit, table: VaractorTable, bias, f_c: float) -> ReflectionProfile:
     """Element-wise reflection coefficients for a bias pattern at f_c."""
-    if not (f_c > 0):
-        raise InputError("carrier frequency must be positive")
+    _check_carrier(cell, table, f_c)
     volts = np.atleast_1d(np.asarray(
         bias.voltages if hasattr(bias, "voltages") else bias, dtype=float))
     gamma, clamped = _reflection_array(cell, table, volts, f_c)

@@ -148,11 +148,16 @@ def test_no_non_finite_value_enters_the_line(design, kwargs, message):
             w.solve_taps(w.build_network(design, **kwargs))
 
 
-@pytest.mark.parametrize("f", [1e-300, 1e-200, 1e-100])
-def test_overflowing_state_raises_solver_error(design, f):
+@pytest.mark.parametrize("f, termination", [
+    (1e-300, "short"), (1e-200, "short"), (1e-100, "short"),
+    # w*C underflows to 0 below about 3.9e-319 Hz
+    (5e-324, "short"), (1e-320, "short"), (5e-324, "open"), (1e-320, "open"),
+], ids=["1e-300", "1e-200", "1e-100", "5e-324-short", "1e-320-short", "5e-324-open",
+        "1e-320-open"])
+def test_overflowing_state_raises_solver_error(design, f, termination):
     # the solve refuses an overflowed state by frequency, without a numpy
     # RuntimeWarning and without handing on zeros scaled by 1/inf
-    net = w.build_network(design, f)
+    net = w.build_network(replace(design, termination=w.Termination(termination)), f)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SolverError, match=f"overflows at {f!r} Hz"):

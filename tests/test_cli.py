@@ -354,9 +354,29 @@ def test_overflowing_frequency_exits_2_naming_it(tmp_path, capsys, argv, message
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("fb", ["1e-300", "1e-100"])
-def test_overflowing_cascade_state_exits_4_naming_the_frequency(tmp_path, capsys, fb):
+@pytest.mark.parametrize("fb, flags", [
+    ("1e-300", []), ("1e-100", []),
+    # w*C underflows to 0: the coupling capacitor's 1/(j w C) is out of range
+    ("5e-324", []), ("1e-320", ["--zrect", "inf"]), ("1e-320", ["--termination", "open"]),
+], ids=["1e-300", "1e-100", "5e-324", "1e-320-zrect-inf", "1e-320-open"])
+def test_overflowing_cascade_state_exits_4_naming_the_frequency(tmp_path, capsys, fb, flags):
     # the decoupling inductor's current v/(j w L) overflows near 0 Hz
-    assert main(["cascade", "--fb", fb, "--out", str(tmp_path)]) == 4
+    assert main(["cascade", "--fb", fb, *flags, "--out", str(tmp_path)]) == 4
     assert capsys.readouterr().err == (
         f"wavectl: the tapped-line state overflows at {float(fb)!r} Hz\n")
+
+
+@pytest.mark.parametrize("argv", [["pattern"], ["steer", "--theta", "3"],
+                                  ["scan", "--fmax", "1e6"]])
+@pytest.mark.parametrize("carrier", [1e200, 1e300])
+def test_carrier_out_of_the_cell_model_range_exits_2(tmp_path, capsys, argv, carrier):
+    # the cell kernel overflows here: refused by name, not written out as NaN
+    doc = w.load_bundled_config().to_dict()
+    doc["carrier_frequency"] = carrier
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"wavectl: carrier frequency {carrier!r} Hz is out of range for the cell model\n")
+    assert not list(out.iterdir())

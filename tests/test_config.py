@@ -377,3 +377,10 @@ def test_element_count_beyond_float_range_exits_2_through_the_cli(tmp_path, caps
     assert err_text.startswith("wavectl: ")
     assert "design: element_count is too large" in err_text
     assert "Traceback" not in err_text
+
+
+def test_run_config_needs_a_finite_carrier():
+    bundle = w.load_bundled_config()
+    with pytest.raises(w.InputError, match="carrier_frequency must be positive and finite"):
+        w.RunConfig(bundle.design, bundle.cell, bundle.varactors, bundle.excitation,
+                    carrier_frequency=math.inf)

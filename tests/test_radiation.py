@@ -53,6 +53,14 @@ def test_request_validation():
                          theta_grid=np.array([0.0, 0.1]))
 
 
+@pytest.mark.parametrize("carrier, spacing", [(math.inf, D_X), (1e308, D_X), (2.45e9, math.inf)])
+def test_request_refuses_a_phase_step_out_of_float_range(carrier, spacing):
+    # k*d would be inf and every pattern value NaN
+    with pytest.raises(InputError, match="phase step"):
+        w.PatternRequest(carrier_frequency=carrier, element_spacing=spacing,
+                         theta_grid=np.array([0.0, 0.1]))
+
+
 def test_uniform_profile_peaks_at_specular():
     pattern = w.array_factor(_profile_from(np.ones(27)), _request())
     m = pattern.metrics

@@ -1,6 +1,7 @@
 """Operating-point search over drive frequency and amplitude."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -310,3 +311,24 @@ def test_non_finite_bias_in_a_later_block_raises_input_error(design, cell, table
     with pytest.raises(InputError, match="bias voltage must be finite"):
         steering._grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0, 2.45e9, PROBES)
     assert len(blocks) == CLAMPING_F.size
+
+
+@pytest.mark.parametrize("f_c", [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-150, 1e200, 1e308])
+def test_carrier_outside_the_kernel_range_is_refused(design, cell, table, f_c):
+    # one check at the kernel's entry names the carrier before any
+    # ZeroDivisionError, NaN or RuntimeWarning
+    named = re.escape(f"carrier frequency {f_c!r} Hz")
+    with pytest.raises(InputError, match=named):
+        w.specular_scan(design, cell, table, SMALL, [0.0], f_c=f_c)
+    with pytest.raises(InputError, match=named):
+        w.optimize_single_beam(design, cell, table, 0.0, SMALL, f_c=f_c)
+    with pytest.raises(InputError, match=named):
+        w.reflection_profile(cell, table, np.array([4.0, 8.0]), f_c)
+
+
+@pytest.mark.parametrize("f_c", [1e-140, 1e30, 1e160])
+def test_extreme_carriers_inside_the_kernel_range_stay_finite(design, cell, table, f_c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", w.ClampWarning)
+        (grid,) = w.specular_scan(design, cell, table, SMALL, [0.0], f_c=f_c)
+    assert np.isfinite(grid.values).all()
