@@ -20,6 +20,7 @@ problem, 4 solver or fit failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -57,6 +58,7 @@ def _finite(raw):
     return value
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavectl",
@@ -351,8 +353,7 @@ def _bind_probe_list(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_bind_probe_list(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_bind_probe_list(sys.argv[1:] if argv is None else argv))
 
     started = time.perf_counter()
     try:

@@ -122,11 +122,24 @@ class RadiationPattern:
         return db_from_linear(self.magnitude)
 
 
+def _check_phase_span(element_count, spacing, f_c):
+    """InputError unless the phase (M - 1)*k*d across the array is finite.
+
+    The array factor and the steering grid form m*k*d*sin(theta) for m
+    up to M - 1; past float range that phase is inf and the pattern NaN.
+    """
+    if not math.isfinite((element_count - 1) * (2.0 * math.pi * f_c / C0 * spacing)):
+        raise InputError(f"the phase (M - 1)*k*d across {element_count} elements of a "
+                         f"{float(spacing)!r} m spacing at a {float(f_c)!r} Hz carrier "
+                         "is not finite")
+
+
 def array_factor(profile, req: PatternRequest) -> RadiationPattern:
     """Normalized array factor of a reflection profile on a theta grid."""
     m_count = len(profile)
     if m_count < 1:
         raise InputError("reflection profile may not be empty")
+    _check_phase_span(m_count, req.element_spacing, req.carrier_frequency)
     coeff = profile.coefficients()
     k = 2.0 * math.pi * req.carrier_frequency / C0
     psi = k * req.element_spacing * np.sin(req.theta_grid)  # per-gap phase

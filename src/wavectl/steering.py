@@ -148,6 +148,7 @@ def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
         raise InputError(f"design.element_count ({count}) times the "
                          f"f_range/f_step x w_range/w_step grid ({len(f_axis)} x "
                          f"{len(w_axis)}) spans more than {_MAX_TENSOR_POINTS} points")
+    _radiation._check_phase_span(count, design.spacing, f_c)
     envelope = _btl.single_tone_envelope(design, f_axis)
     w_axis = np.asarray(w_axis, dtype=float)
     steer = [np.exp(1j * (2.0 * math.pi * f_c / C0 * design.spacing * math.sin(theta))

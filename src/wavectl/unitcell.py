@@ -16,10 +16,11 @@ branch left once the sheet inductance is removed; each sample weighs
 
 from __future__ import annotations
 
-import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -336,83 +337,188 @@ def _read_text(path):
                          head.count(b"\n") + 1) from None
 
 
-def _parse_touchstone(path):
-    unit = 1e9
-    fmt = "ma"
-    z_ref = 50.0
-    rows = []
-    saw_option = False
-    with io.StringIO(_read_text(path), newline=None) as fh:  # universal newlines, as open()
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("!", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if saw_option:
-                    continue  # later option lines are ignored per the format
-                saw_option = True
-                tokens = line[1:].split()
-                i = 0
-                while i < len(tokens):
-                    tok = tokens[i].lower()
-                    if tok in _FREQ_UNITS:
-                        unit = _FREQ_UNITS[tok]
-                    elif tok in ("ri", "ma", "db"):
-                        fmt = tok
-                    elif tok == "s":
-                        pass
-                    elif tok in ("y", "z", "g", "h"):
-                        raise ParseError(
-                            f"only S-parameter files are supported, got {tok.upper()}", lineno
-                        )
-                    elif tok == "r":
-                        if i + 1 >= len(tokens):
-                            raise ParseError("option line ends after R with no impedance", lineno)
-                        try:
-                            z_ref = float(tokens[i + 1])
-                        except ValueError:
-                            z_ref = math.nan
-                        if not (0 < z_ref < math.inf):
-                            raise ParseError(f"reference impedance {tokens[i + 1]!r} is not "
-                                             "a positive finite number", lineno)
-                        i += 1
-                    else:
-                        raise ParseError(f"unrecognized option token {tokens[i]!r}", lineno)
-                    i += 1
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 columns (frequency and one S value), got {len(parts)}", lineno
-                )
+_TOUCHSTONE_DEFAULTS = (1e9, "ma", 50.0)  # GHz, MA, R 50 until an option line says otherwise
+_COMMENT = re.compile("![^\n]*")
+_CHUNK_ROWS = 1024  # rows split at a time: only one chunk's token lists are alive at once
+
+
+def _columns(lines, sep=None):
+    """(n, 3) float table of data lines, each three fields separated by sep (None: whitespace).
+
+    Every field goes through float(), so the accepted number syntax is
+    float()'s.  ValueError if a line has not three fields, a field is
+    not a number, or a row's sum (f + a) + b is not finite.
+    """
+    table = np.empty((len(lines), 3))
+    for start in range(0, len(lines), _CHUNK_ROWS):
+        parts = list(map(str.split, lines[start:start + _CHUNK_ROWS], repeat(sep)))
+        if set(map(len, parts)) != {3}:
+            raise ValueError("a line without three fields")
+        table[start:start + len(parts)] = np.fromiter(
+            map(float, chain.from_iterable(parts)), float, 3 * len(parts)).reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(table[:, 0] + table[:, 1] + table[:, 2]).all():
+            raise ValueError("a row that is not finite")
+    return table
+
+
+def _complex(real, imag):
+    """Complex array with exactly these parts (no arithmetic touches a signed zero)."""
+    z = np.empty(real.shape, complex)
+    z.real, z.imag = real, imag
+    return z
+
+
+def _polar_s(fmt, a, b):
+    """S of an MA or DB pair (angle b in degrees), in Python float arithmetic.
+
+    OverflowError above 6165 dB.
+    """
+    mag = a if fmt == "ma" else 10.0 ** (a / 20.0)
+    return mag * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
+
+
+def _impedance_from_s(s_re, s_im, z_ref):
+    """z_ref * (1 + S) / (1 - S) for arrays of Re S and Im S, bit for bit as Python computes it.
+
+    The steps are CPython's complex arithmetic written out: 1.0 + S and
+    1.0 - S promote 1.0 to 1 + 0j, the product promotes z_ref to
+    z_ref + 0j, and the quotient is Smith's, dividing through by the
+    larger part of the denominator.  The tests compare it with Python's
+    own expression bit for bit, signed zeros included.  S = 1 is
+    excluded by the caller.
+    """
+    with np.errstate(all="ignore"):  # overflow fails ImpedanceSamples' finite check
+        num_re, num_im = 1.0 + s_re, 0.0 + s_im
+        den_re, den_im = 1.0 - s_re, 0.0 - s_im
+        a_re, a_im = z_ref * num_re - 0.0 * num_im, z_ref * num_im + 0.0 * num_re
+        # both branches run everywhere; np.where keeps one
+        by_re = np.abs(den_re) >= np.abs(den_im)
+        ratio = np.where(by_re, den_im / den_re, den_re / den_im)
+        denom = np.where(by_re, den_re + den_im * ratio, den_re * ratio + den_im)
+        z_re = np.where(by_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom
+        z_im = np.where(by_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom
+    return _complex(z_re, z_im)
+
+
+def _touchstone_options(line, lineno=None):
+    """(frequency unit, data format, reference impedance) of a '#' option line."""
+    unit, fmt, z_ref = _TOUCHSTONE_DEFAULTS
+    tokens = line[1:].split()
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i].lower()
+        if tok in _FREQ_UNITS:
+            unit = _FREQ_UNITS[tok]
+        elif tok in ("ri", "ma", "db"):
+            fmt = tok
+        elif tok == "s":
+            pass
+        elif tok in ("y", "z", "g", "h"):
+            raise ParseError(f"only S-parameter files are supported, got {tok.upper()}", lineno)
+        elif tok == "r":
+            if i + 1 >= len(tokens):
+                raise ParseError("option line ends after R with no impedance", lineno)
             try:
-                f_val, a, b = (float(p) for p in parts)
-                if not math.isfinite(f_val + a + b):  # float() takes nan and inf
-                    raise ValueError
-                if fmt == "ri":
-                    s = complex(a, b)
-                else:
-                    mag = a if fmt == "ma" else 10.0 ** (a / 20.0)  # overflows above 6165 dB
-                    s = mag * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
-            except (ValueError, OverflowError):
-                raise ParseError(
-                    f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
-                ) from None
-            if s == 1:
-                raise ParseError("S = 1 exactly; impedance is undefined", lineno)
-            rows.append((lineno, f_val * unit, z_ref * (1.0 + s) / (1.0 - s)))
-    return _sweep_samples(rows, z_ref)
+                z_ref = float(tokens[i + 1])
+            except ValueError:
+                z_ref = math.nan
+            if not (0 < z_ref < math.inf):
+                raise ParseError(f"reference impedance {tokens[i + 1]!r} is not "
+                                 "a positive finite number", lineno)
+            i += 1
+        else:
+            raise ParseError(f"unrecognized option token {tokens[i]!r}", lineno)
+        i += 1
+    return unit, fmt, z_ref
+
+
+def _touchstone_block(lines, unit, fmt, z_ref):
+    """(f in Hz, Z) of data lines read under one set of options; ValueError on a bad line."""
+    table = _columns(lines)
+    if fmt == "ri":
+        s_re, s_im = table[:, 1], table[:, 2]
+    else:  # per value in Python floats, as _touchstone_rows computes it
+        pairs = map(float, table[:, 1]), map(float, table[:, 2])
+        s = np.fromiter(map(_polar_s, repeat(fmt), *pairs), complex, len(table))
+        s_re, s_im = s.real, s.imag
+    if np.any((s_re == 1.0) & (s_im == 0.0)):
+        raise ValueError("S = 1")
+    with np.errstate(over="ignore"):  # an overflowing frequency fails ImpedanceSamples' check
+        f = table[:, 0] * unit
+    return f, _impedance_from_s(s_re, s_im, z_ref)
+
+
+def _parse_touchstone(path):
+    text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+    lines = list(filter(None, map(str.strip, _COMMENT.sub("", text).split("\n"))))
+    first = next((i for i, line in enumerate(lines) if line[0] == "#"), len(lines))
+    options = _TOUCHSTONE_DEFAULTS
+    try:
+        f, z = _touchstone_block(lines[:first], *options)
+        if first < len(lines):
+            options = _touchstone_options(lines[first])
+            # later option lines are ignored per the format
+            rest = [line for line in lines[first + 1:] if line[0] != "#"]
+            f_rest, z_rest = _touchstone_block(rest, *options)
+            f, z = np.concatenate((f, f_rest)), np.concatenate((z, z_rest))
+    except (ValueError, OverflowError):
+        list(_touchstone_rows(text))  # raises the first bad line's ParseError
+        raise
+    return _sweep_samples(f, z, options[2], lambda: list(_touchstone_rows(text)))
+
+
+def _touchstone_rows(text):
+    """Line number of each Touchstone data row in file order; ParseError at the first bad line."""
+    fmt = _TOUCHSTONE_DEFAULTS[1]
+    saw_option = False
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("!", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if not saw_option:
+                saw_option = True
+                fmt = _touchstone_options(line, lineno)[1]
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(
+                f"expected 3 columns (frequency and one S value), got {len(parts)}", lineno
+            )
+        try:
+            f_val, a, b = (float(p) for p in parts)
+            if not math.isfinite(f_val + a + b):  # float() takes nan and inf
+                raise ValueError
+            s = complex(a, b) if fmt == "ri" else _polar_s(fmt, a, b)
+        except (ValueError, OverflowError):
+            raise ParseError(
+                f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
+            ) from None
+        if s == 1:
+            raise ParseError("S = 1 exactly; impedance is undefined", lineno)
+        yield lineno
 
 
 def _parse_impedance_csv(path):
-    rows = []
     lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file")
     header = [h.strip() for h in lines[0].split(",")]
     if header != ["f_hz", "re_z", "im_z"]:
         raise ParseError(f"expected header f_hz,re_z,im_z, got {lines[0]!r}", 1)
-    for lineno, line in enumerate(lines[1:], start=2):
+    try:
+        table = _columns(list(filter(str.strip, islice(lines, 1, None))), ",")
+    except ValueError:
+        list(_csv_rows(lines))  # raises the first bad line's ParseError
+        raise
+    return _sweep_samples(table[:, 0], _complex(table[:, 1], table[:, 2]), 50.0,
+                          lambda: list(_csv_rows(lines)))
+
+
+def _csv_rows(lines):
+    """Line number of each CSV data row in file order; ParseError at the first bad line."""
+    for lineno, line in enumerate(islice(lines, 1, None), start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -426,24 +532,24 @@ def _parse_impedance_csv(path):
             raise ParseError(
                 f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
             ) from None
-        rows.append((lineno, f_val, complex(re_z, im_z)))
-    return _sweep_samples(rows, 50.0)
+        yield lineno
 
 
-def _sweep_samples(rows, reference_impedance):
-    """ImpedanceSamples from parsed (lineno, f_hz, z) rows; errors name the line."""
-    if not rows:
+def _sweep_samples(f, z, reference_impedance, linenos):
+    """ImpedanceSamples from parsed columns; linenos() lists each row's line, for errors."""
+    if not f.size:
         raise ParseError("no data rows found")
-    f = np.array([r[1] for r in rows])
     below = f <= 0  # the fit divides by the angular frequency
     if np.any(below):
-        lineno, f_hz, _ = rows[int(np.argmax(below))]
-        raise ParseError(f"frequency {f_hz!r} Hz is not positive", lineno)
-    falls = np.diff(f) <= 0
+        k = int(np.argmax(below))
+        raise ParseError(f"frequency {float(f[k])!r} Hz is not positive", linenos()[k])
+    with np.errstate(invalid="ignore"):  # inf - inf after an overflowing frequency
+        falls = np.diff(f) <= 0
     if np.any(falls):
-        raise ParseError("frequencies must be strictly increasing", rows[np.argmax(falls) + 1][0])
+        raise ParseError("frequencies must be strictly increasing",
+                         linenos()[int(np.argmax(falls)) + 1])
     return ImpedanceSamples(reference_impedance=reference_impedance, frequencies=f,
-                            impedances=np.array([r[2] for r in rows]))
+                            impedances=z)
 
 
 def ingest_impedance(path, fmt: str = "auto") -> ImpedanceSamples:

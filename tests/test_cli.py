@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, reports, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import wavectl as w
-from wavectl.cli import main
+from wavectl.cli import build_parser, main
 from wavectl.serialize import write_csv
 
 
@@ -380,3 +381,39 @@ def test_carrier_out_of_the_cell_model_range_exits_2(tmp_path, capsys, argv, car
     assert capsys.readouterr().err == (
         f"wavectl: carrier frequency {carrier!r} Hz is out of range for the cell model\n")
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["pattern", "--wb", "1", "--fb", "1e-300"],
+                                  ["pattern", "--termination", "matched", "--wb", "1"],
+                                  ["scan", "--fmax", "1e6", "--probe", "30"],
+                                  ["steer", "--theta", "3", "--coarse-only"]])
+@pytest.mark.parametrize("spacing, code", [(1e306, 2), (1e300, 0)])
+def test_spacing_whose_phase_span_overflows_exits_2(tmp_path, capsys, argv, spacing, code):
+    # k*d is finite at both spacings; (M - 1)*k*d across 27 taps overflows only at 1e306
+    doc = w.load_bundled_config().to_dict()
+    doc["design"].update(spacing=spacing, left_extension=0.0, right_extension=0.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err == ("wavectl: the phase (M - 1)*k*d across 27 elements of a 1e+306 m "
+                       "spacing at a 2450000000.0 Hz carrier is not finite\n")
+        assert not out.exists() or not list(out.iterdir())
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    from test_golden_artifacts import GOLDEN, GOLDEN_OPTIONS
+
+    assert main(["scan", "--probe", "5", "--out", str(tmp_path / "scan5")]) == 0
+    assert main(["steer", "--theta=-8", "--coarse-only", "--out", str(tmp_path / "coarse")]) == 0
+    assert _run_cli(["steer", "--out", str(tmp_path / "bad")]) == 2  # --theta is required
+    pinned = [(["steer", "--theta=-8"], GOLDEN_OPTIONS["steer-8"][1:]),
+              (["scan", "--probe", "0,5", "--format", "csv"], GOLDEN["scan", "csv"])]
+    for argv, (name, digest) in pinned:
+        out = tmp_path / argv[0]
+        assert main([*argv, "--termination", "short", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert build_parser() is build_parser()

@@ -61,6 +61,19 @@ def test_request_refuses_a_phase_step_out_of_float_range(carrier, spacing):
                          theta_grid=np.array([0.0, 0.1]))
 
 
+@pytest.mark.parametrize("count, spacing, refused", [(27, 1e306, True), (27, 1e300, False),
+                                                     (1, 1e306, False)])
+def test_array_factor_refuses_a_phase_span_out_of_float_range(count, spacing, refused):
+    # k*d is finite at both spacings; (M - 1)*k*d overflows only at 1e306 with 27 elements
+    req = w.PatternRequest(carrier_frequency=F_C, element_spacing=spacing,
+                           theta_grid=np.array([0.0, 0.1]))
+    if refused:
+        with pytest.raises(InputError, match=r"\(M - 1\)\*k\*d across 27 elements"):
+            w.array_factor(_profile_from(np.ones(count)), req)
+    else:
+        assert np.isfinite(w.array_factor(_profile_from(np.ones(count)), req).magnitude).all()
+
+
 def test_uniform_profile_peaks_at_specular():
     pattern = w.array_factor(_profile_from(np.ones(27)), _request())
     m = pattern.metrics

@@ -1,0 +1,256 @@
+"""The one-pass sweep readers against the per-line readers they replaced.
+
+The reference readers below parse a CSV or Touchstone sweep one line at
+a time, checking each line as it goes.  ``ingest_impedance`` converts a
+whole file at once and walks the lines only to name the first bad one,
+so on any file, valid or mutated, it must return byte-identical
+frequencies and impedances, or raise the same error with the same
+message and line number.
+"""
+
+import io
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import wavectl as w
+from wavectl.errors import ParseError
+from wavectl.unitcell import _FREQ_UNITS, _impedance_from_s, _read_text
+
+
+def _reference_touchstone(path):
+    unit = 1e9
+    fmt = "ma"
+    z_ref = 50.0
+    rows = []
+    saw_option = False
+    with io.StringIO(_read_text(path), newline=None) as fh:  # universal newlines, as open()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("!", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if saw_option:
+                    continue
+                saw_option = True
+                tokens = line[1:].split()
+                i = 0
+                while i < len(tokens):
+                    tok = tokens[i].lower()
+                    if tok in _FREQ_UNITS:
+                        unit = _FREQ_UNITS[tok]
+                    elif tok in ("ri", "ma", "db"):
+                        fmt = tok
+                    elif tok == "s":
+                        pass
+                    elif tok in ("y", "z", "g", "h"):
+                        raise ParseError(
+                            f"only S-parameter files are supported, got {tok.upper()}", lineno
+                        )
+                    elif tok == "r":
+                        if i + 1 >= len(tokens):
+                            raise ParseError("option line ends after R with no impedance", lineno)
+                        try:
+                            z_ref = float(tokens[i + 1])
+                        except ValueError:
+                            z_ref = math.nan
+                        if not (0 < z_ref < math.inf):
+                            raise ParseError(f"reference impedance {tokens[i + 1]!r} is not "
+                                             "a positive finite number", lineno)
+                        i += 1
+                    else:
+                        raise ParseError(f"unrecognized option token {tokens[i]!r}", lineno)
+                    i += 1
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(
+                    f"expected 3 columns (frequency and one S value), got {len(parts)}", lineno
+                )
+            try:
+                f_val, a, b = (float(p) for p in parts)
+                if not math.isfinite(f_val + a + b):
+                    raise ValueError
+                if fmt == "ri":
+                    s = complex(a, b)
+                else:
+                    mag = a if fmt == "ma" else 10.0 ** (a / 20.0)
+                    s = mag * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
+            except (ValueError, OverflowError):
+                raise ParseError(
+                    f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
+                ) from None
+            if s == 1:
+                raise ParseError("S = 1 exactly; impedance is undefined", lineno)
+            rows.append((lineno, f_val * unit, z_ref * (1.0 + s) / (1.0 - s)))
+    return _reference_samples(rows, z_ref)
+
+
+def _reference_csv(path):
+    rows = []
+    lines = _read_text(path).splitlines()
+    if not lines:
+        raise ParseError("empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if header != ["f_hz", "re_z", "im_z"]:
+        raise ParseError(f"expected header f_hz,re_z,im_z, got {lines[0]!r}", 1)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 columns, got {len(parts)}", lineno)
+        try:
+            f_val, re_z, im_z = (float(p) for p in parts)
+            if not math.isfinite(f_val + re_z + im_z):
+                raise ValueError
+        except ValueError:
+            raise ParseError(
+                f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
+            ) from None
+        rows.append((lineno, f_val, complex(re_z, im_z)))
+    return _reference_samples(rows, 50.0)
+
+
+def _reference_samples(rows, reference_impedance):
+    if not rows:
+        raise ParseError("no data rows found")
+    f = np.array([r[1] for r in rows])
+    below = f <= 0
+    if np.any(below):
+        lineno, f_hz, _ = rows[int(np.argmax(below))]
+        raise ParseError(f"frequency {f_hz!r} Hz is not positive", lineno)
+    falls = np.diff(f) <= 0
+    if np.any(falls):
+        raise ParseError("frequencies must be strictly increasing", rows[np.argmax(falls) + 1][0])
+    return w.ImpedanceSamples(reference_impedance=reference_impedance, frequencies=f,
+                              impedances=np.array([r[2] for r in rows]))
+
+
+def _outcome(read, path):
+    """What reading path gives: the sample bytes, or the error's type and message."""
+    try:
+        got = read(path)
+    except w.WavectlError as err:
+        return type(err).__name__, str(err)
+    return (got.reference_impedance, got.frequencies.dtype, got.frequencies.tobytes(),
+            got.impedances.dtype, got.impedances.tobytes())
+
+
+def _reference_outcome(path):
+    read = _reference_touchstone if path.suffix == ".s1p" else _reference_csv
+    with warnings.catch_warnings():  # np.diff warns on inf - inf, before the finite check
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _outcome(read, path)
+
+
+# 20 rows of the bundled cell from 1 to 5.75 GHz: (f in Hz, Z, S)
+_F = 1e9 + 0.25e9 * np.arange(20)
+_Z = w.synthesize_samples(w.load_bundled_config().cell, _F).impedances
+
+
+def _s(z_ref):
+    return (_Z - z_ref) / (_Z + z_ref)
+
+
+def _ri(f, s):
+    return f"{f!r} {s.real!r} {s.imag!r}"
+
+
+def _ma(f, s):
+    return f"{f!r} {abs(s)!r} {math.degrees(math.atan2(s.imag, s.real))!r}"
+
+
+def _db(f, s):
+    return f"{f!r} {20.0 * math.log10(abs(s))!r} {math.degrees(math.atan2(s.imag, s.real))!r}"
+
+
+def _base_sweeps():
+    f, z, s50, s75 = _F.tolist(), _Z.tolist(), _s(50.0).tolist(), _s(75.0).tolist()
+    # signed zeros, and S on both sides of |Re(1 - S)| = |Im(1 - S)|
+    z[2:4] = complex(-0.0, z[2].imag), complex(z[3].real, -0.0)
+    ri = s50[:2] + [complex(-0.0, -0.0), complex(0.5, -0.0), 0.5 + 0.5j, 1j, 1.5 - 0.5j] + s50[7:]
+    csv = ["f_hz,re_z,im_z"] + [f"{a!r},{b.real!r},{b.imag!r}" for a, b in zip(f, z)]
+    ghz = [x / 1e9 for x in f]
+    bases = {
+        "plain.csv": "\n".join(csv) + "\n",
+        # blank lines, spaces around fields and \r\n line ends
+        "crlf.csv": "\r\n".join(csv[:5] + ["", "  "] + [f" {r} ".replace(",", " , ")
+                                                          for r in csv[5:]]) + "\r\n",
+        # \v, \f, U+0085 and U+2028 end a line for str.splitlines
+        "splits.csv": "\n".join(csv[:4] + ["\v", csv[4] + "\f", "\x85" + csv[5],
+                                           csv[6] + "\u2028"] + csv[7:]),
+        "ri.s1p": "\n".join(["! bundled cell", "# Hz S RI R 50"]
+                            + [_ri(a, b) + "  ! row" for a, b in zip(f, ri)]) + "\n",
+        "ma.s1p": "\r".join(["# GHz S MA R 75"] + [_ma(a, b) for a, b in zip(ghz, s75)]) + "\r",
+        "db.s1p": "\r\n".join(["!", "# kHz S DB"]
+                              + [_db(a / 1e3, b) for a, b in zip(f, s50)]) + "\r\n",
+        # rows before the option line read as GHz MA R 50; a second option line is ignored
+        "late-option.s1p": "\n".join([_ma(a, b) for a, b in zip(ghz[:4], s50[:4])]
+                                     + ["# GHz S RI R 50"]
+                                     + [_ri(a, b) for a, b in zip(ghz[4:12], s50[4:12])]
+                                     + ["# Hz S DB R 75 ! ignored"]
+                                     + [_ri(a, b) for a, b in zip(ghz[12:], s50[12:])]),
+        # \v, \f, U+0085 and U+2028 inside a line are whitespace for str.split
+        "spaces.s1p": "\n".join(["# Hz S RI R 50"]
+                                + [_ri(a, b).replace(" ", sep, 1)
+                                   for a, b, sep in zip(f, s50, "\v\f\x85\u2028" * 5)]),
+    }
+    return {name: text.encode() for name, text in bases.items()}
+
+
+BASE = _base_sweeps()
+
+
+_EDGES = [0.0, -0.0, 5e-324, -1e-300, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("z_ref", [50.0, 1e-300, 1e300])
+def test_s_to_z_is_pythons_complex_arithmetic(z_ref):
+    # signed zeros, both branches of the quotient and its |Re| = |Im| boundary, overflow
+    pairs = [(a, b) for a in _EDGES for b in _EDGES if complex(a, b) != 1]
+    s_re, s_im = np.array(pairs).T
+    want = np.array([z_ref * (1.0 + complex(a, b)) / (1.0 - complex(a, b)) for a, b in pairs])
+    got = _impedance_from_s(s_re, s_im, z_ref)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BASE))
+def test_base_sweeps_read_as_the_reference_reads_them(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(BASE[name])
+    got = _outcome(w.ingest_impedance, path)
+    assert got == _reference_outcome(path)
+    assert isinstance(got[0], float), got  # every base sweep parses
+
+
+# characters that move a sweep between the readers' rules
+_TEXT = st.sampled_from(list("0123456789.-+eE,# \t!_\n\r\v\f\x85\u2028xSsRIiMADdBbHzZkGg")
+                        + ["1", "inf", "nan", "1e300", "-0", "\r\n", "e-400"])
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweeps")
+
+
+@settings(max_examples=1500, deadline=None)
+@given(name=st.sampled_from(sorted(BASE)),
+       edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                st.integers(0, 2**16), _TEXT), min_size=1, max_size=4))
+def test_mutated_sweeps_read_as_the_reference_reads_them(sweep_dir, name, edits):
+    text = BASE[name].decode()
+    for op, where, chunk in edits:
+        pos = where % (len(text) + 1)
+        if op == "replace":
+            text = text[:pos] + chunk + text[pos + 1:]
+        elif op == "insert":
+            text = text[:pos] + chunk + text[pos:]
+        else:
+            text = text[:pos] + text[pos + 1:]
+    path = sweep_dir / name
+    path.write_bytes(text.encode())
+    assert _outcome(w.ingest_impedance, path) == _reference_outcome(path)
