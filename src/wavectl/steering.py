@@ -157,14 +157,14 @@ def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
     # a few frequencies at a time, so each elementwise step runs in cache
     rows = max(1, min(_BLOCK_POINTS // (w_axis.size * count), len(f_axis)))
     shape = (rows, w_axis.size, count)
-    buffers = _unitcell._Buffers(np.empty(shape), np.empty(shape, complex),
-                                 np.empty(shape, complex))
+    volts = np.empty(shape)
+    buffers = _unitcell._Buffers(np.empty(shape, complex), np.empty(shape, complex))
     clamped = False
     for i in range(0, len(f_axis), rows):
         block = envelope[i:i + rows, None, :]
         buf = _unitcell._Buffers(*(b[:len(block)] for b in buffers))
-        bias = np.add(w0, np.multiply(w_axis[None, :, None], block, out=buf.real),
-                      out=buf.real)
+        bias = volts[:len(block)]
+        np.add(w0, np.multiply(w_axis[None, :, None], block, out=bias), out=bias)
         gamma, block_clamped = _unitcell._reflection_array(cell, table, bias, f_c, buf)
         clamped = clamped or block_clamped
         for p, s in enumerate(steer):

@@ -306,6 +306,19 @@ def test_fit_non_positive_frequency_exits_2_naming_the_line(tmp_path, capsys, ki
     assert not (tmp_path / "run" / "cell.json").exists()
 
 
+@pytest.mark.parametrize("row", [8, 19], ids=["line 10", "last line"])
+def test_fit_frequency_overflowing_its_unit_exits_2_naming_the_line(tmp_path, capsys, row):
+    rows = [[f"{1 + 0.1 * k:.3f}", "0.1", "0.2"] for k in range(20)]
+    rows[row][0] = "1e300"  # finite in GHz, beyond float range in Hz
+    sweep = tmp_path / "sweep.s1p"
+    sweep.write_bytes(_sweep_bytes("s1p", rows).replace(b"# Hz", b"# GHz"))
+    assert main(["fit", "--input", str(sweep), "--thickness", "1.6e-3",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"wavectl: line {row + 2}: frequency overflows when scaled to Hz\n")
+    assert not (tmp_path / "run" / "cell.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["bias"], ["pattern"], ["cascade"], ["steer", "--theta", "0"],
                                   ["scan"]])
 @pytest.mark.parametrize("count", ["4097", "40000", "1" + "0" * 300],

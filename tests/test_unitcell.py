@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import wavectl as w
 from wavectl.errors import ClampWarning, FitError, InputError, ParseError
 from wavectl.serialize import write_csv
-from wavectl.unitcell import ImpedanceSamples, _lookup_arrays, _surface_array, _varactor_array
+from wavectl.unitcell import (ImpedanceSamples, _Buffers, _lookup_arrays, _surface_array,
+                              _varactor_array)
 
 # an earlier published value set for this cell family; used as a fit
 # target because its resonances sit inside an easy sweep range
@@ -105,6 +106,125 @@ def test_reflection_passive_property(bias, f_c):
     cfg = w.load_bundled_config()
     prof = w.reflection_profile(cfg.cell, cfg.varactors, bias, f_c)
     assert prof.magnitudes[0] <= 1.0 + 1e-12
+
+
+def _lookup_reference(table, volts):
+    """The lookup as it was: clip to the table, then one real np.interp per column."""
+    v = np.asarray(volts, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise InputError("bias voltage must be finite")
+    lo, hi = table.bias_range
+    clamped = bool(np.any(v < lo) or np.any(v > hi))
+    v = np.clip(v, lo, hi)
+    return np.interp(v, table._volts, table._caps), np.interp(v, table._volts, table._res), clamped
+
+
+def _probe_volts(table, rng):
+    """Every row, both float neighbours of each, random points and values far outside."""
+    rows = table._volts
+    lo, hi = table.bias_range
+    return np.concatenate([rows, np.nextafter(rows, -np.inf), np.nextafter(rows, np.inf),
+                           rng.uniform(lo - 2.0, hi + 2.0, 2000), [lo - 1e300, hi + 1e300]])
+
+
+def _random_table(rng, volts):
+    n = volts.size
+    caps = 1e-12 * np.cumprod(rng.uniform(0.5, 0.95, n))  # strictly decreasing
+    res = rng.uniform(0.0, 1.0, n)
+    res[rng.integers(n)] = 0.0
+    return w.VaractorTable(series_inductance=2e-9, rows=list(zip(volts, caps, res)))
+
+
+def _power_of_two_table(rng):
+    """A table whose rows are multiples of 2**-6 V, each spacing a power of two."""
+    steps = 2.0 ** rng.integers(-6, 4, int(rng.integers(1, 20)))
+    volts = int(rng.integers(-320, 320)) / 64 + np.concatenate(([0.0], np.cumsum(steps)))
+    assert np.all(np.frexp(np.diff(volts))[0] == 0.5)
+    return _random_table(rng, volts)
+
+
+def _lookups(table, volts):
+    """(new, reference) for the whole array, then for each of its first values alone."""
+    yield _lookup_arrays(table, volts), _lookup_reference(table, volts)
+    for v in volts[:3 * table._volts.size]:  # fewer points than rows: slopes found per point
+        yield _lookup_arrays(table, v), _lookup_reference(table, v)
+
+
+def test_lookup_is_the_clipped_real_interp_bit_for_bit(table):
+    rng = np.random.default_rng(15)
+    for tab in [table] + [_power_of_two_table(rng) for _ in range(200)]:
+        for (caps, res, clamped), (want_c, want_r, want_clamped) in _lookups(
+                tab, _probe_volts(tab, rng)):
+            assert clamped == want_clamped
+            for got, want in ((caps, want_c), (res, want_r)):
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_lookup_on_irregular_tables_is_within_2_ulp():
+    # the complex interp's slope is dC * (1 / dV), the real one's dC / dV
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        tab = _random_table(rng, np.sort(rng.choice(np.linspace(-5.0, 20.0, 10**6),
+                                                    int(rng.integers(2, 21)), replace=False)))
+        for (caps, res, clamped), (want_c, want_r, want_clamped) in _lookups(
+                tab, _probe_volts(tab, rng)):
+            assert clamped == want_clamped
+            for got, want, column in ((caps, want_c, tab._caps), (res, want_r, tab._res)):
+                assert np.all(np.abs(got - want) <= 2 * np.spacing(np.max(column)))
+
+
+def test_lookup_clamp_flag_at_the_table_ends(table):
+    lo, hi = table.bias_range
+    assert not _lookup_arrays(table, [lo, hi])[2]
+    assert _lookup_arrays(table, [lo, np.nextafter(hi, np.inf)])[2]
+    assert _lookup_arrays(table, np.nextafter(lo, -np.inf))[2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lookup_rejects_non_finite_bias(table, bad):
+    for volts in (bad, [5.0, bad, 7.0], [[bad, 16.0]]):
+        with pytest.raises(InputError, match="bias voltage must be finite"):
+            _lookup_arrays(table, volts)
+
+
+@pytest.mark.parametrize("volts", [[], np.empty((0, 3))])
+def test_lookup_of_no_bias_is_empty_and_unclamped(table, volts):
+    caps, res, clamped = _lookup_arrays(table, volts)
+    assert caps.shape == res.shape == np.shape(volts)
+    assert caps.dtype == res.dtype == np.float64
+    assert clamped is False
+
+
+def test_lookup_of_a_scalar(table):
+    caps, res, clamped = _lookup_arrays(table, 7.5)
+    want_c, want_r, _ = _lookup_reference(table, 7.5)
+    assert (float(caps), float(res), clamped) == (float(want_c), float(want_r), False)
+
+
+def _varactor_reference(table, caps, res, omega):
+    """The varactor step as it was: res + 1j * x through a real-to-complex cast."""
+    return res + 1j * (omega * table.series_inductance - 1.0 / (omega * caps))
+
+
+def test_varactor_step_is_the_cast_expression_bit_for_bit(table):
+    rng = np.random.default_rng(17)
+    with_zero_resistance = _random_table(rng, table._volts)
+    signs = set()
+    # 4.3276 GHz is the series resonance at 7 V: reactances of both signs and near zero
+    for tab, f in [(table, 2.45e9), (table, 4327611674.671055), (with_zero_resistance, 3.0e9)]:
+        omega = 2.0 * math.pi * f
+        caps, res, _ = _lookup_arrays(tab, rng.uniform(2.0, 17.0, (7, 11, 27)))
+        want = _varactor_reference(tab, caps, res, omega)
+        signs.update(np.sign(want.imag).flat)
+        contiguous = (np.ascontiguousarray(caps), np.ascontiguousarray(res))
+        for c, r in ((caps, res), contiguous):  # the lookup's strided views, and copies
+            assert _varactor_array(tab, c, r, omega).tobytes() == want.tobytes()
+            buf = _Buffers(np.full(want.shape, np.nan, complex), np.empty(want.shape, complex))
+            got = _varactor_array(tab, c, r, omega, buf)
+            assert got is buf.z
+            assert got.tobytes() == want.tobytes()
+    assert signs == {-1.0, 1.0}
 
 
 def _fit_and_compare(values, f_lo, f_hi, n=4001):
@@ -372,6 +492,18 @@ def test_touchstone_requires_increasing_frequency(tmp_path):
     _write_s1p(path, lines)
     with pytest.raises((ParseError, InputError)):
         w.ingest_impedance(path, fmt="s1p")
+
+
+@pytest.mark.parametrize("row", [8, 19], ids=["line 10", "last line"])
+def test_touchstone_frequency_overflowing_its_unit_names_its_line(tmp_path, row):
+    # 1e300 GHz is finite as read and overflows once scaled to Hz
+    rows = [f"{1 + 0.1 * k:.3f} 0.1 0.2" for k in range(20)]
+    rows[row] = "1e300 0.1 0.2"
+    path = tmp_path / "sweep.s1p"
+    _write_s1p(path, ["# GHz S RI R 50"] + rows)
+    with pytest.raises(ParseError) as err:
+        w.ingest_impedance(path)
+    assert str(err.value) == f"line {row + 2}: frequency overflows when scaled to Hz"
 
 
 def test_ingest_format_sniffing(tmp_path, cell):
