@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import C0
-from .errors import InputError
+from .errors import InputError, SolverError
 from .numutil import freeze_field
 
 # most taps a line may carry: a 3601-angle pattern over this many taps
@@ -229,39 +229,33 @@ def fundamental_frequency(design: BtlDesign) -> float:
     return C0 / (4.0 * design.slowness * design.total_length)
 
 
-def _spatial_factor(design, k, x, alpha=0.0):
-    """Unit-amplitude spatial factor of a mode with axial wavenumber k.
-
-    alpha is the loss in nepers per axial meter; k and x broadcast
-    against each other.
-    """
-    gamma = alpha + 1j * k
+def _spatial_factor(design, k, x):
+    """Unit-amplitude spatial factor of a lossless mode with axial
+    wavenumber k; k and x broadcast against each other."""
+    gamma = 1j * k
     if design.termination is Termination.SHORT:
         # short pins the voltage at the terminated end: sin profile
         return -1j * np.sinh(gamma * (x + design.left_extension))
     if design.termination is Termination.OPEN:
         # open end reflects with a voltage antinode: cos profile
         return np.cosh(gamma * (x + design.left_extension))
-    # matched end absorbs the wave: flat traveling envelope, decaying
-    # from the feed end when loss is enabled
+    # matched end absorbs the wave: flat traveling envelope
     return np.exp(-gamma * ((design.length + design.right_extension) - x))
 
 
-def _mode_phasors(design, exc, x, attenuation=0.0):
+def _mode_phasors(design, exc, x):
     """Complex envelope of each mode at axial position(s) x.
 
     The instantaneous line voltage is
         w(x, t) = W0 + sum_n Re{ P[..., n] * exp(j*(n*w_b*t + phi_n)) }
     where P is the returned array (last axis runs over modes).
-
-    attenuation is in nepers per axial meter.  The default is lossless.
     """
     x = np.asarray(x, dtype=float)
     modes = exc.modes
     out = np.zeros(x.shape + (len(modes),), dtype=complex)
     for j, mode in enumerate(modes):
         k = design.wavenumber(mode.mode_index * exc.fundamental_frequency)
-        out[..., j] = mode.amplitude * _spatial_factor(design, k, x, attenuation)
+        out[..., j] = mode.amplitude * _spatial_factor(design, k, x)
     return out
 
 
@@ -289,34 +283,79 @@ def _ac_sum(coeff, indices, tau):
     return (basis @ coeff[..., None])[..., 0].real
 
 
+def _half_angle_basis(indices, n_max):
+    """(1 + j*t)**(2n) * (1 + t*t)**(n_max - n) for each index n, highest
+    power of t first: shape (N, 2*n_max + 1), every entry an exact integer."""
+    basis = np.zeros((len(indices), 2 * n_max + 1), dtype=complex)
+    for row, n in zip(basis, indices.tolist()):
+        rise = [math.comb(2 * n, j) * (1, 1j, -1, -1j)[j % 4] for j in range(2 * n + 1)]
+        even = np.zeros(2 * (n_max - n) + 1)
+        even[::2] = [math.comb(n_max - n, j) for j in range(n_max - n + 1)]
+        row[::-1] = np.convolve(rise, even)
+    return basis
+
+
+def _companion_roots(poly):
+    """Roots of each row of poly (highest power first) from one batched
+    eigenvalue solve of the rows' real companion matrices.
+
+    A zero row, where ds/dtau = 0 everywhere and s is constant, gets the
+    roots of t**degree: any root will do.  The (M, degree, degree) stack
+    lives only inside this call, so it is freed before the candidates
+    are evaluated.
+    """
+    degree = poly.shape[-1] - 1
+    lead = poly[:, :1]
+    companion = np.zeros((len(poly), degree, degree))
+    companion[:, 0] = -poly[:, 1:] / np.where(lead == 0.0, 1.0, lead)
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
 def _envelope_peaks(phasors, exc):
     """Peak over one fundamental period of the ac sum, per position.
 
     phasors has shape (M, N).  A single tone peaks at |P|.  For several,
-    s(tau) = Re sum_n c_n z**n, z = exp(j*tau), peaks where ds/dtau = 0,
-    and z**n_max * ds/dtau is a polynomial in z (Boyd, J. Eng. Math.
-    2006).  The peak is the largest s over the angles of its roots and
-    tau = 0; each candidate is a value s attains, so roots may stray
-    off |z| = 1.
+    s(tau) = Re sum_n c_n exp(j*n*tau) peaks where ds/dtau = 0, found as
+    polynomial roots (Boyd, J. Eng. Math. 2006) through the half-angle
+    substitution tau = tau0 + 2*atan(t): exp(j*n*tau) is
+    exp(j*n*tau0) * (1 + j*t)**(2n) / (1 + t*t)**n, so
+    (1 + t*t)**n_max * ds/dtau is a real polynomial of degree 2*n_max in
+    t.  Its leading coefficient is ds/dtau at tau0 + pi, and each tap
+    takes tau0 so that this is the largest of 2*n_max + 2 equispaced
+    samples: a nonzero trig polynomial of degree n_max cannot vanish at
+    all of them, so the lead is never tiny.  One batched eigenvalue solve
+    of the taps' real companion matrices gives every root.  The peak is
+    the largest s over tau0 + 2*atan(Re t) and tau = 0; each candidate is
+    a value s attains, so stray roots cannot raise it.
+
+    Raises SolverError if the eigenvalue solve does not converge.
     """
     if phasors.shape[-1] == 1:
         return np.abs(phasors[:, 0])
     coeff, indices = _ac_coefficients(phasors, exc)
     # scale each tap by an exact power of two (safe for subnormal amplitudes)
-    # and zero terms below rounding: np.roots never divides by a tiny lead
+    # and zero terms below rounding
     mag = np.abs(coeff)
     top = mag.max(axis=-1, initial=0.0, keepdims=True)
     scaled = np.ldexp(coeff.view(float), -np.frexp(top)[1]).view(complex)
     scaled[mag < 1e-15 * top] = 0.0
-    # highest power first: j*n*c_n at z**(n_max+n), -j*n*conj(c_n) at z**(n_max-n)
-    n_max = int(indices.max(initial=0))
-    poly = np.zeros((len(coeff), 2 * n_max + 1), dtype=complex)
-    poly[:, n_max - indices] = 1j * indices * scaled
-    poly[:, n_max + indices] = -1j * indices * np.conj(scaled)
-    tau = np.zeros(poly.shape)  # one slot more than roots: tau = 0 always stays
-    for m, row in enumerate(poly):
-        roots = np.roots(row)
-        tau[m, :roots.size] = np.angle(roots)
+    slope = 1j * indices * scaled  # ds/dtau = Re sum_n slope_n exp(j*n*tau)
+    n_max = int(indices.max())
+    degree = 2 * n_max
+    samples = np.arange(degree + 2) * (2.0 * math.pi / (degree + 2))
+    tau0 = samples[np.abs(_ac_sum(slope, indices, samples)).argmax(axis=-1)] - math.pi
+    rotated = slope * np.exp(1j * np.multiply.outer(tau0, indices))
+    poly = (rotated @ _half_angle_basis(indices, n_max)).real
+    try:
+        roots = _companion_roots(poly)
+    except np.linalg.LinAlgError as err:
+        modes = ", ".join(f"{m.mode_index}: {m.amplitude!r} V" for m in exc.modes)
+        raise SolverError(
+            f"the multi-tone peak solve did not converge for the drive at "
+            f"{exc.fundamental_frequency!r} Hz with modes {{{modes}}}: {err}") from err
+    tau = np.zeros((len(poly), degree + 1))  # tau = 0 stays a candidate
+    tau[:, 1:] = tau0[:, None] + 2.0 * np.arctan(roots.real)
     return _ac_sum(coeff, indices, tau).max(axis=-1)
 
 
@@ -332,15 +371,17 @@ def detected_bias(positions, dc_offset, peaks, diode_drop) -> BiasPattern:
                        voltages=dc_offset + np.maximum(peaks - diode_drop, 0.0))
 
 
-def rectified_bias(design: BtlDesign, exc: Excitation, diode_drop: float = 0.0,
-                   attenuation: float = 0.0) -> BiasPattern:
-    """Dc bias at every tap: dc offset plus the peak of the local ac sum.
+def rectified_bias(design: BtlDesign, exc: Excitation,
+                   diode_drop: float = 0.0) -> BiasPattern:
+    """Dc bias at every tap of the lossless line: dc offset plus the peak
+    of the local ac sum.
 
-    diode_drop models a constant rectifier drop, applied by detected_bias;
-    attenuation is the line loss in nepers per axial meter.
+    diode_drop models a constant rectifier drop, applied by
+    detected_bias.  A multi-tone drive raises SolverError if its peak
+    solve does not converge.
     """
     x = design.tap_positions()
-    phasors = _mode_phasors(design, exc, x, attenuation)
+    phasors = _mode_phasors(design, exc, x)
     return detected_bias(x, exc.dc_offset, _envelope_peaks(phasors, exc), diode_drop)
 
 

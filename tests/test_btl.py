@@ -10,10 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wavectl as w
-from wavectl.btl import _mode_phasors
+from wavectl.btl import _ac_coefficients, _ac_sum, _envelope_peaks, _mode_phasors
 from wavectl.errors import InputError
 
 F0_EXACT = 7175550.224338915  # c/(4*n_slow*L_tot) for the bundled design
@@ -169,17 +169,6 @@ def test_diode_drop_shifts_bias(design):
     assert np.allclose(plain - dropped, np.minimum(plain - exc.dc_offset, 0.35))
 
 
-def test_attenuation_tilts_matched_envelope(design):
-    matched = replace(design, termination=w.Termination.MATCHED)
-    exc = w.Excitation(dc_offset=0.0, modes=(w.Mode(1, 5.0),), fundamental_frequency=4e6)
-    flat = w.rectified_bias(matched, exc).voltages
-    assert np.allclose(flat, flat[0])
-    lossy = w.rectified_bias(matched, exc, attenuation=0.5).voltages
-    # the wave travels right to left, so taps nearer the feed stay hotter
-    assert np.all(np.diff(lossy) > 0)
-    assert lossy.max() < 5.0 + 1e-12
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 2),
@@ -281,3 +270,88 @@ def test_multi_tone_peak_degenerate_inputs(design, termination, left_extension):
     if termination is w.Termination.SHORT and left_extension == 0.0:
         # the first tap sits on the short, where every coefficient is 0
         assert harmonics[0] == 1.5
+
+
+def _scaled_coefficients(phasors, exc):
+    """Coefficients, indices and each tap's coefficients scaled by a power
+    of two with terms below 1e-15 of the largest zeroed, as the detector
+    scales them."""
+    coeff, indices = _ac_coefficients(phasors, exc)
+    mag = np.abs(coeff)
+    top = mag.max(axis=-1, initial=0.0, keepdims=True)
+    scaled = np.ldexp(coeff.view(float), -np.frexp(top)[1]).view(complex)
+    scaled[mag < 1e-15 * top] = 0.0
+    return coeff, indices, scaled
+
+
+def _roots_reference_candidates(indices, scaled):
+    """Candidate phases of the detector the batched real companion solve
+    replaced: one complex np.roots call per tap on z**n_max * ds/dtau,
+    a polynomial in z = exp(j*tau), plus tau = 0."""
+    n_max = int(indices.max(initial=0))
+    poly = np.zeros((len(scaled), 2 * n_max + 1), dtype=complex)
+    poly[:, n_max - indices] = 1j * indices * scaled
+    poly[:, n_max + indices] = -1j * indices * np.conj(scaled)
+    tau = np.zeros(poly.shape)
+    for m, row in enumerate(poly):
+        roots = np.roots(row)
+        tau[m, :roots.size] = np.angle(roots)
+    return tau
+
+
+def _reference_peaks(phasors, exc, newton_steps=4):
+    """Peaks of the np.roots detector, raw and Newton-polished.
+
+    The raw peak is that detector's output bit for bit.  Its
+    z-polynomial keeps terms just above the 1e-15 cut-off, so its lead
+    can be near 1e-15 of the others and its roots off by 1e-5 rad.  The
+    polished peak also takes Newton steps on ds/dtau = 0 from every
+    candidate, kept within one period so that every mode sees the same
+    phase; each step lands on a value s attains, so polishing can only
+    move the peak up towards the true one.
+    """
+    coeff, indices, scaled = _scaled_coefficients(phasors, exc)
+    tau = _roots_reference_candidates(indices, scaled)
+    raw = _ac_sum(coeff, indices, tau)
+    for _ in range(newton_steps):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (_ac_sum(1j * indices * scaled, indices, tau)
+                    / _ac_sum(-(indices**2) * scaled, indices, tau))
+        tau = np.mod(tau - np.where(np.isfinite(step), step, 0.0), 2.0 * math.pi)
+    polished = np.maximum(raw, _ac_sum(coeff, indices, tau))
+    return raw.max(axis=-1), polished.max(axis=-1)
+
+
+_SUBNORMAL_STEP = math.ulp(0.0)  # float spacing below 2**-1022, where no relative bound holds
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_TERMINATIONS),
+    st.sampled_from((27, 60)),
+    st.lists(st.tuples(st.integers(1, 12),
+                       st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(0.0, 8.0)),
+                       st.one_of(st.sampled_from((0.0, math.pi / 2, -math.pi / 2, math.pi)),
+                                 st.floats(-3.14, 3.14))),
+             min_size=2, max_size=5, unique_by=lambda t: t[0]),
+    st.floats(1e5, 2e7),
+)
+@example(w.Termination.SHORT, 60, [(1, 0.0, 0.0), (4, 1.0, 2.85e-109)], 1628274.0)
+# terms of 2.2e-16 V leave the np.roots reference 1.6e-14 of the budget low until polished
+@example(w.Termination.SHORT, 60, [(9, 2.220446049250313e-16, -0.65), (12, 2.220446049250313e-16, -0.91),
+                                   (8, 1.6256954330547733, -0.65), (4, 4.702388317007018, -0.65)],
+         8290208.494322345)
+def test_multi_tone_peaks_against_roots_reference_property(termination, count, mode_rows, fb):
+    design = w.BtlDesign(element_count=count, spacing=0.02, left_extension=0.01,
+                         right_extension=0.01, slowness=19.34,
+                         characteristic_impedance=19.23, termination=termination)
+    exc = w.Excitation(dc_offset=0.0, modes=tuple(w.Mode(*row) for row in mode_rows),
+                       fundamental_frequency=fb)
+    phasors = _mode_phasors(design, exc, design.tap_positions())
+    peaks = _envelope_peaks(phasors, exc)
+    raw, polished = _reference_peaks(phasors, exc)
+    tol = 1e-14 * exc.amplitude_sum + 4 * _SUBNORMAL_STEP
+    # never below a peak the per-tap np.roots detector found ...
+    assert np.all(peaks >= raw - tol)
+    # ... and equal to its peaks once each is polished onto its critical point
+    assert np.all(np.abs(peaks - polished) <= tol)
