@@ -47,7 +47,6 @@ from .radiation import (
     array_factor,
     db_from_linear,
     default_theta_grid,
-    ideal_phase_gradient,
 )
 from .steering import (
     ScanGrid,
@@ -111,7 +110,6 @@ __all__ = [
     "evaluate_operating_point",
     "fit_circuit_model",
     "fundamental_frequency",
-    "ideal_phase_gradient",
     "ingest_impedance",
     "load_bundled_config",
     "load_config",

@@ -359,30 +359,16 @@ def _envelope_peaks(phasors, exc):
     return _ac_sum(coeff, indices, tau).max(axis=-1)
 
 
-def detected_bias(positions, dc_offset, peaks, diode_drop) -> BiasPattern:
-    """Peak-detector output at each tap: dc + max(peak - diode_drop, 0).
-
-    A tap whose ac peak stays below the diode drop never conducts and
-    sits at the dc offset.
-    """
-    if not (0 <= diode_drop < math.inf):
-        raise InputError("diode_drop must be nonnegative and finite")
-    return BiasPattern(positions=positions,
-                       voltages=dc_offset + np.maximum(peaks - diode_drop, 0.0))
-
-
-def rectified_bias(design: BtlDesign, exc: Excitation,
-                   diode_drop: float = 0.0) -> BiasPattern:
+def rectified_bias(design: BtlDesign, exc: Excitation) -> BiasPattern:
     """Dc bias at every tap of the lossless line: dc offset plus the peak
     of the local ac sum.
 
-    diode_drop models a constant rectifier drop, applied by
-    detected_bias.  A multi-tone drive raises SolverError if its peak
-    solve does not converge.
+    A multi-tone drive raises SolverError if its peak solve does not
+    converge.
     """
     x = design.tap_positions()
-    phasors = _mode_phasors(design, exc, x)
-    return detected_bias(x, exc.dc_offset, _envelope_peaks(phasors, exc), diode_drop)
+    peaks = _envelope_peaks(_mode_phasors(design, exc, x), exc)
+    return BiasPattern(positions=x, voltages=exc.dc_offset + peaks)
 
 
 def standing_wave_amplitude(design: BtlDesign, exc: Excitation, f: float) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .btl import BtlDesign, BiasPattern, Excitation, Termination, detected_bias
+from .btl import BtlDesign, BiasPattern, Excitation, Termination
 from .errors import InputError, SolverError
 from .numutil import freeze_field
 
@@ -91,20 +91,16 @@ class CascadeNetwork:
 
 @dataclass(frozen=True)
 class NodeVoltages:
-    """Solved phasors: one per tap plus the line's feed-side node."""
+    """Solved phasors, one per tap."""
 
     tap_positions: np.ndarray
     tap_voltages: np.ndarray
-    input_voltage: complex
 
     def __post_init__(self):
         pos = freeze_field(self, "tap_positions", self.tap_positions)
         taps = freeze_field(self, "tap_voltages", self.tap_voltages, complex)
         if pos.shape != taps.shape or pos.ndim != 1:
             raise InputError("positions and voltages must be 1-d arrays of equal length")
-
-    def __len__(self):
-        return self.tap_voltages.size + 1
 
 
 def build_network(design: BtlDesign, f: float, z_rect=1000.0,
@@ -192,7 +188,6 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
             i = i + v / load
         v, i = _propagate(v, i, net.segment_angles[m], z0)
 
-    input_voltage = v
     if not math.isinf(net.decoupling_inductance):
         i = i + v / (1j * w * net.decoupling_inductance)
     z_cf = 0.0 if math.isinf(net.coupling_capacitance) else 1.0 / (1j * w * net.coupling_capacitance)
@@ -203,18 +198,13 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
         raise SolverError("line input impedance cancels the source; the solve is singular")
     scale = net.generator_voltage / v_required
     taps = taps * scale
-    input_voltage = input_voltage * scale
-    if not (np.isfinite([i, v_required, input_voltage]).all() and np.isfinite(taps).all()):
+    if not (np.isfinite([i, v_required]).all() and np.isfinite(taps).all()):
         raise SolverError(f"the tapped-line state overflows at {net.frequency!r} Hz")
 
-    return NodeVoltages(
-        tap_positions=net.tap_positions,
-        tap_voltages=taps,
-        input_voltage=input_voltage,
-    )
+    return NodeVoltages(tap_positions=net.tap_positions, tap_voltages=taps)
 
 
-def rectified_from_phasors(nodes: NodeVoltages, dc_offset: float,
-                           diode_drop: float = 0.0) -> BiasPattern:
-    """Peak-detect the solved tap phasors into a dc bias pattern (see detected_bias)."""
-    return detected_bias(nodes.tap_positions, dc_offset, np.abs(nodes.tap_voltages), diode_drop)
+def rectified_from_phasors(nodes: NodeVoltages, dc_offset: float) -> BiasPattern:
+    """Peak-detect the solved tap phasors into a dc bias pattern: dc offset plus |V|."""
+    return BiasPattern(positions=nodes.tap_positions,
+                       voltages=dc_offset + np.abs(nodes.tap_voltages))

@@ -282,9 +282,9 @@ def _parse_zrect(raw):
     if raw.strip().lower() == "inf":
         return math.inf
     try:
-        value = float(raw)
-    except ValueError:
-        raise InputError(f"cannot parse rectifier impedance {raw!r}") from None
+        value = _finite(raw)
+    except argparse.ArgumentTypeError as err:
+        raise InputError(f"--zrect: {err}") from None
     if not value > 0:
         raise InputError(f"--zrect must be a positive number or 'inf', got {raw!r}")
     return value

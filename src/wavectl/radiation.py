@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import C0
 from .errors import InputError
-from .numutil import freeze_field, parabola_vertex, wrap_phase
+from .numutil import freeze_field, parabola_vertex
 
 # reported dB values are floored here; a zero of the pattern would
 # otherwise serialize as -inf
@@ -148,21 +148,6 @@ def array_factor(profile, req: PatternRequest) -> RadiationPattern:
     magnitude = np.abs(field)
     metrics = _metrics_from_arrays(req.theta_grid, magnitude)
     return RadiationPattern(theta=req.theta_grid, magnitude=magnitude, metrics=metrics)
-
-
-def ideal_phase_gradient(theta_p: float, d_x: float, f_c: float, element_count: int,
-                         alpha_0: float = 0.0) -> np.ndarray:
-    """Element phases that steer a beam exactly to theta_p.
-
-    Linear progression across the aperture, wrapped to principal
-    values.
-    """
-    if element_count < 2:
-        raise InputError("need at least 2 elements for a phase gradient")
-    lam = C0 / f_c
-    m = np.arange(element_count)
-    alpha = alpha_0 - 2.0 * math.pi * m * d_x * math.sin(theta_p) / lam
-    return wrap_phase(alpha)
 
 
 def _metrics_from_arrays(theta, magnitude):

@@ -22,7 +22,7 @@ from . import unitcell as _unitcell
 from .config import RunConfig
 from .constants import C0
 from .errors import ClampWarning, InputError
-from .numutil import golden_section_maximize
+from .numutil import freeze_field, golden_section_maximize
 
 
 # largest (f, W) grid a search may span, 29x the default 300 x 121 grid
@@ -119,16 +119,18 @@ class ScanGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.f_axis), len(self.w_axis)):
+        f_axis = freeze_field(self, "f_axis", self.f_axis)
+        w_axis = freeze_field(self, "w_axis", self.w_axis)
+        values = freeze_field(self, "values", self.values)
+        if f_axis.ndim != 1 or w_axis.ndim != 1 or values.shape != (f_axis.size, w_axis.size):
             raise InputError("scan matrix shape must match its axes")
 
     def to_dict(self):
         return {
             "probe_deg": math.degrees(self.probe_angle),
-            "f_hz": np.asarray(self.f_axis),
-            "w_volts": np.asarray(self.w_axis),
-            "magnitude": np.asarray(self.values),
+            "f_hz": self.f_axis,
+            "w_volts": self.w_axis,
+            "magnitude": self.values,
         }
 
 

@@ -244,6 +244,7 @@ def _run_cli(argv):
     (["fit", "--input", "sweep.csv", "--thickness", "inf"], "--thickness"),
     (["cascade", "--loss-db", "nan"], "--loss-db"),
     (["cascade", "--zrect", "nan"], "--zrect"),
+    (["cascade", "--zrect", "1e400"], "--zrect"),
 ])
 def test_non_finite_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert _run_cli(argv + ["--out", str(tmp_path)]) == 2

@@ -22,6 +22,12 @@ GOLDEN = {
                          "4345bc65fcedd2978e0b4c7893d743be8b7cf9048768c83aab430a1c69b17879"),
     ("cascade", "csv"): ("cascade.csv",
                          "c460a4f9e266de3d64800638550645f682bf6c5d3de47d1c5a014287f02745e0"),
+    ("bias", "json"): ("bias.json",
+                       "07a5df1a70864443dabce76196a2cd10a60d5f7f1a35aa3ce89e6dd45ec6a25d"),
+    ("pattern", "json"): ("pattern.json",
+                          "21510d54327b587a2e3b5af68d82d2491e033b4a9be59e4f023ca3fcb28147bd"),
+    ("cascade", "json"): ("cascade.json",
+                          "3f1aa98b54f7a3f555c1290251716cf3f1733f0d3d926f488e8f24d9ba45158f"),
 }
 
 # the steering search and the loaded-line options: case id -> (argv, artifact, digest)

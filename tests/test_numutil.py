@@ -1,9 +1,12 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import wavectl as w
 from wavectl.numutil import golden_section_maximize, parabola_vertex, wrap_phase
 
 
@@ -53,3 +56,57 @@ def test_parabola_vertex_only_for_a_downward_parabola():
     assert parabola_vertex((0.0, 1.0, 2.0), (2.0, 2.0, 2.0)) is None  # flat
     assert parabola_vertex((0.0, 1.0, 2.0), (0.0, 1.0, 2.0)) is None  # linear
     assert parabola_vertex((0.0, 1.0, 2.0), (1.0, 0.0, 1.0)) is None  # upward
+
+
+def _two_bias_patterns(config):
+    exc = config.excitation
+    net = w.build_network(config.design, exc.fundamental_frequency)
+    return (w.rectified_bias(config.design, exc),
+            w.rectified_from_phasors(w.solve_taps(net), exc.dc_offset))
+
+
+def _two_profiles(config):
+    bias = w.rectified_bias(config.design, config.excitation)
+    return tuple(w.reflection_profile(config.cell, config.varactors, bias, f_c)
+                 for f_c in (2.40e9, 2.45e9))
+
+
+def _two_patterns(config):
+    req = w.PatternRequest(carrier_frequency=config.carrier_frequency,
+                           element_spacing=config.design.spacing,
+                           theta_grid=w.default_theta_grid())
+    profile = w.reflection_profile(config.cell, config.varactors,
+                                   w.rectified_bias(config.design, config.excitation),
+                                   config.carrier_frequency)
+    return w.array_factor(profile, req), w.array_factor(profile, req)
+
+
+def _two_node_sets(config):
+    net = w.build_network(config.design, 5e6)
+    return w.solve_taps(net), w.solve_taps(net)
+
+
+def _two_sweeps(config):
+    f = np.linspace(1e9, 4e9, 16)
+    return w.synthesize_samples(config.cell, f), w.synthesize_samples(config.cell, f)
+
+
+def _two_scan_grids(config):
+    spec = w.SearchSpec(f_step=1e6, w_range=(0.0, 10.0), w_step=1.0)
+    return w.specular_scan(config.design, config.cell, config.varactors, spec,
+                           [0.0, math.radians(5.0)], f_c=config.carrier_frequency)
+
+
+@pytest.mark.parametrize("results", [
+    _two_bias_patterns, _two_profiles, _two_patterns, _two_node_sets, _two_sweeps,
+    _two_scan_grids,
+], ids=["BiasPattern", "ReflectionProfile", "RadiationPattern", "NodeVoltages",
+        "ImpedanceSamples", "ScanGrid"])
+def test_result_arrays_are_read_only_and_unshared(bundle, results):
+    arrays = [getattr(result, field.name) for result in results(bundle)
+              for field in dataclasses.fields(result)
+              if isinstance(getattr(result, field.name), np.ndarray)]
+    assert arrays
+    assert not any(array.flags.writeable for array in arrays)
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)

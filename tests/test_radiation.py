@@ -25,6 +25,12 @@ def _profile_from(coeffs):
     return w.ReflectionProfile(magnitudes=np.abs(coeffs), phases=np.angle(coeffs))
 
 
+def _linear_ramp(theta_p, count):
+    """Unit coefficients whose phase falls by k*d*sin(theta_p) per element."""
+    step = 2.0 * math.pi * F_C / w.C0 * D_X * math.sin(theta_p)
+    return np.exp(-1j * step * np.arange(count))
+
+
 def _request(grid=None):
     if grid is None:
         grid = w.default_theta_grid()
@@ -122,26 +128,10 @@ def test_uniform_first_sidelobe_level():
 
 def test_gradient_steers_the_peak():
     theta_p = math.radians(20.0)
-    alpha = w.ideal_phase_gradient(theta_p, D_X, F_C, 27)
-    pattern = w.array_factor(_profile_from(np.exp(1j * alpha)), _request())
+    pattern = w.array_factor(_profile_from(_linear_ramp(theta_p, 27)), _request())
     assert pattern.metrics.peak_angle == pytest.approx(theta_p, abs=math.radians(0.05))
     assert pattern.metrics.peak_value == pytest.approx(1.0, rel=1e-9)
     assert pattern.metrics.specular_value < pattern.metrics.peak_value
-
-
-def test_ideal_phase_gradient_frozen_step():
-    alpha = w.ideal_phase_gradient(math.radians(12.0), D_X, F_C, 27)
-    steps = np.diff(np.unwrap(alpha))
-    assert np.allclose(-np.degrees(steps), 12.233670755070412, rtol=1e-12)
-    span = np.degrees(np.unwrap(alpha)[0] - np.unwrap(alpha)[-1])
-    assert span == pytest.approx(318.0754396318307, rel=1e-12)
-    assert np.all(alpha > -math.pi) and np.all(alpha <= math.pi)
-
-
-def test_ideal_phase_gradient_offset():
-    a0 = w.ideal_phase_gradient(0.3, D_X, F_C, 8)
-    a1 = w.ideal_phase_gradient(0.3, D_X, F_C, 8, alpha_0=0.5)
-    assert np.allclose(w.wrap_phase(a1 - a0), 0.5)
 
 
 def test_specular_omitted_off_grid():
@@ -176,8 +166,7 @@ def test_peak_refinement_beats_grid_resolution():
     # steer between grid points; the refined peak should land closer
     # than half a grid step
     theta_p = math.radians(20.013)
-    alpha = w.ideal_phase_gradient(theta_p, D_X, F_C, 27)
-    pattern = w.array_factor(_profile_from(np.exp(1j * alpha)), _request())
+    pattern = w.array_factor(_profile_from(_linear_ramp(theta_p, 27)), _request())
     err = abs(pattern.metrics.peak_angle - theta_p)
     assert err < math.radians(0.015)
 
