@@ -368,7 +368,13 @@ def rectified_bias(design: BtlDesign, exc: Excitation) -> BiasPattern:
     """
     x = design.tap_positions()
     peaks = _envelope_peaks(_mode_phasors(design, exc, x), exc)
-    return BiasPattern(positions=x, voltages=exc.dc_offset + peaks)
+    with np.errstate(over="ignore"):
+        voltages = exc.dc_offset + peaks
+    if not np.all(np.isfinite(voltages)):
+        raise InputError(f"the bias of a {float(exc.dc_offset)!r} V dc offset plus modes of "
+                         f"{[float(mode.amplitude) for mode in exc.modes]!r} V at a "
+                         f"{float(exc.fundamental_frequency)!r} Hz drive is not finite")
+    return BiasPattern(positions=x, voltages=voltages)
 
 
 def standing_wave_amplitude(design: BtlDesign, exc: Excitation, f: float) -> float:

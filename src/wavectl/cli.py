@@ -36,10 +36,10 @@ from .btl import Mode, Termination, rectified_bias, standing_wave_amplitude
 from .cascade import build_network, rectified_from_phasors, solve_taps
 from .config import RunConfig, load_bundled_config, load_config
 from .errors import ConfigError, FitError, InputError, ParseError, SolverError
-from .radiation import PatternRequest, array_factor, default_theta_grid, pattern_csv_columns
+from .radiation import pattern_csv_columns
 from .serialize import sha256_of, write_csv, write_json
-from .steering import SearchSpec, optimize_single_beam, specular_scan
-from .unitcell import fit_circuit_model, ingest_impedance, reflection_profile
+from .steering import SearchSpec, _drive_pattern, optimize_single_beam, specular_scan
+from .unitcell import fit_circuit_model, ingest_impedance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,14 +200,8 @@ def _cmd_bias(args, config, out_dir):
 
 
 def _cmd_pattern(args, config, out_dir):
-    exc = _resolve_tone(args, config, args.wb)
-    bias = rectified_bias(config.design, exc)
-    profile = reflection_profile(config.cell, config.varactors, bias,
-                                 config.carrier_frequency)
-    req = PatternRequest(carrier_frequency=config.carrier_frequency,
-                         element_spacing=config.design.spacing,
-                         theta_grid=default_theta_grid())
-    pattern = array_factor(profile, req)
+    pattern = _drive_pattern(config.design, config.cell, config.varactors,
+                             _resolve_tone(args, config, args.wb), config.carrier_frequency)
     name = f"pattern.{args.format}"
     if args.format == "csv":
         write_csv(os.path.join(out_dir, name),

@@ -122,38 +122,32 @@ class RadiationPattern:
         return db_from_linear(self.magnitude)
 
 
-def _check_phase_span(element_count, spacing, f_c):
-    """InputError unless the phase (M - 1)*k*d across the array is finite.
+def _phase_steps(element_count, spacing, f_c, thetas):
+    """The (M, P) phases m*k*d*sin(theta) of M elements at P angles.
 
-    The array factor and the steering grid form m*k*d*sin(theta) for m
-    up to M - 1; past float range that phase is inf and the pattern NaN.
+    InputError unless the phase (M - 1)*k*d across the array is finite:
+    past float range that phase is inf and the pattern NaN.
     """
-    if not math.isfinite((element_count - 1) * (2.0 * math.pi * f_c / C0 * spacing)):
+    kd = 2.0 * math.pi * f_c / C0 * spacing
+    if not math.isfinite((element_count - 1) * kd):
         raise InputError(f"the phase (M - 1)*k*d across {element_count} elements of a "
                          f"{float(spacing)!r} m spacing at a {float(f_c)!r} Hz carrier "
                          "is not finite")
+    return np.multiply.outer(np.arange(element_count), kd * np.sin(thetas))
 
 
 def array_factor(profile, req: PatternRequest) -> RadiationPattern:
     """Normalized array factor of a reflection profile on a theta grid."""
     m_count = len(profile)
-    if m_count < 1:
-        raise InputError("reflection profile may not be empty")
-    _check_phase_span(m_count, req.element_spacing, req.carrier_frequency)
-    coeff = profile.coefficients()
-    k = 2.0 * math.pi * req.carrier_frequency / C0
-    psi = k * req.element_spacing * np.sin(req.theta_grid)  # per-gap phase
-    orders = np.arange(m_count)
-    field = (coeff[:, None] * np.exp(1j * np.outer(orders, psi))).sum(axis=0) / m_count
+    phases = _phase_steps(m_count, req.element_spacing, req.carrier_frequency, req.theta_grid)
+    # summed over the C-ordered (M, T) matrix; a transposed one sums pairwise, in other bits
+    field = (profile.coefficients()[:, None] * np.exp(1j * phases)).sum(axis=0) / m_count
     magnitude = np.abs(field)
     metrics = _metrics_from_arrays(req.theta_grid, magnitude)
     return RadiationPattern(theta=req.theta_grid, magnitude=magnitude, metrics=metrics)
 
 
 def _metrics_from_arrays(theta, magnitude):
-    if theta.size == 0:
-        raise InputError("empty pattern")
-
     i_peak = int(np.argmax(magnitude))
     peak_angle = float(theta[i_peak])
     peak_value = float(magnitude[i_peak])
@@ -181,23 +175,20 @@ def _metrics_from_arrays(theta, magnitude):
         db = 20.0 * np.log10(np.maximum(magnitude, 1e-300))
     thr_db = 20.0 * math.log10(max(thr, 1e-300))
 
-    def cross(direction):
-        j = i_peak
-        while 0 <= j + direction < theta.size:
-            j2 = j + direction
-            if magnitude[j2] < thr:
-                # interpolate between j and j2 in the dB domain; the
-                # fraction is clamped to the bracket because the
-                # refined peak can sit above the on-grid sample
-                denom = db[j2] - db[j]
-                f = 0.5 if denom == 0.0 else (thr_db - db[j]) / denom
-                f = min(max(f, 0.0), 1.0)
-                return float(theta[j] + f * (theta[j2] - theta[j]))
-            j = j2
-        return None
+    def cross(j, j2):
+        # interpolate from j, above the threshold, to its neighbor j2
+        # below it; the fraction is clamped to the bracket because the
+        # refined peak can sit above the on-grid sample
+        denom = db[j2] - db[j]
+        f = 0.5 if denom == 0.0 else (thr_db - db[j]) / denom
+        f = min(max(f, 0.0), 1.0)
+        return float(theta[j] + f * (theta[j2] - theta[j]))
 
-    left = cross(-1)
-    right = cross(+1)
+    below = np.flatnonzero(magnitude < thr)
+    before = below[below < i_peak]
+    after = below[below > i_peak]
+    left = cross(before[-1] + 1, before[-1]) if before.size else None
+    right = cross(after[0] - 1, after[0]) if after.size else None
     hpbw = (right - left) if (left is not None and right is not None) else None
 
     # highest local maximum outside the half-power mainlobe

@@ -28,7 +28,6 @@ product may sit at a half-way point: values with |s mod 1 - 0.5| <
 import hashlib
 import json
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -239,8 +238,6 @@ def _emit(obj, indent, out):
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, Enum):
-        _emit(obj.value, indent, out)
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -262,8 +259,6 @@ def _emit(obj, indent, out):
         out.append(pad + "}")
     elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
         _emit_floats(obj, indent, out)
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), indent, out)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")

@@ -20,7 +20,6 @@ from . import btl as _btl
 from . import radiation as _radiation
 from . import unitcell as _unitcell
 from .config import RunConfig
-from .constants import C0
 from .errors import ClampWarning, InputError
 from .numutil import freeze_field, golden_section_maximize
 
@@ -150,11 +149,9 @@ def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
         raise InputError(f"design.element_count ({count}) times the "
                          f"f_range/f_step x w_range/w_step grid ({len(f_axis)} x "
                          f"{len(w_axis)}) spans more than {_MAX_TENSOR_POINTS} points")
-    _radiation._check_phase_span(count, design.spacing, f_c)
+    steer = np.exp(1j * _radiation._phase_steps(count, design.spacing, f_c, thetas).T)
     envelope = _btl.single_tone_envelope(design, f_axis)
     w_axis = np.asarray(w_axis, dtype=float)
-    steer = [np.exp(1j * (2.0 * math.pi * f_c / C0 * design.spacing * math.sin(theta))
-                    * np.arange(count)) for theta in thetas]
     maps = np.empty((len(steer), len(f_axis), w_axis.size))
     # a few frequencies at a time, so each elementwise step runs in cache
     rows = max(1, min(_BLOCK_POINTS // (w_axis.size * count), len(f_axis)))
@@ -174,21 +171,31 @@ def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
     return maps, clamped
 
 
-def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
-                             theta_grid=None) -> _radiation.RadiationPattern:
-    """Full pipeline at one (f_b, W_b) point: bias, reflection, pattern."""
-    exc = _btl.Excitation(
-        dc_offset=w0,
-        modes=(_btl.Mode(1, w_b),),
-        fundamental_frequency=f_b,
-    )
+def _drive_pattern(design, cell, table, exc, f_c, theta_grid=None):
+    """Full pipeline for one drive: bias, reflection, pattern."""
     bias = _btl.rectified_bias(design, exc)
     profile = _unitcell.reflection_profile(cell, table, bias, f_c)
     grid = theta_grid if theta_grid is not None else _radiation.default_theta_grid()
-    req = _radiation.PatternRequest(
-        carrier_frequency=f_c, element_spacing=design.spacing, theta_grid=grid
-    )
+    req = _radiation.PatternRequest(carrier_frequency=f_c, element_spacing=design.spacing,
+                                    theta_grid=grid)
     return _radiation.array_factor(profile, req)
+
+
+def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
+                             theta_grid=None) -> _radiation.RadiationPattern:
+    """Full pipeline at one single-tone (f_b, W_b) point."""
+    exc = _btl.Excitation(dc_offset=w0, modes=(_btl.Mode(1, w_b),), fundamental_frequency=f_b)
+    return _drive_pattern(design, cell, table, exc, f_c, theta_grid)
+
+
+def _search_maps(design, cell, table, spec, thetas, f_c):
+    """The search grid's axes and |F(theta)| maps; warns the search's caller of a clamp."""
+    _unitcell._check_carrier(cell, table, f_c)  # once, not per refinement point
+    f_axis, w_axis = spec.f_axis(), spec.w_axis()
+    maps, clamped = _grid_maps(design, cell, table, f_axis, w_axis, spec.w0, f_c, thetas)
+    if clamped:
+        warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=3)
+    return f_axis, w_axis, maps
 
 
 def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
@@ -202,14 +209,7 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     """
     if not (abs(theta_p) <= math.pi / 2):
         raise InputError("theta_p must lie within +-90 degrees")
-    _unitcell._check_carrier(cell, table, f_c)  # once, not per refinement point
-    f_axis = spec.f_axis()
-    w_axis = spec.w_axis()
-    (values,), clamped = _grid_maps(
-        design, cell, table, f_axis, w_axis, spec.w0, f_c, [theta_p]
-    )
-    if clamped:
-        warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=2)
+    f_axis, w_axis, (values,) = _search_maps(design, cell, table, spec, [theta_p], f_c)
 
     # flat argmax scans f-major then W-minor, which is the tie order
     flat = int(np.argmax(values))
@@ -255,11 +255,6 @@ def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
         raise InputError("at least one probe angle is required")
     if not all(abs(probe) <= math.pi / 2 for probe in probe_angles):
         raise InputError("probe angles must lie within +-90 degrees")
-    _unitcell._check_carrier(cell, table, f_c)
-    f_axis = spec.f_axis()
-    w_axis = spec.w_axis()
-    maps, clamped = _grid_maps(design, cell, table, f_axis, w_axis, spec.w0, f_c, probe_angles)
-    if clamped:
-        warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=2)
+    f_axis, w_axis, maps = _search_maps(design, cell, table, spec, probe_angles, f_c)
     return tuple(ScanGrid(probe_angle=probe, f_axis=f_axis, w_axis=w_axis, values=values)
                  for probe, values in zip(probe_angles, maps))

@@ -345,3 +345,25 @@ def test_multi_tone_peaks_against_roots_reference_property(termination, count, m
     assert np.all(peaks >= raw - tol)
     # ... and equal to its peaks once each is polished onto its critical point
     assert np.all(np.abs(peaks - polished) <= tol)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda d, m: replace(d, element_count=27.0), "element_count must be an integer"),
+    (lambda d, m: replace(d, termination="short"), "termination must be a Termination value"),
+    (lambda d, m: replace(d, element_count=3, spacing=1e308), "overflows"),
+    (lambda d, m: replace(d, element_count=1, left_extension=0.0, right_extension=0.0),
+     "total line length must be strictly positive"),
+    (lambda d, m: w.Mode(1.0, 1.0), "mode_index must be an integer"),
+    (lambda d, m: w.Excitation(4.0, fundamental_frequency=0.0),
+     "fundamental_frequency must be positive"),
+    (lambda d, m: w.BiasPattern(np.zeros(3), np.zeros(2)), "1-d arrays of equal length"),
+    (lambda d, m: w.BiasPattern(np.zeros(2), np.array([4.0, math.inf])),
+     "bias voltages must be finite"),
+    (lambda d, m: w.slowness_factor(m, 0.0), "d_x must be positive"),
+], ids=["float_count", "str_termination", "overflowing_length", "zero_length",
+        "float_mode_index", "zero_frequency", "unequal_bias_shapes", "inf_bias",
+        "zero_pitch"])
+def test_btl_typed_errors(design, microstrip, build, fragment):
+    with pytest.raises(InputError) as info:
+        build(design, microstrip)
+    assert fragment in str(info.value)

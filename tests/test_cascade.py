@@ -145,3 +145,19 @@ def test_overflowing_electrical_length_raises_input_error(design):
         w.standing_wave_amplitude(design, exc, 1e308)
     with pytest.raises(InputError, match="1e\\+308 Hz overflows the wavenumber"):
         w.build_network(design, 1e308)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda d: w.build_network(d, 7.18e6, coupling_capacitance=0.0),
+     "coupling_capacitance must be positive"),
+    (lambda d: replace(w.build_network(d, 7.18e6), tap_loads=np.full(d.element_count - 1, 1e3)),
+     "segments, tap loads, and tap positions must align"),
+    (lambda d: replace(w.build_network(d, 7.18e6),
+                       segment_angles=np.r_[math.inf, np.ones(d.element_count - 1)]),
+     "segment_angles and lead_angle must be finite"),
+    (lambda d: w.NodeVoltages(np.zeros(3), np.zeros(2)), "1-d arrays of equal length"),
+], ids=["zero_coupling", "misaligned_loads", "inf_segment", "unequal_node_shapes"])
+def test_cascade_typed_errors(design, build, fragment):
+    with pytest.raises(InputError) as info:
+        build(design)
+    assert fragment in str(info.value)

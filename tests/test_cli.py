@@ -449,3 +449,46 @@ def test_multi_tone_eigensolver_failure_exits_4_naming_the_drive(tmp_path, capsy
         "wavectl: the multi-tone peak solve did not converge for the drive at 5000000.0 Hz "
         "with modes {1: 4.0 V, 3: 1.5 V}: Eigenvalues did not converge\n")
     assert not list(out.iterdir())
+
+
+def _two_tone_config(path):
+    doc = w.load_bundled_config().to_dict()
+    doc["excitation"]["modes"] = [{"mode_index": 1, "amplitude": 4.0, "phase": 0.0},
+                                  {"mode_index": 2, "amplitude": 1.5, "phase": 0.5}]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (lambda p: ["bias", "--fb", "abc"], "invalid number 'abc'"),
+    (lambda p: ["cascade", "--zrect", "0"], "--zrect must be a positive number or 'inf', got '0'"),
+    (lambda p: ["cascade", "--zrect", "-5"],
+     "--zrect must be a positive number or 'inf', got '-5'"),
+    (lambda p: ["cascade", "--config", _two_tone_config(p / "two.json")],
+     "the tapped-line comparison uses a single drive tone"),
+], ids=["non_numeric_fb", "zero_zrect", "negative_zrect", "two_tone_cascade"])
+def test_cli_typed_errors_exit_2(tmp_path, capsys, argv, fragment):
+    out = tmp_path / "out"
+    assert _run_cli([*argv(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bias", "pattern"])
+def test_overflowing_bias_exits_2_naming_its_inputs(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--w0", "1e308", "--wb", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "wavectl: the bias of a 1e+308 V dc offset plus modes of [1e+308] V at a "
+        "7180000.0 Hz drive is not finite\n")
+    assert not list(out.iterdir())
+
+
+def test_huge_but_finite_bias_still_runs(tmp_path):
+    # the same drive at 1 MHz peaks below float range at every tap
+    out = tmp_path / "out"
+    assert main(["bias", "--w0", "1e308", "--wb", "1e308", "--fb", "1e6", "--format", "json",
+                 "--out", str(out)]) == 0
+    bias = np.array(_read_json(out / "bias.json")["bias_v"])
+    assert np.all(np.isfinite(bias)) and bias.min() > 1e308

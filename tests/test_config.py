@@ -384,3 +384,12 @@ def test_run_config_needs_a_finite_carrier():
     with pytest.raises(w.InputError, match="carrier_frequency must be positive and finite"):
         w.RunConfig(bundle.design, bundle.cell, bundle.varactors, bundle.excitation,
                     carrier_frequency=math.inf)
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ([], "configuration must be a JSON object"),
+], ids=["list"])
+def test_config_typed_errors(doc, fragment):
+    with pytest.raises(ConfigError) as info:
+        w.config_from_dict(doc)
+    assert fragment in str(info.value)

@@ -39,6 +39,14 @@ GOLDEN_OPTIONS = {
     "cascade-zrect300-loss1-csv": (
         ("cascade", "--zrect", "300", "--loss-db", "1", "--format", "csv"), "cascade.csv",
         "f7efcb9fddb01eac05aac1976864fbf601e6284e981e192da9560451f0f35c81"),
+    "steer3-coarse-60": (("steer", "--theta=3", "--coarse-only", "--elements", "60"),
+                         "steer.json",
+                         "e1e99486e8dbe6f84008b307443aaa7b49aaa66c894418e1af68fbce3a407180"),
+    "scan-7-0-12-json": (("scan", "--probe=-7,0,12", "--format", "json"), "scan.json",
+                         "af56ecc11c8a385d252d985ffda2041d9700419132f9e19f8610f6d44f3cd054"),
+    "pattern-fb1.3e6-wb6.5-json": (
+        ("pattern", "--fb", "1.3e6", "--wb", "6.5", "--format", "json"), "pattern.json",
+        "27eaef0794d065eb910f8205bd9f1237295dae4e37bbc3dbcaee8a30d00624f2"),
 }
 
 

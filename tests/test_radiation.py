@@ -192,3 +192,17 @@ def test_global_phase_invariance_property(rows, phi):
     base = w.array_factor(_profile_from(coeffs), _request(grid))
     spun = w.array_factor(_profile_from(coeffs * cmath.exp(1j * phi)), _request(grid))
     assert np.allclose(spun.magnitude, base.magnitude, atol=1e-12)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: w.PatternRequest(carrier_frequency=F_C, element_spacing=0.0,
+                              theta_grid=w.default_theta_grid()),
+     "element_spacing must be positive"),
+    (lambda: w.RadiationPattern(theta=np.zeros(3), magnitude=np.zeros(2),
+                                metrics=w.PatternMetrics(0.0, 1.0, None, None, None)),
+     "theta and magnitude must be 1-d arrays of equal length"),
+], ids=["zero_spacing", "unequal_pattern_shapes"])
+def test_radiation_typed_errors(build, fragment):
+    with pytest.raises(InputError) as info:
+        build()
+    assert fragment in str(info.value)

@@ -132,3 +132,18 @@ def test_csv_columns_span_several_blocks(tmp_path):
     columns = (np.arange(x.size), x)
     text = write_csv(tmp_path / "t.csv", ("m", "x"), columns)
     assert text == csv_text(("m", "x"), columns)
+
+
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda path: write_csv(path, ("a", "b"), (np.zeros(3), np.zeros(2))), ValueError,
+     "CSV columns must be 1-D arrays of equal length"),
+    (lambda path: json_text({1: 2}), TypeError, "JSON object keys must be strings"),
+], ids=["unequal_columns", "int_key"])
+def test_serialize_typed_errors(tmp_path, build, error, fragment):
+    with pytest.raises(error) as info:
+        build(tmp_path / "out")
+    assert fragment in str(info.value)
+
+
+def test_json_text_of_an_empty_object():
+    assert json_text({}) == "{}\n"

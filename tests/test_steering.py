@@ -332,3 +332,14 @@ def test_extreme_carriers_inside_the_kernel_range_stay_finite(design, cell, tabl
         warnings.simplefilter("ignore", w.ClampWarning)
         (grid,) = w.specular_scan(design, cell, table, SMALL, [0.0], f_c=f_c)
     assert np.isfinite(grid.values).all()
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: w.ScanGrid(probe_angle=0.0, f_axis=np.array([1e6, 2e6, 3e6]),
+                        w_axis=np.array([1.0, 2.0]), values=np.zeros((2, 3))),
+     "scan matrix shape must match its axes"),
+], ids=["values_off_axes"])
+def test_steering_typed_errors(build, fragment):
+    with pytest.raises(InputError) as info:
+        build()
+    assert fragment in str(info.value)

@@ -546,3 +546,40 @@ def _with_row(table, row, column, value):
 def test_non_finite_dataclass_fields_rejected(design, cell, table, microstrip, build, bad):
     with pytest.raises(InputError):
         build(design, cell, table, microstrip, bad)
+
+
+def _ingest_text(path, name, text, fmt="auto"):
+    path = path / name
+    path.write_text(text)
+    return w.ingest_impedance(path, fmt=fmt)
+
+
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda p, c, t: w.VaractorTable(series_inductance=2.34e-9, rows=[(4.0, 8e-13, 0.5)]),
+     InputError, "varactor table needs at least two rows"),
+    (lambda p, c, t: w.VaractorTable(series_inductance=2.34e-9,
+                                     rows=[(4.0, 1e-13, 0.5), (5.0, -1e-13, 0.5)]),
+     InputError, "varactor capacitance must be positive"),
+    (lambda p, c, t: ImpedanceSamples(50.0, np.arange(1.0, 17.0), np.ones(15)),
+     InputError, "frequencies and impedances must be 1-d arrays of equal length"),
+    (lambda p, c, t: w.ReflectionProfile(np.ones(3), np.zeros(2)),
+     InputError, "magnitudes and phases must be 1-d arrays of equal length"),
+    (lambda p, c, t: w.ReflectionProfile(np.array([0.5, -0.5]), np.zeros(2)),
+     InputError, "reflection magnitudes must be nonnegative"),
+    (lambda p, c, t: w.fit_circuit_model(
+        w.synthesize_samples(c, np.linspace(1e9, 4e9, 64)), 0.0),
+     InputError, "substrate_thickness must be positive"),
+    (lambda p, c, t: _ingest_text(p, "opt.s1p", "# GHz S RI R\n1 0.1 0.2\n"),
+     ParseError, "line 1: option line ends after R with no impedance"),
+    (lambda p, c, t: _ingest_text(p, "empty.csv", ""), ParseError, "empty file"),
+    (lambda p, c, t: _ingest_text(p, "header.csv", "f_hz,re_z,im_z\n"),
+     ParseError, "no data rows found"),
+    (lambda p, c, t: _ingest_text(p, "sweep.csv", "f_hz,re_z,im_z\n", fmt="xyz"),
+     InputError, "unknown impedance format 'xyz'"),
+], ids=["one_row_table", "negative_capacitance", "unequal_sweep_shapes",
+        "unequal_profile_shapes", "negative_magnitude", "zero_thickness",
+        "option_line_without_impedance", "empty_csv", "header_only_csv", "unknown_format"])
+def test_unitcell_typed_errors(tmp_path, cell, table, build, error, fragment):
+    with pytest.raises(error) as info:
+        build(tmp_path, cell, table)
+    assert fragment in str(info.value)
