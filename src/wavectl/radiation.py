@@ -58,7 +58,7 @@ class PatternRequest:
             raise InputError("carrier_frequency must be positive")
         if not (self.element_spacing > 0):
             raise InputError("element_spacing must be positive")
-        if not math.isfinite(2.0 * math.pi * self.carrier_frequency / C0 * self.element_spacing):
+        if not math.isfinite(_kd(self.carrier_frequency, self.element_spacing)):
             raise InputError(f"the phase step k*d of a {float(self.carrier_frequency)!r} Hz carrier "
                              f"over a {float(self.element_spacing)!r} m spacing is not finite")
         grid = freeze_field(self, "theta_grid", self.theta_grid)
@@ -122,26 +122,77 @@ class RadiationPattern:
         return db_from_linear(self.magnitude)
 
 
-def _phase_steps(element_count, spacing, f_c, thetas):
-    """The (M, P) phases m*k*d*sin(theta) of M elements at P angles.
+def _kd(f_c, spacing):
+    """k*d: the phase step, in radians, between neighbouring elements."""
+    return 2.0 * math.pi * f_c / C0 * spacing
 
-    InputError unless the phase (M - 1)*k*d across the array is finite:
-    past float range that phase is inf and the pattern NaN.
+
+def _span_checked_kd(element_count, spacing, f_c):
+    """k*d, or InputError unless the phase (M - 1)*k*d across the array is finite.
+
+    Past float range that phase is inf and the pattern NaN.
     """
-    kd = 2.0 * math.pi * f_c / C0 * spacing
+    kd = _kd(f_c, spacing)
     if not math.isfinite((element_count - 1) * kd):
         raise InputError(f"the phase (M - 1)*k*d across {element_count} elements of a "
                          f"{float(spacing)!r} m spacing at a {float(f_c)!r} Hz carrier "
                          "is not finite")
+    return kd
+
+
+def _phase_steps(element_count, spacing, f_c, thetas):
+    """The (M, P) phases m*k*d*sin(theta) of M elements at P angles.
+
+    InputError as in _span_checked_kd.
+    """
+    kd = _span_checked_kd(element_count, spacing, f_c)
     return np.multiply.outer(np.arange(element_count), kd * np.sin(thetas))
+
+
+# ((k*d, theta grid bytes), rows): the steering rows of the last pattern geometry
+_rows_cache = None
+
+
+def _steering_rows(element_count, spacing, f_c, thetas):
+    """The read-only (M, T) rows exp(j*m*k*d*sin(theta)) of M elements at T angles.
+
+    Row m does not depend on M, so one matrix, keyed by k*d and the
+    grid's bytes, serves every element count up to the one it was built
+    for as its leading rows.  Another k*d, another grid or a larger M
+    builds a new matrix and replaces it: the module keeps one, of
+    M_max * T * 16 bytes (3.46 MB at 60 elements on the default grid),
+    less than the (M, T) temporaries an unshared build would allocate on
+    every call.  The matrix is built row by row, so no (M, T) temporary
+    exists, and is published only once complete and frozen.  A miss
+    raises InputError as in _span_checked_kd before building anything;
+    a hit needs no check, since the larger M that built the rows passed it.
+    Concurrent misses each build their own matrix; the last published stays.
+    """
+    global _rows_cache
+    key = (_kd(f_c, spacing), thetas.tobytes())
+    cached = _rows_cache
+    if cached is not None and cached[0] == key and len(cached[1]) >= element_count:
+        return cached[1][:element_count]
+    step = _span_checked_kd(element_count, spacing, f_c) * np.sin(thetas)
+    rows = np.empty((element_count, step.size), dtype=complex)
+    for m in range(element_count):
+        np.exp(1j * (m * step), out=rows[m])
+    rows.flags.writeable = False
+    _rows_cache = (key, rows)
+    return rows
 
 
 def array_factor(profile, req: PatternRequest) -> RadiationPattern:
     """Normalized array factor of a reflection profile on a theta grid."""
     m_count = len(profile)
-    phases = _phase_steps(m_count, req.element_spacing, req.carrier_frequency, req.theta_grid)
-    # summed over the C-ordered (M, T) matrix; a transposed one sums pairwise, in other bits
-    field = (profile.coefficients()[:, None] * np.exp(1j * phases)).sum(axis=0) / m_count
+    rows = _steering_rows(m_count, req.element_spacing, req.carrier_frequency, req.theta_grid)
+    coefficients = profile.coefficients()
+    # rows added in order: the bits of sum(axis=0) over the C-ordered (M, T)
+    # product, which the tests keep as the reference
+    field = coefficients[0] * rows[0]
+    for m in range(1, m_count):
+        field += coefficients[m] * rows[m]
+    field /= m_count
     magnitude = np.abs(field)
     metrics = _metrics_from_arrays(req.theta_grid, magnitude)
     return RadiationPattern(theta=req.theta_grid, magnitude=magnitude, metrics=metrics)

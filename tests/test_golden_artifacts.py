@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from wavectl import radiation
 from wavectl.cli import main
 
 GOLDEN = {
@@ -66,3 +67,14 @@ def test_artifact_digest(tmp_path, command, fmt):
 def test_option_artifact_digest(tmp_path, case):
     argv, name, digest = GOLDEN_OPTIONS[case]
     assert _digest(tmp_path, argv, name) == digest
+
+
+def test_pattern_digests_from_the_leading_rows_of_a_60_tap_build(tmp_path, monkeypatch):
+    # the 27-tap patterns after a 60-tap one read the first 27 of its steering rows
+    monkeypatch.setattr(radiation, "_rows_cache", None)
+    assert main(["pattern", "--elements", "60", "--out", str(tmp_path / "60")]) == 0
+    cases = [(("pattern", "--format", fmt), *GOLDEN["pattern", fmt]) for fmt in ("csv", "json")]
+    cases.append(GOLDEN_OPTIONS["pattern-fb1.3e6-wb6.5-json"])
+    for i, (argv, name, digest) in enumerate(cases):
+        assert _digest(tmp_path / str(i), argv, name) == digest
+        assert len(radiation._rows_cache[1]) == 60

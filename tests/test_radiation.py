@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavectl as w
+from wavectl import radiation
 from wavectl.errors import InputError
 from wavectl.radiation import DB_FLOOR, pattern_csv_columns
 
@@ -206,3 +207,66 @@ def test_radiation_typed_errors(build, fragment):
     with pytest.raises(InputError) as info:
         build()
     assert fragment in str(info.value)
+
+
+def _vectorized_factor(coeffs, req):
+    """The pattern field as one (M, T) product summed over its rows, for reference."""
+    kd = 2.0 * math.pi * req.carrier_frequency / w.C0 * req.element_spacing
+    phases = np.multiply.outer(np.arange(len(coeffs)), kd * np.sin(req.theta_grid))
+    return np.abs((coeffs[:, None] * np.exp(1j * phases)).sum(axis=0) / len(coeffs))
+
+
+def test_reused_rows_give_the_bits_of_a_cold_build(monkeypatch):
+    # (M, carrier, grid, rows the cache holds afterwards): a hit on fewer
+    # rows, growth, and replacement by another k*d or another grid
+    grids = {"default": w.default_theta_grid(), "2": np.array([-0.4, 0.3]),
+             "777": np.linspace(-1.3, 1.1, 777), "777 shifted": np.linspace(-1.2, 1.2, 777)}
+    sequence = [(27, F_C, "default", 27), (60, F_C, "default", 60), (27, F_C, "default", 60),
+                (27, 2.2e9, "default", 27), (1, 2.2e9, "default", 27), (1, F_C, "default", 1),
+                (60, F_C, "2", 60), (200, F_C, "default", 200), (27, F_C, "777", 27),
+                (27, F_C, "777 shifted", 27),
+                (60, F_C, "default", 60), (27, F_C, "default", 60), (1, F_C, "default", 60)]
+    rng = np.random.default_rng(20)
+    monkeypatch.setattr(radiation, "_rows_cache", None)
+    for count, carrier, grid, cached_rows in sequence:
+        coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
+        req = w.PatternRequest(carrier_frequency=carrier, element_spacing=D_X,
+                               theta_grid=grids[grid])
+        warm = w.array_factor(_profile_from(coeffs), req).magnitude
+        kept = radiation._rows_cache
+        assert len(kept[1]) == cached_rows
+        radiation._rows_cache = None
+        cold = w.array_factor(_profile_from(coeffs), req).magnitude
+        radiation._rows_cache = kept
+        assert warm.tobytes() == cold.tobytes()
+        assert cold.tobytes() == _vectorized_factor(_profile_from(coeffs).coefficients(),
+                                                    req).tobytes()
+
+
+def test_cached_rows_are_read_only(monkeypatch):
+    monkeypatch.setattr(radiation, "_rows_cache", None)
+    w.array_factor(_profile_from(np.ones(27)), _request())
+    rows = radiation._rows_cache[1]
+    leading = radiation._steering_rows(5, D_X, F_C, w.default_theta_grid())
+    assert np.shares_memory(leading, rows)
+    for view in (rows, leading):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 0.0
+
+
+def test_a_phase_span_out_of_float_range_leaves_the_rows_alone(monkeypatch):
+    bad = w.PatternRequest(carrier_frequency=F_C, element_spacing=1e306,
+                           theta_grid=w.default_theta_grid())
+    messages = []
+    monkeypatch.setattr(radiation, "_rows_cache", None)
+    for warm_up in (False, True):
+        if warm_up:
+            w.array_factor(_profile_from(np.ones(60)), _request())
+        before = radiation._rows_cache
+        with pytest.raises(InputError) as info:
+            w.array_factor(_profile_from(np.ones(27)), bad)
+        assert radiation._rows_cache is before
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "(M - 1)*k*d across 27 elements" in messages[0]
