@@ -20,6 +20,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
@@ -358,20 +359,32 @@ def _columns(lines, sep=None):
     """(n, 3) float table of data lines, each three fields separated by sep (None: whitespace).
 
     Every field goes through float(), so the accepted number syntax is
-    float()'s.  ValueError if a line has not three fields, a field is
-    not a number, or a row's sum (f + a) + b is not finite.
+    float()'s.  ParseError, with no line number, if a line has not three
+    fields, a field is not a number, or a row's sum (f + a) + b is not
+    finite.
     """
     table = np.empty((len(lines), 3))
     for start in range(0, len(lines), _CHUNK_ROWS):
-        parts = list(map(str.split, lines[start:start + _CHUNK_ROWS], repeat(sep)))
+        chunk = lines[start:start + _CHUNK_ROWS]
+        parts = list(map(str.split, chunk, repeat(sep)))
         if set(map(len, parts)) != {3}:
-            raise ValueError("a line without three fields")
-        table[start:start + len(parts)] = np.fromiter(
-            map(float, chain.from_iterable(parts)), float, 3 * len(parts)).reshape(-1, 3)
+            got = next(len(p) for p in parts if len(p) != 3)
+            what = "3 columns" if sep else "3 columns (frequency and one S value)"  # CSV, s1p
+            raise ParseError(f"expected {what}, got {got}")
+        try:
+            table[start:start + len(parts)] = np.fromiter(
+                map(float, chain.from_iterable(parts)), float, 3 * len(parts)).reshape(-1, 3)
+        except ValueError:  # float() refused a field
+            raise _bad_data(chunk) from None
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(table[:, 0] + table[:, 1] + table[:, 2]).all():
-            raise ValueError("a row that is not finite")
+            raise _bad_data(lines)
     return table
+
+
+def _bad_data(lines):
+    """The ParseError for a value that is not a finite number in range; it quotes the lines."""
+    return ParseError("non-numeric, non-finite or out-of-range data in " + repr("\n".join(lines)))
 
 
 def _complex(real, imag):
@@ -413,7 +426,30 @@ def _impedance_from_s(s_re, s_im, z_ref):
     return _complex(z_re, z_im)
 
 
-def _touchstone_options(line, lineno=None):
+def _numbered(lines):
+    """The line number of each line of the file that is not blank."""
+    return [n for n, line in enumerate(lines, start=1) if line.strip()]
+
+
+def _located(convert, lines, linenos):
+    """convert(lines); if that fails, the ParseError of the first line that fails alone.
+
+    Each conversion reads every line on its own, so a block fails
+    exactly when one of its lines does.  linenos() numbers the lines in
+    the file, and is only called when the block fails.
+    """
+    try:
+        return convert(lines)
+    except ParseError:
+        for lineno, line in zip(linenos(), lines):
+            try:
+                convert([line])
+            except ParseError as err:
+                raise ParseError(str(err), lineno) from None
+        raise
+
+
+def _touchstone_options(line):
     """(frequency unit, data format, reference impedance) of a '#' option line."""
     unit, fmt, z_ref = _TOUCHSTONE_DEFAULTS
     tokens = line[1:].split()
@@ -427,35 +463,39 @@ def _touchstone_options(line, lineno=None):
         elif tok == "s":
             pass
         elif tok in ("y", "z", "g", "h"):
-            raise ParseError(f"only S-parameter files are supported, got {tok.upper()}", lineno)
+            raise ParseError(f"only S-parameter files are supported, got {tok.upper()}")
         elif tok == "r":
             if i + 1 >= len(tokens):
-                raise ParseError("option line ends after R with no impedance", lineno)
+                raise ParseError("option line ends after R with no impedance")
             try:
                 z_ref = float(tokens[i + 1])
             except ValueError:
                 z_ref = math.nan
             if not (0 < z_ref < math.inf):
                 raise ParseError(f"reference impedance {tokens[i + 1]!r} is not "
-                                 "a positive finite number", lineno)
+                                 "a positive finite number")
             i += 1
         else:
-            raise ParseError(f"unrecognized option token {tokens[i]!r}", lineno)
+            raise ParseError(f"unrecognized option token {tokens[i]!r}")
         i += 1
     return unit, fmt, z_ref
 
 
-def _touchstone_block(lines, unit, fmt, z_ref):
-    """(f in Hz, Z) of data lines read under one set of options; ValueError on a bad line."""
+def _touchstone_block(options, lines):
+    """(f in Hz, Z) of data lines read under one set of options; ParseError with no line number."""
+    unit, fmt, z_ref = options
     table = _columns(lines)
     if fmt == "ri":
         s_re, s_im = table[:, 1], table[:, 2]
-    else:  # per value in Python floats, as _touchstone_rows computes it
+    else:  # per value, in the Python float arithmetic of _polar_s
         pairs = map(float, table[:, 1]), map(float, table[:, 2])
-        s = np.fromiter(map(_polar_s, repeat(fmt), *pairs), complex, len(table))
+        try:
+            s = np.fromiter(map(_polar_s, repeat(fmt), *pairs), complex, len(table))
+        except OverflowError:
+            raise _bad_data(lines) from None
         s_re, s_im = s.real, s.imag
     if np.any((s_re == 1.0) & (s_im == 0.0)):
-        raise ValueError("S = 1")
+        raise ParseError("S = 1 exactly; impedance is undefined")
     with np.errstate(over="ignore"):  # an overflowing frequency fails _sweep_samples' check
         f = table[:, 0] * unit
     return f, _impedance_from_s(s_re, s_im, z_ref)
@@ -463,53 +503,22 @@ def _touchstone_block(lines, unit, fmt, z_ref):
 
 def _parse_touchstone(path):
     text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
-    lines = list(filter(None, map(str.strip, _COMMENT.sub("", text).split("\n"))))
+    raw = _COMMENT.sub("", text).split("\n")
+    lines = list(filter(None, map(str.strip, raw)))
     first = next((i for i, line in enumerate(lines) if line[0] == "#"), len(lines))
+    # the data rows' line numbers: every '#' line is an option line, not a row
+    rows = lambda: [n for n, line in zip(_numbered(raw), lines) if line[0] != "#"]
     options = _TOUCHSTONE_DEFAULTS
-    try:
-        f, z = _touchstone_block(lines[:first], *options)
-        if first < len(lines):
-            options = _touchstone_options(lines[first])
-            # later option lines are ignored per the format
-            rest = [line for line in lines[first + 1:] if line[0] != "#"]
-            f_rest, z_rest = _touchstone_block(rest, *options)
-            f, z = np.concatenate((f, f_rest)), np.concatenate((z, z_rest))
-    except (ValueError, OverflowError):
-        list(_touchstone_rows(text))  # raises the first bad line's ParseError
-        raise
-    return _sweep_samples(f, z, options[2], lambda: list(_touchstone_rows(text)))
-
-
-def _touchstone_rows(text):
-    """Line number of each Touchstone data row in file order; ParseError at the first bad line."""
-    fmt = _TOUCHSTONE_DEFAULTS[1]
-    saw_option = False
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if not saw_option:
-                saw_option = True
-                fmt = _touchstone_options(line, lineno)[1]
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected 3 columns (frequency and one S value), got {len(parts)}", lineno
-            )
-        try:
-            f_val, a, b = (float(p) for p in parts)
-            if not math.isfinite(f_val + a + b):  # float() takes nan and inf
-                raise ValueError
-            s = complex(a, b) if fmt == "ri" else _polar_s(fmt, a, b)
-        except (ValueError, OverflowError):
-            raise ParseError(
-                f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
-            ) from None
-        if s == 1:
-            raise ParseError("S = 1 exactly; impedance is undefined", lineno)
-        yield lineno
+    f, z = _located(partial(_touchstone_block, options), lines[:first], rows)
+    if first < len(lines):
+        options = _located(lambda block: _touchstone_options(*block), lines[first:first + 1],
+                           lambda: _numbered(raw)[first:])
+        # later option lines are ignored per the format
+        rest = [line for line in lines[first + 1:] if line[0] != "#"]
+        f_rest, z_rest = _located(partial(_touchstone_block, options), rest,
+                                  lambda: rows()[first:])
+        f, z = np.concatenate((f, f_rest)), np.concatenate((z, z_rest))
+    return _sweep_samples(f, z, options[2], rows)
 
 
 def _parse_impedance_csv(path):
@@ -519,32 +528,10 @@ def _parse_impedance_csv(path):
     header = [h.strip() for h in lines[0].split(",")]
     if header != ["f_hz", "re_z", "im_z"]:
         raise ParseError(f"expected header f_hz,re_z,im_z, got {lines[0]!r}", 1)
-    try:
-        table = _columns(list(filter(str.strip, islice(lines, 1, None))), ",")
-    except ValueError:
-        list(_csv_rows(lines))  # raises the first bad line's ParseError
-        raise
-    return _sweep_samples(table[:, 0], _complex(table[:, 1], table[:, 2]), 50.0,
-                          lambda: list(_csv_rows(lines)))
-
-
-def _csv_rows(lines):
-    """Line number of each CSV data row in file order; ParseError at the first bad line."""
-    for lineno, line in enumerate(islice(lines, 1, None), start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 columns, got {len(parts)}", lineno)
-        try:
-            f_val, re_z, im_z = (float(p) for p in parts)
-            if not math.isfinite(f_val + re_z + im_z):  # float() takes nan and inf
-                raise ValueError
-        except ValueError:
-            raise ParseError(
-                f"non-numeric, non-finite or out-of-range data in {line!r}", lineno
-            ) from None
-        yield lineno
+    rows = lambda: _numbered(lines)[1:]  # line 1 is the header
+    data = list(filter(str.strip, islice(lines, 1, None)))
+    table = _located(partial(_columns, sep=","), data, rows)
+    return _sweep_samples(table[:, 0], _complex(table[:, 1], table[:, 2]), 50.0, rows)
 
 
 def _sweep_samples(f, z, reference_impedance, linenos):

@@ -6,10 +6,12 @@ moves a single byte of these files fails here.
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
-from wavectl import radiation
+from wavectl import MU0, equivalent_impedance, load_bundled_config, radiation
 from wavectl.cli import main
 
 GOLDEN = {
@@ -50,6 +52,13 @@ GOLDEN_OPTIONS = {
         "27eaef0794d065eb910f8205bd9f1237295dae4e37bbc3dbcaee8a30d00624f2"),
 }
 
+# fit reads a 3001-point sweep of the bundled cell: format -> (file, its digest)
+FIT_SWEEPS = {
+    "csv": ("sweep.csv", "5a2ee6ed528dd114643e482083a6eaeecd1efc290c0fa59f79a6a95ee3544bff"),
+    "s1p": ("sweep.s1p", "22fa2a3b25b5680dc68530b7f7becf29f48a7dd4789b7c86298269a2e9a9d439"),
+}
+FIT_DIGEST = "4df62f6acba97fbb666baf09fc36a13d4ab7c61b80b2348e51d5b44744ef32dd"  # cell.json
+
 
 def _digest(out, argv, name):
     assert main([*argv, "--termination", "short", "--out", str(out)]) == 0
@@ -78,3 +87,32 @@ def test_pattern_digests_from_the_leading_rows_of_a_60_tap_build(tmp_path, monke
     for i, (argv, name, digest) in enumerate(cases):
         assert _digest(tmp_path / str(i), argv, name) == digest
         assert len(radiation._rows_cache[1]) == 60
+
+
+def _fit_sweep(fmt):
+    """The bundled cell from 0.3 to 1.7 times its electric resonance, as CSV or RI Touchstone."""
+    cell = load_bundled_config().cell
+    f_e = cell.electric_resonance / (2 * math.pi)
+    f = np.linspace(0.3 * f_e, 1.7 * f_e, 3001)
+    z = equivalent_impedance(cell, f)
+    if fmt == "csv":
+        header, sep, columns = "f_hz,re_z,im_z", ",", (f, z.real, z.imag)
+    else:
+        gamma = (z - 50.0) / (z + 50.0)
+        header, sep = "! synthesized one-port sweep\n# GHz S RI R 50", " "
+        columns = (f / 1e9, gamma.real, gamma.imag)
+    rows = (sep.join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
+    return (header + "\n" + "\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", sorted(FIT_SWEEPS))
+def test_fit_artifact_digest(tmp_path, fmt):
+    name, sweep_digest = FIT_SWEEPS[fmt]
+    sweep = _fit_sweep(fmt)
+    assert hashlib.sha256(sweep).hexdigest() == sweep_digest
+    (tmp_path / name).write_bytes(sweep)
+    thickness = repr(load_bundled_config().cell.L_s / MU0)
+    out = tmp_path / "out"
+    assert main(["fit", "--input", str(tmp_path / name), "--thickness", thickness,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "cell.json").read_bytes()).hexdigest() == FIT_DIGEST

@@ -252,3 +252,57 @@ def test_mutated_sweeps_read_as_the_reference_reads_them(sweep_dir, name, edits)
     path = sweep_dir / name
     path.write_bytes(text.encode())
     assert _outcome(w.ingest_impedance, path) == _reference_outcome(path)
+
+
+# 3001-row sweeps: the readers split 1024 rows at a time, so these faults
+# are found, and named, past the first chunk
+_LONG_F = np.linspace(1e9, 5e9, 3001)
+_LONG_Z = w.synthesize_samples(w.load_bundled_config().cell, _LONG_F).impedances
+_FAULTS = ["bad-number", "two-fields", "s-equals-1", "zero-hz", "falling", "chunks-1-and-3"]
+
+
+def _long_rows(kind):
+    """Header line and the rows' fields of a 3001-row CSV, RI or DB sweep."""
+    f = _LONG_F.tolist()
+    if kind == "csv":
+        return "f_hz,re_z,im_z", [[repr(a), repr(b.real), repr(b.imag)]
+                                  for a, b in zip(f, _LONG_Z.tolist())]
+    s = ((_LONG_Z - 50.0) / (_LONG_Z + 50.0)).tolist()
+    row = _ri if kind == "ri" else _db
+    return f"# Hz S {kind.upper()} R 50", [row(a, b).split(" ") for a, b in zip(f, s)]
+
+
+def _put_fault(rows, kind, fault):
+    """Edit rows to hold the fault; the index of the row the error names."""
+    k = 2000
+    if fault == "bad-number":
+        rows[k][1] = "1.2.3"
+    elif fault == "two-fields":
+        del rows[k][2]
+    elif fault == "s-equals-1":  # 1 + 0j, or 0 dB at 0 degrees
+        rows[k][1:] = ["1.0" if kind == "ri" else "0.0", "0.0"]
+    elif fault == "zero-hz":
+        rows[k][0] = "0.0"
+    elif fault == "falling":
+        rows[k], rows[k + 1] = rows[k + 1], rows[k]
+        k += 1
+    else:  # a bad line in chunk 1 and another in chunk 3: the first is named
+        rows[100][2] = "x"
+        rows[2500][0] = "nan"
+        k = 100
+    return k
+
+
+@pytest.mark.parametrize("kind, fault", [(kind, fault) for kind in ("csv", "ri", "db")
+                                         for fault in _FAULTS
+                                         if (kind, fault) != ("csv", "s-equals-1")])
+def test_faults_past_the_first_chunk_are_named_as_the_reference_names_them(tmp_path, kind,
+                                                                           fault):
+    header, rows = _long_rows(kind)
+    k = _put_fault(rows, kind, fault)
+    sep = "," if kind == "csv" else " "
+    path = tmp_path / ("long.csv" if kind == "csv" else "long.s1p")
+    path.write_text("\n".join([header] + [sep.join(row) for row in rows]) + "\n")
+    got = _outcome(w.ingest_impedance, path)
+    assert got == _reference_outcome(path)
+    assert got[1].startswith(f"line {k + 2}: "), got  # line 1 is the header
