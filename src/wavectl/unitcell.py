@@ -435,17 +435,28 @@ def _located(convert, lines, linenos):
     """convert(lines); if that fails, the ParseError of the first line that fails alone.
 
     Each conversion reads every line on its own, so a block fails
-    exactly when one of its lines does.  linenos() numbers the lines in
-    the file, and is only called when the block fails.
+    exactly when one of its lines does.  The first bad line is found by
+    halving: convert the first half of the failing range, and keep
+    whichever half holds a bad line, about log2(len(lines)) conversions
+    in all.  linenos() numbers the lines in the file, and is only called
+    when the block fails.
     """
     try:
         return convert(lines)
     except ParseError:
-        for lineno, line in zip(linenos(), lines):
+        start, stop = 0, len(lines)
+        while stop - start > 1:
+            middle = (start + stop) // 2
             try:
-                convert([line])
-            except ParseError as err:
-                raise ParseError(str(err), lineno) from None
+                convert(lines[start:middle])
+            except ParseError:
+                stop = middle
+            else:
+                start = middle
+        try:
+            convert(lines[start:stop])
+        except ParseError as err:
+            raise ParseError(str(err), linenos()[start]) from None
         raise
 
 

@@ -262,6 +262,48 @@ def test_multi_tone_peak_degenerate_inputs(design, termination, left_extension):
         assert harmonics[0] == 1.5
 
 
+def _assert_exact_peaks(indices, coeff, peak):
+    """_envelope_peaks of taps whose ac sums have coefficients coeff (taps, N)
+    at the mode indices given is each tap's exact peak, within 1e-14 of
+    its amplitude budget."""
+    exc = w.Excitation(dc_offset=0.0, modes=tuple(w.Mode(n, 1.0) for n in indices))
+    found = _envelope_peaks(coeff, exc)
+    assert np.all(np.abs(found - peak) <= 1e-14 * np.abs(coeff).sum(axis=-1))
+
+
+def _off_sample_phases(n_max):
+    """Peak phases between the detector's 8*n_max samples, and near them."""
+    h = 2.0 * math.pi / (8 * n_max)
+    k = np.arange(8 * n_max)
+    return np.concatenate((k + 0.5, k + 0.37, [1e-9, 0.999, 8 * n_max - 1e-7])) * h
+
+
+def test_envelope_peak_at_flat_top_quartic_maxima():
+    # s = cos(x) - cos(2x)/4 with x = tau - phi is 0.75 - x**4/8 + ..., so
+    # s'' = 0 at the peak and Newton converges only linearly there
+    phi = _off_sample_phases(2)
+    coeff = np.stack((np.exp(-1j * phi), -0.25 * np.exp(-2j * phi)), axis=-1)
+    _assert_exact_peaks((1, 2), coeff, 0.75)
+
+
+def test_envelope_peak_of_the_narrow_dirichlet_spike():
+    # s = sum_n cos(n*(tau - phi)) for n = 1..12 peaks at 12 in a main lobe
+    # 4*pi/25 wide, under eight of the detector's samples
+    indices = np.arange(1, 13)
+    phi = _off_sample_phases(12)
+    _assert_exact_peaks(indices, np.exp(-1j * np.multiply.outer(phi, indices)), 12.0)
+
+
+def test_envelope_peak_of_twin_equal_maxima():
+    # even harmonics only: s(tau + pi) = s(tau), so each peak has a twin
+    phi = _off_sample_phases(6)
+    sharp = np.stack((np.exp(-2j * phi), 0.5 * np.exp(-6j * phi)), axis=-1)
+    _assert_exact_peaks((2, 6), sharp, 1.5)  # cos(2x) + cos(6x)/2
+    phi = _off_sample_phases(4)
+    flat = np.stack((np.exp(-2j * phi), -0.25 * np.exp(-4j * phi)), axis=-1)
+    _assert_exact_peaks((2, 4), flat, 0.75)  # the quartic flat top, twice
+
+
 def _scaled_coefficients(phasors, exc):
     """Coefficients, indices and each tap's coefficients scaled by a power
     of two with terms below 1e-15 of the largest zeroed, as the detector

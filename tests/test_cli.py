@@ -433,22 +433,17 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
     assert build_parser() is build_parser()
 
 
-def test_multi_tone_eigensolver_failure_exits_4_naming_the_drive(tmp_path, capsys, monkeypatch):
+def test_multi_tone_bias_runs_no_eigenvalue_solve(tmp_path, capsys, monkeypatch):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # the peak detector samples and polishes; it has no solve that can fail
     monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
-    doc = w.load_bundled_config().to_dict()
-    doc["excitation"]["modes"] = [{"mode_index": 1, "amplitude": 4.0, "phase": 0.0},
-                                  {"mode_index": 3, "amplitude": 1.5, "phase": 0.5}]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["bias", "--config", str(cfg), "--fb", "5e6", "--out", str(out)]) == 4
-    assert capsys.readouterr().err == (
-        "wavectl: the multi-tone peak solve did not converge for the drive at 5000000.0 Hz "
-        "with modes {1: 4.0 V, 3: 1.5 V}: Eigenvalues did not converge\n")
-    assert not list(out.iterdir())
+    assert main(["bias", "--config", _two_tone_config(tmp_path / "two.json"), "--fb", "5e6",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "bias.csv").is_file()
 
 
 def _two_tone_config(path):

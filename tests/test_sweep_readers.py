@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavectl as w
+from wavectl import unitcell
 from wavectl.errors import ParseError
 from wavectl.unitcell import _FREQ_UNITS, _impedance_from_s, _read_text
 
@@ -306,3 +307,28 @@ def test_faults_past_the_first_chunk_are_named_as_the_reference_names_them(tmp_p
     got = _outcome(w.ingest_impedance, path)
     assert got == _reference_outcome(path)
     assert got[1].startswith(f"line {k + 2}: "), got  # line 1 is the header
+
+
+@pytest.mark.parametrize("kind", ["csv", "ri", "db"])
+@pytest.mark.parametrize("bad", [(0,), (1,), (1500,), (2999,), (3000,), (7, 8), (100, 2500)])
+def test_the_bad_line_is_found_in_logarithmically_many_conversions(tmp_path, monkeypatch,
+                                                                     kind, bad):
+    name = "_columns" if kind == "csv" else "_touchstone_block"
+    convert = getattr(unitcell, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(unitcell, name, counted)
+    header, rows = _long_rows(kind)
+    for k in bad:
+        rows[k][1] = "1.2.3"
+    sep = "," if kind == "csv" else " "
+    path = tmp_path / ("long.csv" if kind == "csv" else "long.s1p")
+    path.write_text("\n".join([header] + [sep.join(row) for row in rows]) + "\n")
+    got = _outcome(w.ingest_impedance, path)
+    assert got == _reference_outcome(path)
+    assert got[1].startswith(f"line {bad[0] + 2}: "), got  # line 1 is the header
+    assert len(calls) <= 2 * math.log2(len(rows)) + 2
