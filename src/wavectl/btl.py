@@ -36,6 +36,10 @@ from .numutil import freeze_field
 # most taps a line may carry: a 3601-angle pattern over this many taps
 # peaks near 0.5 GB, and every per-tap array stays small
 _MAX_ELEMENTS = 2**12
+# highest mode a drive may carry: the multi-tone peak samples 8 * n_max
+# phases per tap, so over the most taps that complex (M, 8 * n_max)
+# matrix also peaks near 0.5 GB
+_MAX_MODE_INDEX = 2**10
 # Newton steps that polish the multi-tone peak: a simple maximum settles
 # in a handful, a flat one gains about a third of its distance per step
 _POLISH_STEPS = 40
@@ -145,6 +149,8 @@ class Mode:
             raise InputError("mode_index must be an integer")
         if self.mode_index < 1:
             raise InputError("mode_index must be a positive integer")
+        if self.mode_index > _MAX_MODE_INDEX:
+            raise InputError(f"mode_index is too large: at most {_MAX_MODE_INDEX}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise InputError("mode amplitude must be finite and nonnegative")
         if not math.isfinite(self.phase):

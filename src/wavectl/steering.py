@@ -29,7 +29,8 @@ _MAX_GRID_POINTS = 2**20
 # largest Nf x Nw x M reflection a search may evaluate: a 60-element line
 # over the largest grid, where a complex tensor of it would be 1 GB
 _MAX_TENSOR_POINTS = _MAX_GRID_POINTS * 60
-# Nf x Nw x M points evaluated at a time (512 kB of complex values)
+# (f, m) envelope entries whose levels are found at once, and W rows x
+# (f, m) tap reflections gathered at a time (512 kB of complex values)
 _BLOCK_POINTS = 2**15
 
 
@@ -133,42 +134,93 @@ class ScanGrid:
         }
 
 
+def _steering_vectors(design, f_c, thetas):
+    """The (P, M) steering vectors exp(j*m*k*d*sin(theta)) of the line at P angles."""
+    return np.exp(1j * _radiation._phase_steps(design.element_count, design.spacing, f_c,
+                                               thetas).T)
+
+
+def _bias(w0, w_b, envelope, out=None):
+    """Single-tone tap biases w0 + W_b * envelope, in out where given."""
+    return np.add(w0, np.multiply(w_b, envelope, out=out), out=out)
+
+
+def _contract(gamma, s, tmp=None, out=None):
+    """|F| = |mean over taps of gamma * s|, with gamma * s formed in tmp where given."""
+    return np.abs(np.multiply(gamma, s, out=tmp).mean(axis=-1), out=out)
+
+
 def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
     """|F(theta)| over the (f, W) grid for each angle, and whether any bias was clamped.
 
-    maps has shape (len(thetas), Nf, Nw).  The grid is evaluated a few
-    frequencies at a time into buffers allocated once per call, each
-    block contracted against every angle's steering vector as soon as it
-    is built, so the (Nf, Nw, M) reflection tensor never exists.
-    Identical math to the rectified_bias -> reflection_profile ->
-    array_factor pipeline for a single-tone excitation; only the
-    evaluation order differs.
+    maps has shape (len(thetas), Nf, Nw).  A bias w0 + W * e[f, m] and
+    so its reflection depend on the envelope level e[f, m] alone, and
+    where evenly spaced taps meet an evenly spaced frequency grid many
+    (f, m) share one level.  So the grid is taken a super-block of at
+    most _BLOCK_POINTS (f, m) entries at a time, and the cell kernel
+    runs once per distinct level and W row (_level_maps).  Neither the
+    (Nf, Nw, M) reflection tensor nor its biases ever exist.  Each
+    reflection and each tap sum is formed by the same ufuncs, over the
+    same M contiguous values, as in the rectified_bias ->
+    reflection_profile -> array_factor pipeline for a single-tone
+    excitation; only the evaluation order differs.
     """
     count = design.element_count
     if len(f_axis) * len(w_axis) * count > _MAX_TENSOR_POINTS:
         raise InputError(f"design.element_count ({count}) times the "
                          f"f_range/f_step x w_range/w_step grid ({len(f_axis)} x "
                          f"{len(w_axis)}) spans more than {_MAX_TENSOR_POINTS} points")
-    steer = np.exp(1j * _radiation._phase_steps(count, design.spacing, f_c, thetas).T)
+    steer = _steering_vectors(design, f_c, thetas)
     envelope = _btl.single_tone_envelope(design, f_axis)
     w_axis = np.asarray(w_axis, dtype=float)
     maps = np.empty((len(steer), len(f_axis), w_axis.size))
-    # a few frequencies at a time, so each elementwise step runs in cache
-    rows = max(1, min(_BLOCK_POINTS // (w_axis.size * count), len(f_axis)))
-    shape = (rows, w_axis.size, count)
-    volts = np.empty(shape)
-    buffers = _unitcell._Buffers(np.empty(shape, complex), np.empty(shape, complex))
+    freqs = max(1, min(_BLOCK_POINTS // count, len(f_axis)))
     clamped = False
-    for i in range(0, len(f_axis), rows):
-        block = envelope[i:i + rows, None, :]
-        buf = _unitcell._Buffers(*(b[:len(block)] for b in buffers))
-        bias = volts[:len(block)]
-        np.add(w0, np.multiply(w_axis[None, :, None], block, out=bias), out=bias)
+    for i in range(0, len(f_axis), freqs):
+        block_clamped = _level_maps(cell, table, envelope[i:i + freqs], w_axis, w0, f_c, steer,
+                                    maps[:, i:i + freqs])
+        clamped = clamped or block_clamped
+    return maps, clamped
+
+
+def _level_maps(cell, table, envelope, w_axis, w0, f_c, steer, maps):
+    """Fill the (P, F, Nw) maps of one super-block's (F, M) envelope; True if a bias clamped.
+
+    The kernel runs on W rows x the block's distinct levels at a time;
+    each tap's reflection is then gathered back into a (W rows, F, M)
+    block and contracted against every angle's steering vector.  The
+    buffers live for one super-block only, so they never coexist with
+    np.unique's temporaries for the next.
+    """
+    levels, inverse = np.unique(envelope, return_inverse=True)
+    inverse = inverse.reshape(envelope.shape)  # flat before numpy 2
+    rows = max(1, min(_BLOCK_POINTS // envelope.size, w_axis.size))
+    volts = np.empty((rows, levels.size))
+    z = np.empty(volts.shape, complex)
+    # flat, so its front holds both a kernel block and the gathered taps
+    tmp = np.empty(rows * envelope.size, complex)
+    clamped = False
+    for j in range(0, w_axis.size, rows):
+        w_rows = w_axis[j:j + rows, None]
+        bias = _bias(w0, w_rows, levels, out=volts[:len(w_rows)])
+        buf = _unitcell._Buffers(z[:len(w_rows)], tmp[:bias.size].reshape(bias.shape))
         gamma, block_clamped = _unitcell._reflection_array(cell, table, bias, f_c, buf)
         clamped = clamped or block_clamped
+        # each angle gathers the taps' reflections anew into tmp, which the
+        # kernel is done with, and forms its products there
+        taps = tmp[:len(w_rows) * envelope.size].reshape(len(w_rows), *envelope.shape)
         for p, s in enumerate(steer):
-            np.abs(np.multiply(gamma, s, out=buf.tmp).mean(axis=-1), out=maps[p, i:i + rows])
-    return maps, clamped
+            # indices from np.unique are in range: "clip" skips take's buffered check
+            np.take(gamma, inverse, axis=1, mode="clip", out=taps)
+            _contract(taps, s, tmp=taps, out=maps[p, :, j:j + rows].T)
+    return clamped
+
+
+def _point_value(design, cell, table, f_b, w_b, w0, f_c, s):
+    """|F| at one (f_b, W_b) point against the steering vector s: one envelope row."""
+    envelope = _btl.single_tone_envelope(design, [f_b])[0]
+    gamma, _ = _unitcell._reflection_array(cell, table, _bias(w0, w_b, envelope), f_c)
+    return float(_contract(gamma, s))
 
 
 def _drive_pattern(design, cell, table, exc, f_c, theta_grid=None):
@@ -218,13 +270,12 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     best_w = float(w_axis[i_w])
     best_val = float(values[i_f, i_w])
 
-    def point_value(f_b, w_b):
-        maps, _ = _grid_maps(
-            design, cell, table, np.array([f_b]), np.array([w_b]), spec.w0, f_c, [theta_p]
-        )
-        return float(maps[0, 0, 0])
-
     if spec.refine:
+        (s,) = _steering_vectors(design, f_c, [theta_p])
+
+        def point_value(f_b, w_b):
+            return _point_value(design, cell, table, f_b, w_b, spec.w0, f_c, s)
+
         # strict improvement keeps the coarse point on exact ties
         for _ in range(2):
             lo = max(spec.f_range[0], best_f - spec.f_step)

@@ -66,6 +66,15 @@ def test_element_count_bound(design):
             replace(design, element_count=count)
 
 
+def test_mode_index_bound(design):
+    exc = w.Excitation(4.0, modes=(w.Mode(1, 2.0), w.Mode(2**10, 1.0)),
+                       fundamental_frequency=1.0e6)
+    assert np.isfinite(w.rectified_bias(design, exc).voltages).all()
+    for index in (2**10 + 1, 10**8, 10**400):
+        with pytest.raises(InputError, match="^mode_index is too large: at most 1024$"):
+            w.Mode(index, 1.0)
+
+
 def test_tap_positions(design):
     x = design.tap_positions()
     assert x.shape == (27,)

@@ -446,6 +446,19 @@ def test_multi_tone_bias_runs_no_eigenvalue_solve(tmp_path, capsys, monkeypatch)
     assert (out / "bias.csv").is_file()
 
 
+@pytest.mark.parametrize("index", [2**10 + 1, 10**8], ids=["1025", "1e8"])
+def test_absurd_mode_index_exits_2_naming_the_mode(tmp_path, capsys, index):
+    # refused before the multi-tone peak detector sizes its 8 * n_max samples
+    doc = w.load_bundled_config().to_dict()
+    doc["excitation"]["modes"].append({"mode_index": index, "amplitude": 1.0, "phase": 0.0})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bias", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "wavectl: excitation.modes[1]: mode_index is too large: at most 1024\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _two_tone_config(path):
     doc = w.load_bundled_config().to_dict()
     doc["excitation"]["modes"] = [{"mode_index": 1, "amplitude": 4.0, "phase": 0.0},

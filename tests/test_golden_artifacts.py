@@ -45,6 +45,9 @@ GOLDEN_OPTIONS = {
     "steer3-coarse-60": (("steer", "--theta=3", "--coarse-only", "--elements", "60"),
                          "steer.json",
                          "e1e99486e8dbe6f84008b307443aaa7b49aaa66c894418e1af68fbce3a407180"),
+    "steer3-open-60": (("steer", "--theta=3", "--termination", "open", "--elements", "60"),
+                       "steer.json",
+                       "b5cc04cc9e9a1edb08e81ebdcce6ecf12a687b91b3bd3152aee72cb5d861c38e"),
     "scan-7-0-12-json": (("scan", "--probe=-7,0,12", "--format", "json"), "scan.json",
                          "af56ecc11c8a385d252d985ffda2041d9700419132f9e19f8610f6d44f3cd054"),
     "pattern-fb1.3e6-wb6.5-json": (
@@ -61,7 +64,9 @@ FIT_DIGEST = "4df62f6acba97fbb666baf09fc36a13d4ab7c61b80b2348e51d5b44744ef32dd" 
 
 
 def _digest(out, argv, name):
-    assert main([*argv, "--termination", "short", "--out", str(out)]) == 0
+    # the shorted line unless the case's own --termination, given later, overrides it
+    command, *options = argv
+    assert main([command, "--termination", "short", *options, "--out", str(out)]) == 0
     return hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 

@@ -260,33 +260,48 @@ W0 = 3.5
 PROBES = [math.radians(deg) for deg in (-40.0, -6.0, 0.0, 3.5)]
 
 
+# the default grid's first 12 frequencies, (i + 1) * 0.1 MHz, where the
+# tap products (i + 1) * (2m + 1) repeat along a line, then 3 of them
+# again, so that a one-tap line repeats levels too
+REPEATING_F = w.SearchSpec().f_axis()[np.r_[:12, 1, 4, 9]]
+
+
 @pytest.mark.parametrize("elements", [1, 27, 60])
 @pytest.mark.parametrize("termination", list(w.Termination), ids=lambda t: t.value)
 def test_grid_maps_equal_the_whole_grid_contracted_at_once(design, cell, table, termination,
                                                            elements):
     # the oracle builds the whole (Nf, Nw, M) reflection tensor in one
-    # call and contracts it per angle
+    # call and contracts it per angle, on a grid that clamps and on one
+    # whose envelope levels repeat, so that the kernel's levels are
+    # gathered back to more than one tap
     line = replace(design, termination=termination, element_count=elements)
-    maps, clamped = steering._grid_maps(line, cell, table, CLAMPING_F, CLAMPING_W, W0,
-                                        2.45e9, PROBES)
-    envelope = w.btl.single_tone_envelope(line, CLAMPING_F)
-    bias = W0 + CLAMPING_W[None, :, None] * envelope[:, None, :]
-    gamma, whole_clamped = w.unitcell._reflection_array(cell, table, bias, 2.45e9)
-    assert clamped and whole_clamped
-    assert maps.shape == (len(PROBES), CLAMPING_F.size, CLAMPING_W.size)
-    for probe, values in zip(PROBES, maps):
-        psi = 2.0 * math.pi * 2.45e9 / w.C0 * line.spacing * math.sin(probe)
-        steer = np.exp(1j * psi * np.arange(elements))
-        assert np.array_equal(values, np.abs((gamma * steer).mean(axis=-1)))
+    repeating = w.btl.single_tone_envelope(line, REPEATING_F)
+    assert np.unique(repeating).size < repeating.size
+    for f_axis in (CLAMPING_F, REPEATING_F):
+        maps, clamped = steering._grid_maps(line, cell, table, f_axis, CLAMPING_W, W0,
+                                            2.45e9, PROBES)
+        envelope = w.btl.single_tone_envelope(line, f_axis)
+        bias = W0 + CLAMPING_W[None, :, None] * envelope[:, None, :]
+        gamma, whole_clamped = w.unitcell._reflection_array(cell, table, bias, 2.45e9)
+        assert clamped and whole_clamped
+        assert maps.shape == (len(PROBES), f_axis.size, CLAMPING_W.size)
+        for probe, values in zip(PROBES, maps):
+            psi = 2.0 * math.pi * 2.45e9 / w.C0 * line.spacing * math.sin(probe)
+            steer = np.exp(1j * psi * np.arange(elements))
+            assert np.array_equal(values, np.abs((gamma * steer).mean(axis=-1)))
 
 
 def test_grid_maps_do_not_depend_on_the_block_size(design, cell, table, monkeypatch):
-    # 1, 2, 3 and 11 frequencies a block: 11 frequencies leave a short
-    # last block at 2 and 3, which evaluates into the front of the buffers
+    # block sizes of 1 and M give one W row over one frequency's levels,
+    # the next ones one W row over 2, 6 and all 11 frequencies' levels,
+    # then 2, 3 and all 7 W rows over all 11: 11 frequencies and 7 W rows
+    # leave short last blocks, which evaluate into the front of the buffers
     runs = []
-    row_points = CLAMPING_W.size * design.element_count
-    for rows in (1, 2, 3, CLAMPING_F.size):
-        monkeypatch.setattr(steering, "_BLOCK_POINTS", rows * row_points)
+    count = design.element_count
+    f_points = CLAMPING_F.size * count
+    for size in (1, count, 2 * count, 6 * count, f_points, 2 * f_points, 3 * f_points,
+                 CLAMPING_W.size * f_points):
+        monkeypatch.setattr(steering, "_BLOCK_POINTS", size)
         runs.append(steering._grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0,
                                         2.45e9, PROBES))
     for maps, clamped in runs:
@@ -294,23 +309,59 @@ def test_grid_maps_do_not_depend_on_the_block_size(design, cell, table, monkeypa
         assert np.array_equal(maps, runs[0][0])
 
 
+def test_a_clamp_in_the_first_of_several_kernel_blocks_is_kept(design, cell, table,
+                                                                monkeypatch):
+    # at one W row a block, only the first of the three blocks of the one
+    # frequency drives a tap past the 15 V table end
+    monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
+    args = (design, cell, table, np.array([8.0e6]))
+    _, clamped = steering._grid_maps(*args, np.array([12.0, 0.0, 6.0]), 4.0, 2.45e9, [0.0])
+    _, unclamped = steering._grid_maps(*args, np.array([0.0, 6.0]), 4.0, 2.45e9, [0.0])
+    assert clamped and not unclamped
+
+
 def test_non_finite_bias_in_a_later_block_raises_input_error(design, cell, table,
                                                             monkeypatch):
-    # the last block of the grid carries an infinite bias
+    # a clean run counts the kernel blocks; then the last of them carries
+    # an infinite bias, and every block before it still runs
     reflection_array = w.unitcell._reflection_array
     blocks = []
+    spoil = [None]
 
     def spoiled(cell, table, volts, f_c, buf):
         blocks.append(volts.shape)
-        if len(blocks) == CLAMPING_F.size:
-            volts[-1, -1, -1] = math.inf
+        if len(blocks) == spoil[0]:
+            volts[..., -1] = math.inf
         return reflection_array(cell, table, volts, f_c, buf)
 
     monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
     monkeypatch.setattr(w.unitcell, "_reflection_array", spoiled)
+    args = (design, cell, table, CLAMPING_F, CLAMPING_W, W0, 2.45e9, PROBES)
+    steering._grid_maps(*args)
+    spoil[0], clean = len(blocks), blocks[:]
+    assert len(clean) > 1
+    blocks.clear()
     with pytest.raises(InputError, match="bias voltage must be finite"):
-        steering._grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0, 2.45e9, PROBES)
-    assert len(blocks) == CLAMPING_F.size
+        steering._grid_maps(*args)
+    assert blocks == clean
+
+
+@pytest.mark.parametrize("elements", [27, 60])
+@pytest.mark.parametrize("termination", [w.Termination.SHORT, w.Termination.OPEN],
+                         ids=lambda t: t.value)
+def test_refinement_point_equals_the_one_point_grid(design, cell, table, termination,
+                                                    elements):
+    # the refinement's val > best_val compares a point value with a grid
+    # value, so the two paths agree bit for bit
+    line = replace(design, termination=termination, element_count=elements)
+    rng = np.random.default_rng(elements)
+    for theta in rng.uniform(-0.7, 0.7, 5):
+        (s,) = steering._steering_vectors(line, 2.45e9, [theta])
+        for f_b, w_b in zip(rng.uniform(0.1e6, 30.0e6, 10), rng.uniform(0.0, 12.0, 10)):
+            value = steering._point_value(line, cell, table, f_b, w_b, W0, 2.45e9, s)
+            maps, _ = steering._grid_maps(line, cell, table, np.array([f_b]), np.array([w_b]),
+                                          W0, 2.45e9, [theta])
+            assert value == maps[0, 0, 0]
 
 
 @pytest.mark.parametrize("f_c", [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-150, 1e200, 1e308])
