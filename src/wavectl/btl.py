@@ -306,10 +306,11 @@ def _envelope_peaks(phasors, exc):
     where s'' >= 0 it is h/2 uphill instead.  The peak is the largest s
     at any iterate; each is a value s attains, so it is never above the
     true peak and never below a sample.  A flat maximum converges only
-    linearly, so the steps stop at a fixed cap without error.
+    linearly, so the steps stop at a fixed cap without error.  With no
+    tone at all every peak is 0.
     """
-    if phasors.shape[-1] == 1:
-        return np.abs(phasors[:, 0])
+    if phasors.shape[-1] <= 1:
+        return np.abs(phasors).max(axis=-1, initial=0.0)
     coeff, indices = _ac_coefficients(phasors, exc)
     # scale each tap by an exact power of two (safe for subnormal amplitudes)
     # and zero terms below rounding

@@ -126,9 +126,7 @@ def build_network(design: BtlDesign, f: float, z_rect=1000.0,
     beta = design.wavenumber(f)  # rad per axial meter
     lengths = np.full(design.element_count, design.spacing)
     lengths[-1] = design.right_extension
-    alpha = 0.0
-    if total_loss_db > 0:
-        alpha = total_loss_db / _DB_PER_NP / design.total_length  # nepers per axial meter
+    alpha = total_loss_db / _DB_PER_NP / design.total_length  # nepers per axial meter
     gamma = beta - 1j * alpha  # complex electrical angle per meter
 
     return CascadeNetwork(
@@ -140,7 +138,8 @@ def build_network(design: BtlDesign, f: float, z_rect=1000.0,
         characteristic_impedance=design.characteristic_impedance,
         lead_angle=gamma * design.left_extension,
         segment_angles=gamma * lengths,
-        tap_loads=np.broadcast_to(np.asarray(z_rect, dtype=complex), (design.element_count,)),
+        # a mis-sized load array fails CascadeNetwork's alignment check by name
+        tap_loads=z_rect if np.ndim(z_rect) else np.full(design.element_count, z_rect, complex),
         tap_positions=design.tap_positions(),
         termination=design.termination,
     )
@@ -165,13 +164,12 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
     if w * net.coupling_capacitance == 0:  # underflows: 1/(jwC) is out of float range
         raise SolverError(f"the tapped-line state overflows at {net.frequency!r} Hz")
 
+    # the coupling capacitor closes the shorted end and sits in series at the feed
+    z_c = 0.0 if math.isinf(net.coupling_capacitance) else 1.0 / (1j * w * net.coupling_capacitance)
+
     # seed the state at the termination with unit current / voltage
     if net.termination is Termination.SHORT:
-        if math.isinf(net.coupling_capacitance):
-            v, i = 0.0 + 0.0j, 1.0 + 0.0j  # ideal short
-        else:
-            z_t = 1.0 / (1j * w * net.coupling_capacitance)
-            v, i = z_t, 1.0 + 0.0j
+        v, i = z_c, 1.0 + 0.0j
     else:
         v, i = 1.0 + 0.0j, 0.0 + 0.0j  # floating end: no current
 
@@ -190,8 +188,7 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
 
     if not math.isinf(net.decoupling_inductance):
         i = i + v / (1j * w * net.decoupling_inductance)
-    z_cf = 0.0 if math.isinf(net.coupling_capacitance) else 1.0 / (1j * w * net.coupling_capacitance)
-    v_required = v + i * (z_cf + net.generator_impedance)
+    v_required = v + i * (z_c + net.generator_impedance)
 
     scale_ref = max(abs(v), abs(i) * z0, 1.0)
     if abs(v_required) < 1e-12 * scale_ref:

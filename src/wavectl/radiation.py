@@ -84,7 +84,10 @@ class PatternMetrics:
     specular_value: Optional[float]
     highest_sidelobe: Optional[float]
     half_power_beamwidth: Optional[float]
-    specular_omitted: bool = False
+
+    @property
+    def specular_omitted(self):
+        return self.specular_value is None
 
     def to_dict(self):
         out = {
@@ -127,26 +130,23 @@ def _kd(f_c, spacing):
     return 2.0 * math.pi * f_c / C0 * spacing
 
 
-def _span_checked_kd(element_count, spacing, f_c):
-    """k*d, or InputError unless the phase (M - 1)*k*d across the array is finite.
+def _phase_rows(element_count, spacing, f_c, thetas):
+    """The (M, T) rows exp(j*m*k*d*sin(theta)) of M elements at T angles.
 
-    Past float range that phase is inf and the pattern NaN.
+    InputError unless the phase (M - 1)*k*d across the array is finite:
+    past float range it is inf and the pattern NaN.  The matrix is built
+    row by row, so no other (M, T) temporary exists.
     """
     kd = _kd(f_c, spacing)
     if not math.isfinite((element_count - 1) * kd):
         raise InputError(f"the phase (M - 1)*k*d across {element_count} elements of a "
                          f"{float(spacing)!r} m spacing at a {float(f_c)!r} Hz carrier "
                          "is not finite")
-    return kd
-
-
-def _phase_steps(element_count, spacing, f_c, thetas):
-    """The (M, P) phases m*k*d*sin(theta) of M elements at P angles.
-
-    InputError as in _span_checked_kd.
-    """
-    kd = _span_checked_kd(element_count, spacing, f_c)
-    return np.multiply.outer(np.arange(element_count), kd * np.sin(thetas))
+    step = kd * np.sin(thetas)
+    rows = np.empty((element_count, step.size), dtype=complex)
+    for m in range(element_count):
+        np.exp(1j * (m * step), out=rows[m])
+    return rows
 
 
 # ((k*d, theta grid bytes), rows): the steering rows of the last pattern geometry
@@ -154,7 +154,7 @@ _rows_cache = None
 
 
 def _steering_rows(element_count, spacing, f_c, thetas):
-    """The read-only (M, T) rows exp(j*m*k*d*sin(theta)) of M elements at T angles.
+    """The read-only _phase_rows of M elements at T angles, cached.
 
     Row m does not depend on M, so one matrix, keyed by k*d and the
     grid's bytes, serves every element count up to the one it was built
@@ -162,21 +162,18 @@ def _steering_rows(element_count, spacing, f_c, thetas):
     builds a new matrix and replaces it: the module keeps one, of
     M_max * T * 16 bytes (3.46 MB at 60 elements on the default grid),
     less than the (M, T) temporaries an unshared build would allocate on
-    every call.  The matrix is built row by row, so no (M, T) temporary
-    exists, and is published only once complete and frozen.  A miss
-    raises InputError as in _span_checked_kd before building anything;
-    a hit needs no check, since the larger M that built the rows passed it.
-    Concurrent misses each build their own matrix; the last published stays.
+    every call.  The matrix is published only once complete and frozen.
+    A miss raises InputError as _phase_rows does before building
+    anything; a hit needs no check, since the larger M that built the
+    rows passed it.  Concurrent misses each build their own matrix; the
+    last published stays.
     """
     global _rows_cache
     key = (_kd(f_c, spacing), thetas.tobytes())
     cached = _rows_cache
     if cached is not None and cached[0] == key and len(cached[1]) >= element_count:
         return cached[1][:element_count]
-    step = _span_checked_kd(element_count, spacing, f_c) * np.sin(thetas)
-    rows = np.empty((element_count, step.size), dtype=complex)
-    for m in range(element_count):
-        np.exp(1j * (m * step), out=rows[m])
+    rows = _phase_rows(element_count, spacing, f_c, thetas)
     rows.flags.writeable = False
     _rows_cache = (key, rows)
     return rows
@@ -213,12 +210,7 @@ def _metrics_from_arrays(theta, magnitude):
 
     # specular level requires a grid point at broadside
     on_axis = np.nonzero(np.abs(theta) < 1e-12)[0]
-    if on_axis.size:
-        specular = float(magnitude[int(on_axis[0])])
-        omitted = False
-    else:
-        specular = None
-        omitted = True
+    specular = float(magnitude[int(on_axis[0])]) if on_axis.size else None
 
     # half-power crossings around the peak, interpolated on the dB curve
     thr = peak_value * 10.0 ** (-3.0 / 20.0)
@@ -257,7 +249,6 @@ def _metrics_from_arrays(theta, magnitude):
         specular_value=specular,
         highest_sidelobe=sidelobe,
         half_power_beamwidth=hpbw,
-        specular_omitted=omitted,
     )
 
 

@@ -12,9 +12,10 @@ one numpy pass, smaller ones one value at a time (``format_floats``).
 The numpy pass writes each value as a NUL-padded 16-byte slot of
 lookup-table words, and one mask drops the pads.  A JSON float ndarray
 is one such matrix, with the commas, brackets and indentation between
-its values written into the words after each value; a CSV is given as columns
-and written in blocks of rows, each block one byte matrix of all its
-columns.
+its values written into the words after each value.  A CSV is given as
+columns and written in blocks of rows: a block of float columns is the
+same matrix, with a comma or a newline after each value, and a block
+with an integer column is formatted one cell at a time.
 
 The numpy pass is exact.  With e the decade of |x| (corrected by one
 where s leaves [1e8, 1e9)) and k = 8 - e, 10**k is an exact double for
@@ -34,7 +35,7 @@ import numpy as np
 
 # 9 significant digits in scientific form, the one float format
 _FLOAT = "{:.8e}"
-# float arrays, and CSV blocks counted in float cells, below this size are
+# float arrays, and float CSV blocks counted in cells, below this size are
 # formatted one value at a time: the measured crossover of the two paths
 # when each call also opens and writes its file, as every caller does
 _VECTOR_MIN = 256
@@ -63,7 +64,6 @@ _LEAD = _words([sign + f"{d // 10}.{d % 10}" for sign in ("\0", "-") for d in ra
 _QUAD = _digit_words(4)
 _TRIPLE = _digit_words(3)
 _EXPONENT = _words([f"e{e:+03d}" for e in range(-99, 100)])
-_COMMA, _NEWLINE = _words([",\0\0\0", "\n\0\0\0"])
 # 10**k for -22 <= k <= 22 as a factor and a divisor, one of them 1; each
 # power of ten up to 10**22 is an exact double
 _UP = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
@@ -164,13 +164,6 @@ def _scaled(a, e):
     return a * np.take(_UP, i, mode="clip") / np.take(_DOWN, i, mode="clip")
 
 
-def _str_words(v):
-    """str() of each value of 1-D ``v``, NUL-padded to a whole number of words: a row each."""
-    text = np.array(list(map(str, v.tolist())), dtype=bytes)
-    width = -(-text.itemsize // 4)
-    return text.astype(f"S{4 * width}").view(np.uint32).reshape(v.size, width)
-
-
 # rows formatted and written at a time
 _BLOCK_ROWS = 4096
 
@@ -178,9 +171,8 @@ _BLOCK_ROWS = 4096
 def write_csv(path, header, columns):
     """Write a CSV file from equal-length 1-D column arrays; return its text.
 
-    Integer columns print as ``{:d}`` and float columns as format_float
-    prints them.  Rows are written in blocks, each built as one byte
-    matrix of all its columns.
+    Integer columns print with ``str`` and float columns as format_float
+    prints them.  Rows are formatted and written in blocks (_csv_block).
     """
     columns = _csv_columns(columns)
     parts = [",".join(header) + "\n"]
@@ -207,29 +199,16 @@ def _csv_columns(columns):
 
 
 def _csv_block(columns):
-    """The CSV rows of a block of columns: each cell's words, then a separator word.
+    """The CSV rows of a block of columns.
 
-    The float cells of all columns are formatted in one pass.  A block
-    of fewer than _VECTOR_MIN float cells, integer cells aside, is
-    formatted one cell at a time.
+    A block of float columns alone is one _joined_floats text; a block
+    with an integer column is formatted one cell at a time.
     """
-    floats = [c.dtype.kind == "f" for c in columns]
-    if columns[0].size * sum(floats) < _VECTOR_MIN:
-        cells = [map(_FLOAT.format if f else str, c.tolist()) for c, f in zip(columns, floats)]
-        return "".join([",".join(row) + "\n" for row in zip(*cells)])
-    slots = np.zeros((columns[0].size, sum(floats), _SLOT_WORDS), np.uint32)
-    if slots.size:
-        _float_slots(np.stack([c for c, f in zip(columns, floats) if f], axis=1), slots)
-    float_cells = iter(slots.transpose(1, 0, 2))
-    cells = [next(float_cells) if f else _str_words(c) for c, f in zip(columns, floats)]
-    out = np.zeros((columns[0].size, sum(c.shape[1] + 1 for c in cells)), np.uint32)
-    at = 0
-    for words in cells:
-        out[:, at:at + words.shape[1]] = words
-        at += words.shape[1] + 1
-        out[:, at - 1] = _COMMA
-    out[:, -1] = _NEWLINE
-    return _text(out)
+    if all(c.dtype.kind == "f" for c in columns):
+        return _joined_floats(np.stack(columns, axis=1).ravel(), len(columns), [",", "\n"],
+                              np.ones(columns[0].size, np.intp))
+    cells = [map(_FLOAT.format if c.dtype.kind == "f" else str, c.tolist()) for c in columns]
+    return "".join([",".join(row) + "\n" for row in zip(*cells)])
 
 
 def _emit(obj, indent, out):

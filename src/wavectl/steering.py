@@ -135,9 +135,12 @@ class ScanGrid:
 
 
 def _steering_vectors(design, f_c, thetas):
-    """The (P, M) steering vectors exp(j*m*k*d*sin(theta)) of the line at P angles."""
-    return np.exp(1j * _radiation._phase_steps(design.element_count, design.spacing, f_c,
-                                               thetas).T)
+    """The (P, M) steering vectors exp(j*m*k*d*sin(theta)) of the line at P angles.
+
+    Built anew rather than through radiation's row cache, whose one slot
+    holds the final pattern's rows over its whole angle grid.
+    """
+    return _radiation._phase_rows(design.element_count, design.spacing, f_c, thetas).T
 
 
 def _bias(w0, w_b, envelope, out=None):

@@ -239,17 +239,16 @@ def _reflection_array(cell, table, volts, f_c, buf=_NEW):
 def _check_carrier(cell, table, f_c):
     """InputError naming f_c unless it is positive and finite and the kernel stays finite there.
 
-    The kernel runs once over the table's own rows: every capacitance
-    and resistance a lookup returns lies between two of them, so the
-    rows bound each reactance the kernel forms.
+    The kernel runs once at the table's own voltages, where the lookup
+    returns each row's capacitance and resistance exactly: every value a
+    lookup returns lies between two rows, so the rows bound each
+    reactance the kernel forms.
     """
     if not (0 < f_c < math.inf):
         raise InputError(f"carrier frequency {float(f_c)!r} Hz must be positive and finite")
-    w = 2.0 * math.pi * f_c
     try:
         with np.errstate(all="ignore"):
-            finite = np.isfinite(_gamma_array(_surface_array(
-                cell, _varactor_array(table, table._caps, table._res, w), w))).all()
+            finite = np.isfinite(_reflection_array(cell, table, table._volts, f_c)[0]).all()
     except ZeroDivisionError:  # w C_d underflows to 0
         finite = False
     if not finite:

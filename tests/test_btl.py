@@ -5,6 +5,7 @@ from the closed-form expressions and frozen here before the module
 was written.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -154,6 +155,24 @@ def test_single_tone_bias_matches_closed_form(design):
     u = design.tap_positions() + design.left_extension
     expected = 4.0 + 6.0 * np.abs(np.sin(design.wavenumber(fb) * u))
     assert np.allclose(bias.voltages, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("termination", ["short", "open", "matched"])
+def test_no_modes_leave_every_tap_at_the_dc_offset(bundle, tmp_path, termination):
+    # through the library, and through a loaded config that omits modes
+    design = replace(bundle.design, termination=w.Termination(termination))
+    bias = w.rectified_bias(design, w.Excitation(dc_offset=4.0))
+    assert np.array_equal(bias.voltages, np.full(design.element_count, 4.0))
+    doc = bundle.to_dict()
+    doc["design"]["termination"] = termination
+    del doc["excitation"]["modes"]
+    path = tmp_path / "no-modes.json"
+    path.write_text(json.dumps(doc))
+    config = w.load_config(path)
+    assert config.excitation.modes == ()
+    bias = w.rectified_bias(config.design, config.excitation)
+    dc_offset = doc["excitation"]["dc_offset"]
+    assert np.array_equal(bias.voltages, np.full(design.element_count, dc_offset))
 
 
 def test_multi_tone_bias_against_dense_scan(design):

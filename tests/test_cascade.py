@@ -152,11 +152,14 @@ def test_overflowing_electrical_length_raises_input_error(design):
      "coupling_capacitance must be positive"),
     (lambda d: replace(w.build_network(d, 7.18e6), tap_loads=np.full(d.element_count - 1, 1e3)),
      "segments, tap loads, and tap positions must align"),
+    (lambda d: w.build_network(d, 7.18e6, z_rect=np.ones(d.element_count - 1)),
+     "tap loads"),
     (lambda d: replace(w.build_network(d, 7.18e6),
                        segment_angles=np.r_[math.inf, np.ones(d.element_count - 1)]),
      "segment_angles and lead_angle must be finite"),
     (lambda d: w.NodeVoltages(np.zeros(3), np.zeros(2)), "1-d arrays of equal length"),
-], ids=["zero_coupling", "misaligned_loads", "inf_segment", "unequal_node_shapes"])
+], ids=["zero_coupling", "misaligned_loads", "missized_z_rect", "inf_segment",
+        "unequal_node_shapes"])
 def test_cascade_typed_errors(design, build, fragment):
     with pytest.raises(InputError) as info:
         build(design)

@@ -576,9 +576,14 @@ def _ingest_text(path, name, text, fmt="auto"):
      ParseError, "no data rows found"),
     (lambda p, c, t: _ingest_text(p, "sweep.csv", "f_hz,re_z,im_z\n", fmt="xyz"),
      InputError, "unknown impedance format 'xyz'"),
+    # only the last row's 1/(w C_v) overflows, at a bias the lookup never reaches
+    (lambda p, c, t: w.reflection_profile(c, w.VaractorTable(
+        series_inductance=2.34e-9, rows=[(4.0, 1e-12, 0.5), (5.0, 1e-310, 0.5)]), [4.0], 1.0),
+     InputError, "carrier frequency 1.0 Hz is out of range for the cell model"),
 ], ids=["one_row_table", "negative_capacitance", "unequal_sweep_shapes",
         "unequal_profile_shapes", "negative_magnitude", "zero_thickness",
-        "option_line_without_impedance", "empty_csv", "header_only_csv", "unknown_format"])
+        "option_line_without_impedance", "empty_csv", "header_only_csv", "unknown_format",
+        "carrier_out_of_range_at_the_last_row"])
 def test_unitcell_typed_errors(tmp_path, cell, table, build, error, fragment):
     with pytest.raises(error) as info:
         build(tmp_path, cell, table)
