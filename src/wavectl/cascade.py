@@ -145,10 +145,9 @@ def build_network(design: BtlDesign, f: float, z_rect=1000.0,
     )
 
 
-def _propagate(v, i, angle, z0):
-    """Advance a (V, I) state through a line segment toward the source."""
-    c = np.cos(angle)
-    s = np.sin(angle)
+def _propagate(v, i, c, s, z0):
+    """Advance a (V, I) state toward the source through a line segment
+    whose electrical angle has cosine ``c`` and sine ``s``."""
     return v * c + 1j * z0 * s * i, 1j * v * s / z0 + i * c
 
 
@@ -173,18 +172,19 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
     else:
         v, i = 1.0 + 0.0j, 0.0 + 0.0j  # floating end: no current
 
-    v, i = _propagate(v, i, net.lead_angle, z0)
+    v, i = _propagate(v, i, np.cos(net.lead_angle), np.sin(net.lead_angle), z0)
 
-    taps = np.zeros(net.element_count, dtype=complex)
+    taps = []
     open_taps = np.isinf(net.tap_loads).tolist()  # an infinite part: no load
-    for m in range(net.element_count):
-        taps[m] = v
-        load = net.tap_loads[m]
-        if not open_taps[m]:
+    # each segment's cosine and sine from one ufunc call apiece, equal to the per-angle calls
+    segments = zip(np.cos(net.segment_angles), np.sin(net.segment_angles), net.tap_loads, open_taps)
+    for m, (c, s, load, unloaded) in enumerate(segments):
+        taps.append(v)
+        if not unloaded:
             if load == 0:
                 raise SolverError(f"tap {m} is a dead short; the solve is singular")
             i = i + v / load
-        v, i = _propagate(v, i, net.segment_angles[m], z0)
+        v, i = _propagate(v, i, c, s, z0)
 
     if not math.isinf(net.decoupling_inductance):
         i = i + v / (1j * w * net.decoupling_inductance)
@@ -194,7 +194,7 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
     if abs(v_required) < 1e-12 * scale_ref:
         raise SolverError("line input impedance cancels the source; the solve is singular")
     scale = net.generator_voltage / v_required
-    taps = taps * scale
+    taps = np.array(taps, dtype=complex) * scale
     if not (np.isfinite([i, v_required]).all() and np.isfinite(taps).all()):
         raise SolverError(f"the tapped-line state overflows at {net.frequency!r} Hz")
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from .btl import BtlDesign, Excitation, MicrostripSpec, Mode, Termination, slowness_factor
@@ -43,55 +43,62 @@ class RunConfig:
         return _RUN.render(self)
 
 
-class _Problems(list):
-    """One ``path: message`` line per problem, in the order found."""
+def _at(path, key):
+    """The JSON path of ``key`` within ``path``: an index in brackets, a
+    name after a dot, or ``path`` itself when ``key`` is None."""
+    if key is None:
+        return path
+    return f"{path}[{key}]" if type(key) is int else f"{path}.{key}"
 
-    def add(self, path, message):
-        self.append(f"{path}: {message}")
+
+class _Problems(list):
+    """One ``path: message`` line per problem, in the order found.
+
+    A value is read with the path of its container and its own key, and
+    the two are joined only when a problem is recorded.
+    """
+
+    def add(self, path, key, message):
+        self.append(f"{_at(path, key)}: {message}")
 
 
 _ABSENT = object()  # the value of a key the document leaves out
 
 
-def _number(value, path, problems):
+def _number(value, path, key, problems):
     """A required finite number as a float, or None once the problem is recorded."""
-    if value is _ABSENT:
-        problems.add(path, "missing required field")
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.add(path, "must be a number")
-    elif not math.isfinite(value):
-        problems.add(path, "must be a finite number")
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
+        if math.isfinite(value):
+            return float(value)
+        problems.add(path, key, "must be a finite number")
     else:
-        return float(value)
+        problems.add(path, key, "missing required field" if value is _ABSENT else "must be a number")
     return None
 
 
-def _integer(value, path, problems):
-    if value is _ABSENT:
-        problems.add(path, "missing required field")
-    elif isinstance(value, bool) or not isinstance(value, int):
-        problems.add(path, "must be an integer")
-    else:
+def _integer(value, path, key, problems):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
+    problems.add(path, key, "missing required field" if value is _ABSENT else "must be an integer")
     return None
 
 
-def _nullable_number(value, path, problems):
-    return None if value is None else _number(value, path, problems)
+def _nullable_number(value, path, key, problems):
+    return None if value is None else _number(value, path, key, problems)
 
 
-def _termination(value, path, problems):
+def _termination(value, path, key, problems):
     try:
         return BtlDesign.termination if value is _ABSENT else Termination(value)
     except ValueError:
-        problems.add(path, "must be one of short, open, matched")
+        problems.add(path, key, "must be one of short, open, matched")
         return None
 
 
-def _text(value, path, problems):
+def _text(value, path, key, problems):
     if value is _ABSENT or value is None or isinstance(value, str):
         return None if value is _ABSENT else value
-    problems.add(path, "must be a string")
+    problems.add(path, key, "must be a string")
     return None
 
 
@@ -106,12 +113,12 @@ class _Leaf:
 def _optional_number(default, positive=False):
     """A number that is ``default`` when absent, or when bad once the problem is recorded."""
 
-    def read(value, path, problems):
-        number = default if value is _ABSENT else _number(value, path, problems)
+    def read(value, path, key, problems):
+        number = default if value is _ABSENT else _number(value, path, key, problems)
         if number is None:
             return default
         if positive and number <= 0:
-            problems.add(path, "must be positive")
+            problems.add(path, key, "must be positive")
         return number
 
     return _Leaf(read)
@@ -124,7 +131,7 @@ def _build(build, path, values, problems):
     try:
         return build(**values)
     except InputError as err:
-        problems.add(path, str(err))
+        problems.add(path, None, str(err))
         return None
 
 
@@ -141,14 +148,16 @@ class _Object:
         self.table = table
         self.build = build
 
-    def read(self, value, path, problems):
+    def read(self, value, path, key, problems):
+        path = _at(path, key)
         if not isinstance(value, dict):
-            problems.add(path, self.not_object)
+            problems.add(path, None, self.not_object)
             return None
         for key in value:
             if key not in self.table:
-                problems.add(f"{path}.{key}", "unrecognized field")
-        values = {key: field.read(value.get(key, _ABSENT), f"{path}.{key}", problems)
+                # named after a dot, whatever the key's type
+                problems.add(f"{path}.{key}", None, "unrecognized field")
+        values = {key: field.read(value.get(key, _ABSENT), path, key, problems)
                   for key, field in self.table.items()}
         return values if self.build is None else _build(self.build, path, values, problems)
 
@@ -172,13 +181,12 @@ class _Section(_Object):
         super().__init__(table, build)
         self.required = required
 
-    def read(self, value, path, problems):
-        path = path.removeprefix("$.")
+    def read(self, value, path, key, problems):
         if value is _ABSENT:
             if self.required:
-                problems.add(path, "missing required section")
+                problems.add(key, None, "missing required section")
             return None
-        return super().read(value, path, problems)
+        return super().read(value, key, None, problems)
 
 
 class _Array:
@@ -188,13 +196,15 @@ class _Array:
         self.item = item
         self.required = required
 
-    def read(self, value, path, problems):
+    def read(self, value, path, key, problems):
         if value is _ABSENT and not self.required:
             return ()
+        path = _at(path, key)
         if not isinstance(value, list) or (self.required and not value):
-            problems.add(path, "must be a nonempty array" if self.required else "must be an array")
+            problems.add(path, None,
+                         "must be a nonempty array" if self.required else "must be an array")
             return None
-        items = [self.item.read(item, f"{path}[{i}]", problems) for i, item in enumerate(value)]
+        items = [self.item.read(item, path, i, problems) for i, item in enumerate(value)]
         return None if None in items else tuple(items)
 
     def render(self, items):
@@ -245,11 +255,11 @@ def _design(values, microstrip, problems):
         return None
     if values["slowness"] is None:
         if microstrip is None:
-            problems.add("design.slowness",
+            problems.add("design", "slowness",
                          "null requires a microstrip section to derive the value from")
             return None
         if not values["spacing"] > 0:
-            problems.add("design.spacing", "must be positive")
+            problems.add("design", "spacing", "must be positive")
             return None
         values["slowness"] = slowness_factor(microstrip, values["spacing"])
     return _build(BtlDesign, "design", values, problems)
@@ -263,7 +273,7 @@ def config_from_dict(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(None, "configuration must be a JSON object")
     problems = _Problems()
-    values = _RUN.read(doc, "$", problems)
+    values = _RUN.read(doc, "$", None, problems)
     values["design"] = _design(values["design"], values["microstrip"], problems)
     if problems:
         raise ConfigError(None, "\n".join(problems))
@@ -286,5 +296,7 @@ def load_config(path) -> RunConfig:
 
 def load_bundled_config() -> RunConfig:
     """The reference design shipped with the package."""
-    text = resources.files("wavectl").joinpath("data", BUNDLED_DESIGN).read_text("utf-8")
-    return config_from_dict(json.loads(text))
+    # read beside this module: the package ships its data files as plain files
+    with open(os.path.join(os.path.dirname(__file__), "data", BUNDLED_DESIGN),
+              encoding="utf-8") as fh:
+        return config_from_dict(json.load(fh))

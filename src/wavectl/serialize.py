@@ -27,8 +27,8 @@ product may sit at a half-way point: values with |s mod 1 - 0.5| <
 """
 
 import hashlib
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -75,9 +75,7 @@ def format_float(x):
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    if x == 0.0:
-        x = 0.0  # collapse -0.0 so the sign bit cannot leak into output
-    return _FLOAT.format(x)
+    return _FLOAT.format(x + 0.0)  # -0.0 + 0.0 is +0.0: the sign bit cannot leak
 
 
 def _finite_floats(values):
@@ -212,42 +210,50 @@ def _csv_block(columns):
 
 
 def _emit(obj, indent, out):
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    """Append the canonical JSON text of ``obj`` to ``out``.
+
+    The types are tested in the order they occur most often; bool comes
+    before int, of which it is a subclass.  Strings and keys are quoted
+    by the function ``json.dumps(s)`` quotes a str with.
+    """
+    if isinstance(obj, float):
         out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        out.append("{\n")
-        keys = sorted(obj.keys())
-        for i, key in enumerate(keys):
+        inner = "  " * (indent + 1)
+        sep = "{\n" + inner
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be strings")
-            out.append(pad + "  " + json.dumps(key, ensure_ascii=True) + ": ")
+            out.append(sep + _quote(key) + ": ")
             _emit(obj[key], indent + 1, out)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
+            sep = ",\n" + inner
+        out.append("\n" + inner[2:] + "}")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, np.floating):
+        out.append(format_float(obj))
     elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
         _emit_floats(obj, indent, out)
     elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
+        if not obj:
             out.append("[]")
             return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(pad + "  ")
+        inner = "  " * (indent + 1)
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
             _emit(item, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+            sep = ",\n" + inner
+        out.append("\n" + inner[2:] + "]")
     else:
         raise TypeError(f"unsupported JSON value type {type(obj).__name__}")
 

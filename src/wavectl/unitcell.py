@@ -50,16 +50,17 @@ class VaractorTable:
             raise InputError("varactor rows must be finite")
         if len(rows) < 2:
             raise InputError("varactor table needs at least two rows")
-        volts, caps, res = (freeze_field(self, name, column)
-                            for name, column in zip(("_volts", "_caps", "_res"), zip(*rows)))
-        if not np.all(np.diff(volts) > 0):
+        volts, caps, res = zip(*rows)
+        if not all(a < b for a, b in zip(volts, volts[1:])):
             raise InputError("varactor rows must be strictly increasing in voltage")
-        if not np.all(np.diff(caps) < 0):
+        if not all(a > b for a, b in zip(caps, caps[1:])):
             raise InputError("varactor capacitance must be strictly decreasing")
-        if not np.all(caps > 0):
+        if not all(c > 0 for c in caps):
             raise InputError("varactor capacitance must be positive")
-        if not np.all(res >= 0):
+        if not all(r >= 0 for r in res):
             raise InputError("varactor resistance must be nonnegative")
+        for name, column in zip(("_volts", "_caps", "_res"), (volts, caps, res)):
+            freeze_field(self, name, column)
         object.__setattr__(self, "rows", rows)
 
     @property

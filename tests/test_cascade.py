@@ -164,3 +164,93 @@ def test_cascade_typed_errors(design, build, fragment):
     with pytest.raises(InputError) as info:
         build(design)
     assert fragment in str(info.value)
+
+
+def _propagate_at(v, i, angle, z0):
+    """The reference segment step: cos and sin of its own angle, one call each."""
+    c = np.cos(angle)
+    s = np.sin(angle)
+    return v * c + 1j * z0 * s * i, 1j * v * s / z0 + i * c
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _per_tap_solve(net):
+    """Reference: the tap loop that takes each segment's cos and sin at its own tap.
+
+    Returns the scaled tap phasors, or the SolverError message.
+    """
+    w_ = 2.0 * math.pi * net.frequency
+    z0 = net.characteristic_impedance
+    if w_ * net.coupling_capacitance == 0:
+        return f"the tapped-line state overflows at {net.frequency!r} Hz"
+    z_c = 0.0 if math.isinf(net.coupling_capacitance) else 1.0 / (1j * w_ * net.coupling_capacitance)
+    if net.termination is w.Termination.SHORT:
+        v, i = z_c, 1.0 + 0.0j
+    else:
+        v, i = 1.0 + 0.0j, 0.0 + 0.0j
+    v, i = _propagate_at(v, i, net.lead_angle, z0)
+    taps = np.zeros(net.element_count, dtype=complex)
+    open_taps = np.isinf(net.tap_loads).tolist()
+    for m in range(net.element_count):
+        taps[m] = v
+        load = net.tap_loads[m]
+        if not open_taps[m]:
+            if load == 0:
+                return f"tap {m} is a dead short; the solve is singular"
+            i = i + v / load
+        v, i = _propagate_at(v, i, net.segment_angles[m], z0)
+    if not math.isinf(net.decoupling_inductance):
+        i = i + v / (1j * w_ * net.decoupling_inductance)
+    v_required = v + i * (z_c + net.generator_impedance)
+    if abs(v_required) < 1e-12 * max(abs(v), abs(i) * z0, 1.0):
+        return "line input impedance cancels the source; the solve is singular"
+    taps = taps * (net.generator_voltage / v_required)
+    if not (np.isfinite([i, v_required]).all() and np.isfinite(taps).all()):
+        return f"the tapped-line state overflows at {net.frequency!r} Hz"
+    return taps
+
+
+def _random_network(rng, design):
+    m = int(rng.integers(1, 201))
+    d = replace(design, element_count=m,
+                termination=rng.choice([w.Termination.SHORT, w.Termination.OPEN]),
+                spacing=float(rng.uniform(5e-3, 5e-2)),
+                left_extension=float(rng.uniform(0.0, 3e-2)),
+                right_extension=float(rng.uniform(1e-3, 3e-2)),
+                characteristic_impedance=float(rng.uniform(10.0, 120.0)))
+    loads = rng.uniform(1.0, 5e3, m) + 1j * rng.uniform(-2e3, 2e3, m)
+    kind = rng.integers(3)  # finite, open or mixed tap loads
+    if kind == 1:
+        loads[:] = math.inf
+    elif kind == 2:
+        loads[rng.random(m) < 0.5] = math.inf
+    return w.build_network(
+        d, float(10 ** rng.uniform(5.0, 8.0)), z_rect=loads,
+        coupling_capacitance=math.inf if rng.random() < 0.3 else float(10 ** rng.uniform(-9, -5)),
+        decoupling_inductance=math.inf if rng.random() < 0.3 else float(10 ** rng.uniform(-6, -3)),
+        total_loss_db=0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 10.0)),
+        generator_voltage=float(rng.uniform(-20.0, 20.0)),
+        generator_impedance=float(rng.uniform(1.0, 100.0)))
+
+
+def test_solve_taps_equals_the_per_tap_loop_bit_for_bit(design):
+    # short and open lines of 1-200 taps, lossless and lossy, finite, open
+    # and mixed tap loads, ideal and finite coupling C and decoupling L
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        net = _random_network(rng, design)
+        expected = _per_tap_solve(net)
+        if isinstance(expected, str):
+            with pytest.raises(SolverError) as info:
+                w.solve_taps(net)
+            assert str(info.value) == expected
+        else:
+            assert w.solve_taps(net).tap_voltages.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("termination, count", [("short", 27), ("open", 60)])
+def test_bundled_lines_solve_as_the_per_tap_loop(design, termination, count):
+    d = replace(design, termination=w.Termination(termination), element_count=count)
+    for f in (5e5, 7.18e6, 2.3e7):
+        net = w.build_network(d, f)
+        assert w.solve_taps(net).tap_voltages.tobytes() == _per_tap_solve(net).tobytes()

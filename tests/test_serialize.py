@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wavectl.serialize import (
+    _emit_floats,
     format_float,
     format_floats,
     json_text,
@@ -147,3 +149,98 @@ def test_serialize_typed_errors(tmp_path, build, error, fragment):
 
 def test_json_text_of_an_empty_object():
     assert json_text({}) == "{}\n"
+
+
+def _reference_emit(obj, indent, out):
+    """Reference: the emitter that tests the types in the order None, bool,
+    int, float, str, dict, float ndarray, list, and quotes with json.dumps."""
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj.keys())
+        for i, key in enumerate(keys):
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be strings")
+            out.append(pad + "  " + json.dumps(key, ensure_ascii=True) + ": ")
+            _reference_emit(obj[key], indent + 1, out)
+            out.append(",\n" if i < len(keys) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
+        _emit_floats(obj, indent, out)
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(obj):
+            out.append(pad + "  ")
+            _reference_emit(item, indent + 1, out)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"unsupported JSON value type {type(obj).__name__}")
+
+
+def _reference_text(obj):
+    out = []
+    _reference_emit(obj, 0, out)
+    return "".join(out) + "\n"
+
+
+# keys and strings with non-ASCII characters, quotes, backslashes and
+# control characters among plain ones
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')),
+               max_size=8)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), TEXT,
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.just(-0.0),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+)
+DOCUMENTS = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(TEXT, inner, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS)
+@example({})
+@example([])
+@example(())
+@example({"": [{}, [], ()], "\u00e9\u2603\U0001f600": "\"\\\n\u0001", "k": -0.0})
+def test_json_text_equals_the_reference_emitter(doc):
+    assert json_text(doc) == _reference_text(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    math.nan, {"a": [1.0, math.inf]}, np.float32("nan"), {"x": np.float64(-math.inf)},
+    {1: 2.0}, {"a": 0, 1: 0}, {2: 0, 1: 0}, {"s": {1, 2}}, [1 + 2j],
+    np.array([1, 2]), {"k": np.array(1.5)}, [np.array([1.0, math.nan])], [np.bool_(True)],
+], ids=["nan", "inf_in_list", "float32_nan", "float64_inf", "int_key", "mixed_keys",
+        "int_keys", "set", "complex", "int_array", "0d_array", "nan_in_array", "numpy_bool"])
+def test_json_text_refuses_as_the_reference_emitter(doc):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        _reference_text(doc)
+    with pytest.raises(expected.type) as actual:
+        json_text(doc)
+    assert type(actual.value) is expected.type
+    assert str(actual.value) == str(expected.value)

@@ -588,3 +588,47 @@ def test_unitcell_typed_errors(tmp_path, cell, table, build, error, fragment):
     with pytest.raises(error) as info:
         build(tmp_path, cell, table)
     assert fragment in str(info.value)
+
+
+# the table's rules in the order they are checked, each with the (row,
+# column, value) edit of a valid table that breaks it alone; the row
+# count is broken by keeping only the first row
+_TABLE_RULES = [
+    ("varactor rows must be finite", (0, 0, math.inf)),
+    ("varactor table needs at least two rows", None),
+    ("varactor rows must be strictly increasing in voltage", (1, 0, 2.5)),
+    ("varactor capacitance must be strictly decreasing", (2, 1, 3.5e-12)),
+    ("varactor capacitance must be positive", (-1, 1, -1e-12)),
+    ("varactor resistance must be nonnegative", (-1, 2, -0.1)),
+]
+
+
+@pytest.mark.parametrize("broken", [
+    mask for mask in range(1, 64)
+    # one row leaves nothing to rise or fall
+    if not (mask & 2 and mask & (4 | 8))])
+def test_a_table_breaking_several_rules_names_the_first(broken):
+    rows = [[4.0, 4e-12, 0.4], [5.0, 3e-12, 0.3], [6.0, 2e-12, 0.2], [7.0, 1e-12, 0.1]]
+    if broken & 2:
+        del rows[1:]
+    for bit, (_, edit) in enumerate(_TABLE_RULES):
+        if broken >> bit & 1 and edit:
+            row, column, value = edit
+            rows[row][column] = value
+    first = next(message for bit, (message, _) in enumerate(_TABLE_RULES) if broken >> bit & 1)
+    with pytest.raises(InputError) as info:
+        w.VaractorTable(series_inductance=2.34e-9, rows=rows)
+    assert str(info.value) == first
+
+
+@pytest.mark.parametrize("rows", [
+    [(4, 8e-13, 0), (5, 7e-13, 1)],
+    [(np.float32(4.0), np.float64(8e-13), np.int64(1)), (5.5, 7e-13, 0.25), (6.0, 1e-13, 0.5)],
+])
+def test_table_columns_are_read_only_float_arrays_of_the_rows(table, rows):
+    for t in (table, w.VaractorTable(series_inductance=1e-9, rows=rows)):
+        assert all(type(x) is float for row in t.rows for x in row)
+        for k, column in enumerate((t._volts, t._caps, t._res)):
+            assert column.dtype == np.float64 and not column.flags.writeable
+            assert column.flags.c_contiguous
+            assert column.tolist() == [row[k] for row in t.rows]
