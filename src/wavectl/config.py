@@ -68,8 +68,11 @@ _ABSENT = object()  # the value of a key the document leaves out
 def _number(value, path, key, problems):
     """A required finite number as a float, or None once the problem is recorded."""
     if isinstance(value, (float, int)) and not isinstance(value, bool):
-        if math.isfinite(value):
-            return float(value)
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
         problems.add(path, key, "must be a finite number")
     else:
         problems.add(path, key, "missing required field" if value is _ABSENT else "must be a number")

@@ -21,7 +21,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -352,7 +352,7 @@ def _read_text(path):
 
 _TOUCHSTONE_DEFAULTS = (1e9, "ma", 50.0)  # GHz, MA, R 50 until an option line says otherwise
 _COMMENT = re.compile("![^\n]*")
-_CHUNK_ROWS = 1024  # rows split at a time: only one chunk's token lists are alive at once
+_CHUNK_ROWS = 1024  # rows read at a time: a chunk is joined into one string and split once
 
 
 def _columns(lines, sep=None):
@@ -364,18 +364,25 @@ def _columns(lines, sep=None):
     finite.
     """
     table = np.empty((len(lines), 3))
+    glue = f"{sep or ' '}\0{sep or ' '}"  # a NUL field between lines, which float() refuses
     for start in range(0, len(lines), _CHUNK_ROWS):
         chunk = lines[start:start + _CHUNK_ROWS]
-        parts = list(map(str.split, chunk, repeat(sep)))
-        if set(map(len, parts)) != {3}:
-            got = next(len(p) for p in parts if len(p) != 3)
-            what = "3 columns" if sep else "3 columns (frequency and one S value)"  # CSV, s1p
-            raise ParseError(f"expected {what}, got {got}")
-        try:
-            table[start:start + len(parts)] = np.fromiter(
-                map(float, chain.from_iterable(parts)), float, 3 * len(parts)).reshape(-1, 3)
-        except ValueError:  # float() refused a field
-            raise _bad_data(chunk) from None
+        fields = glue.join(chunk).split(sep)
+        if len(fields) == 4 * len(chunk) - 1:
+            # the NULs are every fourth field if each line has three; if not, a NUL stays
+            del fields[3::4]
+            try:
+                table[start:start + len(chunk)] = np.fromiter(
+                    map(float, fields), float, 3 * len(chunk)).reshape(-1, 3)
+                continue
+            except ValueError:  # float() refused a field
+                pass
+        # the chunk fails: name its first field count that is not 3, as a line-by-line read would
+        got = next((n for n in map(len, map(str.split, chunk, repeat(sep))) if n != 3), 3)
+        if got == 3:
+            raise _bad_data(chunk)
+        what = "3 columns" if sep else "3 columns (frequency and one S value)"  # CSV, s1p
+        raise ParseError(f"expected {what}, got {got}")
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(table[:, 0] + table[:, 1] + table[:, 2]).all():
             raise _bad_data(lines)

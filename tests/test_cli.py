@@ -459,6 +459,16 @@ def test_absurd_mode_index_exits_2_naming_the_mode(tmp_path, capsys, index):
     assert not (tmp_path / "out").exists()
 
 
+def test_spacing_beyond_float_range_exits_2_naming_it(tmp_path, capsys):
+    doc = w.load_bundled_config().to_dict()
+    doc["design"]["spacing"] = int("9" * 400)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bias", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "wavectl: design.spacing: must be a finite number\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _two_tone_config(path):
     doc = w.load_bundled_config().to_dict()
     doc["excitation"]["modes"] = [{"mode_index": 1, "amplitude": 4.0, "phase": 0.0},

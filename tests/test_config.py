@@ -355,6 +355,15 @@ def test_absurd_element_count_exits_2_through_the_cli(tmp_path, capsys, count):
         "wavectl: design: element_count is too large: at most 4096 taps\n")
 
 
+def test_number_beyond_float_range_is_not_finite():
+    # math.isfinite converts the integer to a float, which overflows
+    doc = _bundled_doc()
+    doc["design"]["spacing"] = int("9" * 400)
+    with pytest.raises(ConfigError) as err:
+        w.config_from_dict(doc)
+    assert str(err.value) == "design.spacing: must be a finite number"
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     text = json.dumps(_bundled_doc()).encode()
     cfg = tmp_path / "cfg.json"

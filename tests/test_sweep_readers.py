@@ -8,6 +8,7 @@ frequencies and impedances, or raise the same error with the same
 message and line number.
 """
 
+import gc
 import io
 import math
 
@@ -259,7 +260,8 @@ def test_mutated_sweeps_read_as_the_reference_reads_them(sweep_dir, name, edits)
 # are found, and named, past the first chunk
 _LONG_F = np.linspace(1e9, 5e9, 3001)
 _LONG_Z = w.synthesize_samples(w.load_bundled_config().cell, _LONG_F).impedances
-_FAULTS = ["bad-number", "two-fields", "s-equals-1", "zero-hz", "falling", "chunks-1-and-3"]
+_FAULTS = ["bad-number", "two-fields", "s-equals-1", "zero-hz", "falling", "chunks-1-and-3",
+           "short-then-long", "short-then-long-in-chunk-1", "short-then-long-led-by-nul"]
 
 
 def _long_rows(kind):
@@ -287,6 +289,12 @@ def _put_fault(rows, kind, fault):
     elif fault == "falling":
         rows[k], rows[k + 1] = rows[k + 1], rows[k]
         k += 1
+    elif fault == "short-then-long-led-by-nul":  # 2 + 4 fields, the 4 starting with a NUL
+        rows[k].pop()
+        rows[k + 1].insert(0, "\0")
+    elif fault.startswith("short-then-long"):  # 2 + 4 fields: 3 a line, but not on each line
+        k = 100 if fault.endswith("chunk-1") else k
+        rows[k + 1].append(rows[k].pop())
     else:  # a bad line in chunk 1 and another in chunk 3: the first is named
         rows[100][2] = "x"
         rows[2500][0] = "nan"
@@ -332,3 +340,33 @@ def test_the_bad_line_is_found_in_logarithmically_many_conversions(tmp_path, mon
     assert got == _reference_outcome(path)
     assert got[1].startswith(f"line {bad[0] + 2}: "), got  # line 1 is the header
     assert len(calls) <= 2 * math.log2(len(rows)) + 2
+
+
+@pytest.mark.parametrize("kind", ["csv", "ri"])
+def test_reading_a_long_sweep_starts_no_garbage_collection(tmp_path, kind):
+    # each chunk is split as one string, with no list per line, so a read
+    # allocates too few tracked objects to start a collection
+    f = np.linspace(1e9, 5e9, 6001)
+    z = w.synthesize_samples(w.load_bundled_config().cell, f).impedances
+    if kind == "csv":
+        text = "f_hz,re_z,im_z\n" + "".join(f"{a!r},{b.real!r},{b.imag!r}\n"
+                                            for a, b in zip(f.tolist(), z.tolist()))
+    else:
+        s = ((z - 50.0) / (z + 50.0)).tolist()
+        text = "# Hz S RI R 50\n" + "".join(_ri(a, b) + "\n" for a, b in zip(f.tolist(), s))
+    path = tmp_path / ("long.csv" if kind == "csv" else "long.s1p")
+    path.write_text(text)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        got = w.ingest_impedance(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert got.frequencies.size == 6001
+    assert started == []
