@@ -134,96 +134,65 @@ class ScanGrid:
         }
 
 
-def _steering_vectors(design, f_c, thetas):
-    """The (P, M) steering vectors exp(j*m*k*d*sin(theta)) of the line at P angles.
+def _grid_maps(cell, table, envelope, w_axis, w0, f_c, steer):
+    """|F(theta)| over the (f, W) grid for each steering vector, and whether any bias was clamped.
 
-    Built anew rather than through radiation's row cache, whose one slot
-    holds the final pattern's rows over its whole angle grid.
-    """
-    return _radiation._phase_rows(design.element_count, design.spacing, f_c, thetas).T
-
-
-def _bias(w0, w_b, envelope, out=None):
-    """Single-tone tap biases w0 + W_b * envelope, in out where given."""
-    return np.add(w0, np.multiply(w_b, envelope, out=out), out=out)
-
-
-def _contract(gamma, s, tmp=None, out=None):
-    """|F| = |mean over taps of gamma * s|, with gamma * s formed in tmp where given."""
-    return np.abs(np.multiply(gamma, s, out=tmp).mean(axis=-1), out=out)
-
-
-def _grid_maps(design, cell, table, f_axis, w_axis, w0, f_c, thetas):
-    """|F(theta)| over the (f, W) grid for each angle, and whether any bias was clamped.
-
-    maps has shape (len(thetas), Nf, Nw).  A bias w0 + W * e[f, m] and
-    so its reflection depend on the envelope level e[f, m] alone, and
-    where evenly spaced taps meet an evenly spaced frequency grid many
-    (f, m) share one level.  So the grid is taken a super-block of at
-    most _BLOCK_POINTS (f, m) entries at a time, and the cell kernel
-    runs once per distinct level and W row (_level_maps).  Neither the
+    envelope holds the (Nf, M) levels e[f, m] and steer the (P, M)
+    steering vectors; maps has shape (P, Nf, Nw).  A bias w0 + W * e[f, m]
+    and so its reflection depend on the level e[f, m] alone, and where
+    evenly spaced taps meet an evenly spaced frequency grid many (f, m)
+    share one level.  So the grid is taken a super-block of at most
+    _BLOCK_POINTS (f, m) entries at a time, and the cell kernel runs
+    once per distinct level and W row (_level_maps).  Neither the
     (Nf, Nw, M) reflection tensor nor its biases ever exist.  Each
     reflection and each tap sum is formed by the same ufuncs, over the
     same M contiguous values, as in the rectified_bias ->
     reflection_profile -> array_factor pipeline for a single-tone
     excitation; only the evaluation order differs.
     """
-    count = design.element_count
-    if len(f_axis) * len(w_axis) * count > _MAX_TENSOR_POINTS:
-        raise InputError(f"design.element_count ({count}) times the "
-                         f"f_range/f_step x w_range/w_step grid ({len(f_axis)} x "
-                         f"{len(w_axis)}) spans more than {_MAX_TENSOR_POINTS} points")
-    steer = _steering_vectors(design, f_c, thetas)
-    envelope = _btl.single_tone_envelope(design, f_axis)
-    w_axis = np.asarray(w_axis, dtype=float)
-    maps = np.empty((len(steer), len(f_axis), w_axis.size))
-    freqs = max(1, min(_BLOCK_POINTS // count, len(f_axis)))
+    maps = np.empty((len(steer), len(envelope), w_axis.size))
+    freqs = max(1, min(_BLOCK_POINTS // envelope.shape[1], len(envelope)))
     clamped = False
-    for i in range(0, len(f_axis), freqs):
-        block_clamped = _level_maps(cell, table, envelope[i:i + freqs], w_axis, w0, f_c, steer,
+    for i in range(0, len(envelope), freqs):
+        block = envelope[i:i + freqs]
+        levels, inverse = np.unique(block, return_inverse=True)
+        inverse = inverse.reshape(block.shape)  # flat before numpy 2
+        block_clamped = _level_maps(cell, table, levels, inverse, w_axis, w0, f_c, steer,
                                     maps[:, i:i + freqs])
         clamped = clamped or block_clamped
     return maps, clamped
 
 
-def _level_maps(cell, table, envelope, w_axis, w0, f_c, steer, maps):
-    """Fill the (P, F, Nw) maps of one super-block's (F, M) envelope; True if a bias clamped.
+def _level_maps(cell, table, levels, inverse, w_axis, w0, f_c, steer, maps):
+    """Fill the (P, F, Nw) maps of the (F, M) envelope levels[inverse]; True if a bias clamped.
 
-    The kernel runs on W rows x the block's distinct levels at a time;
-    each tap's reflection is then gathered back into a (W rows, F, M)
-    block and contracted against every angle's steering vector.  The
-    buffers live for one super-block only, so they never coexist with
-    np.unique's temporaries for the next.
+    The kernel runs on W rows x the distinct levels at a time; each
+    tap's reflection is then gathered back into a (W rows, F, M) block
+    and contracted against every angle's steering vector.  The buffers
+    live for one call only, so they never coexist with np.unique's
+    temporaries for the next super-block.
     """
-    levels, inverse = np.unique(envelope, return_inverse=True)
-    inverse = inverse.reshape(envelope.shape)  # flat before numpy 2
-    rows = max(1, min(_BLOCK_POINTS // envelope.size, w_axis.size))
+    rows = max(1, min(_BLOCK_POINTS // inverse.size, w_axis.size))
     volts = np.empty((rows, levels.size))
     z = np.empty(volts.shape, complex)
     # flat, so its front holds both a kernel block and the gathered taps
-    tmp = np.empty(rows * envelope.size, complex)
+    tmp = np.empty(rows * inverse.size, complex)
     clamped = False
     for j in range(0, w_axis.size, rows):
         w_rows = w_axis[j:j + rows, None]
-        bias = _bias(w0, w_rows, levels, out=volts[:len(w_rows)])
+        bias = volts[:len(w_rows)]
+        np.add(w0, np.multiply(w_rows, levels, out=bias), out=bias)
         buf = _unitcell._Buffers(z[:len(w_rows)], tmp[:bias.size].reshape(bias.shape))
         gamma, block_clamped = _unitcell._reflection_array(cell, table, bias, f_c, buf)
         clamped = clamped or block_clamped
         # each angle gathers the taps' reflections anew into tmp, which the
-        # kernel is done with, and forms its products there
-        taps = tmp[:len(w_rows) * envelope.size].reshape(len(w_rows), *envelope.shape)
+        # kernel is done with, and forms |mean over taps of gamma * s| there
+        taps = tmp[:len(w_rows) * inverse.size].reshape(len(w_rows), *inverse.shape)
         for p, s in enumerate(steer):
-            # indices from np.unique are in range: "clip" skips take's buffered check
+            # indices are in range: "clip" skips take's buffered check
             np.take(gamma, inverse, axis=1, mode="clip", out=taps)
-            _contract(taps, s, tmp=taps, out=maps[p, :, j:j + rows].T)
+            np.abs(np.multiply(taps, s, out=taps).mean(axis=-1), out=maps[p, :, j:j + rows].T)
     return clamped
-
-
-def _point_value(design, cell, table, f_b, w_b, w0, f_c, s):
-    """|F| at one (f_b, W_b) point against the steering vector s: one envelope row."""
-    envelope = _btl.single_tone_envelope(design, [f_b])[0]
-    gamma, _ = _unitcell._reflection_array(cell, table, _bias(w0, w_b, envelope), f_c)
-    return float(_contract(gamma, s))
 
 
 def _drive_pattern(design, cell, table, exc, f_c, theta_grid=None):
@@ -244,13 +213,27 @@ def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
 
 
 def _search_maps(design, cell, table, spec, thetas, f_c):
-    """The search grid's axes and |F(theta)| maps; warns the search's caller of a clamp."""
+    """Check a search, then return its axes, (P, M) steering vectors and |F(theta)| maps.
+
+    Warns the search's caller of a clamp.
+    """
+    if not all(abs(theta) <= math.pi / 2 for theta in thetas):
+        raise InputError("target and probe angles must lie within +-90 degrees")
     _unitcell._check_carrier(cell, table, f_c)  # once, not per refinement point
     f_axis, w_axis = spec.f_axis(), spec.w_axis()
-    maps, clamped = _grid_maps(design, cell, table, f_axis, w_axis, spec.w0, f_c, thetas)
+    count = design.element_count
+    if f_axis.size * w_axis.size * count > _MAX_TENSOR_POINTS:
+        raise InputError(f"design.element_count ({count}) times the "
+                         f"f_range/f_step x w_range/w_step grid ({f_axis.size} x "
+                         f"{w_axis.size}) spans more than {_MAX_TENSOR_POINTS} points")
+    # built anew rather than through radiation's row cache, whose one slot
+    # holds the final pattern's rows over its whole angle grid
+    steer = _radiation._phase_rows(count, design.spacing, f_c, thetas).T
+    maps, clamped = _grid_maps(cell, table, _btl.single_tone_envelope(design, f_axis), w_axis,
+                               spec.w0, f_c, steer)
     if clamped:
         warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=3)
-    return f_axis, w_axis, maps
+    return f_axis, w_axis, steer, maps
 
 
 def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
@@ -262,9 +245,7 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     grid step around the best coarse point.  Exact value ties resolve
     toward lower f_b, then lower W_b.
     """
-    if not (abs(theta_p) <= math.pi / 2):
-        raise InputError("theta_p must lie within +-90 degrees")
-    f_axis, w_axis, (values,) = _search_maps(design, cell, table, spec, [theta_p], f_c)
+    f_axis, w_axis, steer, (values,) = _search_maps(design, cell, table, spec, [theta_p], f_c)
 
     # flat argmax scans f-major then W-minor, which is the tie order
     flat = int(np.argmax(values))
@@ -274,10 +255,14 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     best_val = float(values[i_f, i_w])
 
     if spec.refine:
-        (s,) = _steering_vectors(design, f_c, [theta_p])
+        each_tap = np.arange(design.element_count)[None]  # each tap its own level
+        value = np.empty((1, 1, 1))
 
         def point_value(f_b, w_b):
-            return _point_value(design, cell, table, f_b, w_b, spec.w0, f_c, s)
+            # one envelope row through the grid's own kernel
+            (row,) = _btl.single_tone_envelope(design, [f_b])
+            _level_maps(cell, table, row, each_tap, np.array([w_b]), spec.w0, f_c, steer, value)
+            return float(value[0, 0, 0])
 
         # strict improvement keeps the coarse point on exact ties
         for _ in range(2):
@@ -307,8 +292,6 @@ def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
     probe_angles = [float(probe) for probe in probe_angles]
     if not probe_angles:
         raise InputError("at least one probe angle is required")
-    if not all(abs(probe) <= math.pi / 2 for probe in probe_angles):
-        raise InputError("probe angles must lie within +-90 degrees")
-    f_axis, w_axis, maps = _search_maps(design, cell, table, spec, probe_angles, f_c)
+    f_axis, w_axis, _, maps = _search_maps(design, cell, table, spec, probe_angles, f_c)
     return tuple(ScanGrid(probe_angle=probe, f_axis=f_axis, w_axis=w_axis, values=values)
                  for probe, values in zip(probe_angles, maps))

@@ -520,7 +520,9 @@ def _touchstone_block(options, lines):
 
 
 def _parse_touchstone(path):
-    text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+    text = _read_text(path)
+    if "\r" in text:  # universal newlines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     raw = _COMMENT.sub("", text).split("\n")
     lines = list(filter(None, map(str.strip, raw)))
     first = next((i for i, line in enumerate(lines) if line[0] == "#"), len(lines))

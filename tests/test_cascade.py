@@ -89,6 +89,17 @@ def test_dead_short_tap_raises(design):
         w.solve_taps(net)
 
 
+def test_source_cancelled_by_the_line_raises(design):
+    # where the shorted, unloaded line is half a wavelength long its input
+    # is a short, so a near-zero generator impedance cancels the source
+    f = w.C0 / (2 * design.slowness * design.total_length)
+    for z_g in (50.0, 1e-6):
+        w.solve_taps(w.build_network(design, f, generator_impedance=z_g, **IDEAL))
+    net = w.build_network(design, f, generator_impedance=1e-12, **IDEAL)
+    with pytest.raises(SolverError, match="line input impedance cancels the source"):
+        w.solve_taps(net)
+
+
 def test_rectified_from_phasors_clamps(design):
     net = w.build_network(design, 5e6, **IDEAL)
     nodes = w.solve_taps(net)

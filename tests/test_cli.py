@@ -139,6 +139,32 @@ def test_fit_command_round_trip(tmp_path):
         assert got[key] == pytest.approx(getattr(cell, key), rel=1e-2)
 
 
+def test_fit_input_format_overrides_the_extension(tmp_path):
+    # a Touchstone sweep under a .txt name and a CSV sweep under an .s1p
+    # name each fit as the file with the matching extension does
+    samples = w.synthesize_samples(w.load_bundled_config().cell, np.linspace(1e9, 4e9, 501))
+    g = (samples.impedances - 50) / (samples.impedances + 50)
+    touchstone = "# Hz S RI R 50\n" + "".join(
+        f"{f!r} {x.real!r} {x.imag!r}\n" for f, x in zip(samples.frequencies.tolist(), g.tolist()))
+    csv = tmp_path / "sweep.csv"
+    write_csv(csv, ("f_hz", "re_z", "im_z"),
+              (samples.frequencies, samples.impedances.real, samples.impedances.imag))
+    files = {"sweep.s1p": touchstone, "sweep.txt": touchstone, "csv.s1p": csv.read_text()}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+    def fitted(name, *fmt):
+        out = tmp_path / f"{name}-{'-'.join(fmt)}"
+        assert main(["fit", "--input", str(tmp_path / name), *fmt, "--thickness", "2.0292e-3",
+                     "--out", str(out)]) == 0
+        return (out / "cell.json").read_bytes()
+
+    touchstone_fit = fitted("sweep.s1p")
+    for fmt in ("s1p", "touchstone"):
+        assert fitted("sweep.txt", "--input-format", fmt) == touchstone_fit
+    assert fitted("csv.s1p", "--input-format", "csv") == fitted("sweep.csv")
+
+
 def test_cascade_artifact(tmp_path):
     out = tmp_path / "run"
     assert main(["cascade", "--out", str(out), "--zrect", "inf"]) == 0
@@ -510,3 +536,13 @@ def test_huge_but_finite_bias_still_runs(tmp_path):
                  "--out", str(out)]) == 0
     bias = np.array(_read_json(out / "bias.json")["bias_v"])
     assert np.all(np.isfinite(bias)) and bias.min() > 1e308
+
+
+@pytest.mark.parametrize("argv", [["steer", "--theta", "95"], ["scan", "--probe", "0,95"]])
+def test_angle_beyond_90_degrees_exits_2(tmp_path, capsys, argv):
+    # the search checks target and probe angles in one place
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "wavectl: target and probe angles must lie within +-90 degrees\n")
+    assert not list(out.iterdir())

@@ -200,6 +200,13 @@ def test_specular_scan_rejects_nan_probe(design, cell, table):
         w.specular_scan(design, cell, table, spec, [math.nan])
 
 
+def _grid_maps(line, cell, table, f_axis, w_axis, w0, f_c, thetas):
+    """steering._grid_maps over the line's single-tone envelope, at the angles thetas."""
+    steer = w.radiation._phase_rows(line.element_count, line.spacing, f_c, thetas).T
+    return steering._grid_maps(cell, table, w.btl.single_tone_envelope(line, f_axis), w_axis,
+                               w0, f_c, steer)
+
+
 @pytest.mark.parametrize("termination", list(w.Termination), ids=lambda t: t.value)
 def test_scan_equals_one_probe_at_a_time(design, cell, table, termination):
     # one shared reflection tensor gives exactly the per-probe objective
@@ -214,8 +221,8 @@ def test_scan_equals_one_probe_at_a_time(design, cell, table, termination):
     for probe, grid in zip(probes, grids):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            (values,), clamped = steering._grid_maps(
-                line, cell, table, spec.f_axis(), spec.w_axis(), spec.w0, 2.45e9, [probe])
+            (values,), clamped = _grid_maps(line, cell, table, spec.f_axis(), spec.w_axis(),
+                                            spec.w0, 2.45e9, [probe])
         assert clamped
         assert np.array_equal(grid.values, values)
 
@@ -243,9 +250,9 @@ def test_reflection_tensor_blocks_are_exact(design, cell, table, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
-        blocked, blocked_clamped = steering._grid_maps(*args)
+        blocked, blocked_clamped = _grid_maps(*args)
         monkeypatch.setattr(steering, "_BLOCK_POINTS", 2**40)
-        whole, whole_clamped = steering._grid_maps(*args)
+        whole, whole_clamped = _grid_maps(*args)
     assert np.array_equal(blocked, whole)
     assert blocked_clamped and whole_clamped
 
@@ -278,8 +285,7 @@ def test_grid_maps_equal_the_whole_grid_contracted_at_once(design, cell, table, 
     repeating = w.btl.single_tone_envelope(line, REPEATING_F)
     assert np.unique(repeating).size < repeating.size
     for f_axis in (CLAMPING_F, REPEATING_F):
-        maps, clamped = steering._grid_maps(line, cell, table, f_axis, CLAMPING_W, W0,
-                                            2.45e9, PROBES)
+        maps, clamped = _grid_maps(line, cell, table, f_axis, CLAMPING_W, W0, 2.45e9, PROBES)
         envelope = w.btl.single_tone_envelope(line, f_axis)
         bias = W0 + CLAMPING_W[None, :, None] * envelope[:, None, :]
         gamma, whole_clamped = w.unitcell._reflection_array(cell, table, bias, 2.45e9)
@@ -302,8 +308,7 @@ def test_grid_maps_do_not_depend_on_the_block_size(design, cell, table, monkeypa
     for size in (1, count, 2 * count, 6 * count, f_points, 2 * f_points, 3 * f_points,
                  CLAMPING_W.size * f_points):
         monkeypatch.setattr(steering, "_BLOCK_POINTS", size)
-        runs.append(steering._grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0,
-                                        2.45e9, PROBES))
+        runs.append(_grid_maps(design, cell, table, CLAMPING_F, CLAMPING_W, W0, 2.45e9, PROBES))
     for maps, clamped in runs:
         assert clamped
         assert np.array_equal(maps, runs[0][0])
@@ -315,8 +320,8 @@ def test_a_clamp_in_the_first_of_several_kernel_blocks_is_kept(design, cell, tab
     # frequency drives a tap past the 15 V table end
     monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
     args = (design, cell, table, np.array([8.0e6]))
-    _, clamped = steering._grid_maps(*args, np.array([12.0, 0.0, 6.0]), 4.0, 2.45e9, [0.0])
-    _, unclamped = steering._grid_maps(*args, np.array([0.0, 6.0]), 4.0, 2.45e9, [0.0])
+    _, clamped = _grid_maps(*args, np.array([12.0, 0.0, 6.0]), 4.0, 2.45e9, [0.0])
+    _, unclamped = _grid_maps(*args, np.array([0.0, 6.0]), 4.0, 2.45e9, [0.0])
     assert clamped and not unclamped
 
 
@@ -337,12 +342,12 @@ def test_non_finite_bias_in_a_later_block_raises_input_error(design, cell, table
     monkeypatch.setattr(steering, "_BLOCK_POINTS", 1)
     monkeypatch.setattr(w.unitcell, "_reflection_array", spoiled)
     args = (design, cell, table, CLAMPING_F, CLAMPING_W, W0, 2.45e9, PROBES)
-    steering._grid_maps(*args)
+    _grid_maps(*args)
     spoil[0], clean = len(blocks), blocks[:]
     assert len(clean) > 1
     blocks.clear()
     with pytest.raises(InputError, match="bias voltage must be finite"):
-        steering._grid_maps(*args)
+        _grid_maps(*args)
     assert blocks == clean
 
 
@@ -352,16 +357,19 @@ def test_non_finite_bias_in_a_later_block_raises_input_error(design, cell, table
 def test_refinement_point_equals_the_one_point_grid(design, cell, table, termination,
                                                     elements):
     # the refinement's val > best_val compares a point value with a grid
-    # value, so the two paths agree bit for bit
+    # value, so a refined objective equals the one-point grid bit for bit
     line = replace(design, termination=termination, element_count=elements)
+    spec = w.SearchSpec(w0=W0)
     rng = np.random.default_rng(elements)
     for theta in rng.uniform(-0.7, 0.7, 5):
-        (s,) = steering._steering_vectors(line, 2.45e9, [theta])
-        for f_b, w_b in zip(rng.uniform(0.1e6, 30.0e6, 10), rng.uniform(0.0, 12.0, 10)):
-            value = steering._point_value(line, cell, table, f_b, w_b, W0, 2.45e9, s)
-            maps, _ = steering._grid_maps(line, cell, table, np.array([f_b]), np.array([w_b]),
-                                          W0, 2.45e9, [theta])
-            assert value == maps[0, 0, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", w.ClampWarning)
+            sol = w.optimize_single_beam(line, cell, table, theta, spec)
+        maps, _ = _grid_maps(line, cell, table, np.array([sol.f_b]), np.array([sol.w_b]), W0,
+                             2.45e9, [theta])
+        # the refinement moved the point off the coarse grid
+        assert sol.f_b not in spec.f_axis() or sol.w_b not in spec.w_axis()
+        assert sol.objective_value == maps[0, 0, 0]
 
 
 @pytest.mark.parametrize("f_c", [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-150, 1e200, 1e308])

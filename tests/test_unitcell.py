@@ -566,6 +566,8 @@ def _ingest_text(path, name, text, fmt="auto"):
      InputError, "magnitudes and phases must be 1-d arrays of equal length"),
     (lambda p, c, t: w.ReflectionProfile(np.array([0.5, -0.5]), np.zeros(2)),
      InputError, "reflection magnitudes must be nonnegative"),
+    (lambda p, c, t: w.ReflectionProfile(np.zeros(0), np.zeros(0)),
+     InputError, "reflection profile may not be empty"),
     (lambda p, c, t: w.fit_circuit_model(
         w.synthesize_samples(c, np.linspace(1e9, 4e9, 64)), 0.0),
      InputError, "substrate_thickness must be positive"),
@@ -581,7 +583,7 @@ def _ingest_text(path, name, text, fmt="auto"):
         series_inductance=2.34e-9, rows=[(4.0, 1e-12, 0.5), (5.0, 1e-310, 0.5)]), [4.0], 1.0),
      InputError, "carrier frequency 1.0 Hz is out of range for the cell model"),
 ], ids=["one_row_table", "negative_capacitance", "unequal_sweep_shapes",
-        "unequal_profile_shapes", "negative_magnitude", "zero_thickness",
+        "unequal_profile_shapes", "negative_magnitude", "empty_profile", "zero_thickness",
         "option_line_without_impedance", "empty_csv", "header_only_csv", "unknown_format",
         "carrier_out_of_range_at_the_last_row"])
 def test_unitcell_typed_errors(tmp_path, cell, table, build, error, fragment):
