@@ -66,6 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def add_common(p):
         p.add_argument("--config", metavar="PATH",
                        help="configuration JSON (default: the bundled reference design)")
@@ -75,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the line termination")
         p.add_argument("--elements", type=int, metavar="M",
                        help="override the element count")
+        p.add_argument("--w0", type=_finite, metavar="V",
+                       help="dc offset (default: config value)")
 
     def add_tone(p, with_wb=True):
         p.add_argument("--fb", type=_finite, metavar="HZ",
@@ -82,28 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
         if with_wb:
             p.add_argument("--wb", type=_finite, metavar="V",
                            help="standing-wave amplitude (default: derived from the generator)")
-        p.add_argument("--w0", type=_finite, metavar="V",
-                       help="dc offset (default: config value)")
 
-    p_bias = sub.add_parser("bias", help="rectified bias voltage at each tap")
+    def add_format(p):
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+
+    p_bias = command("bias", _cmd_bias, "rectified bias voltage at each tap")
     add_common(p_bias)
     add_tone(p_bias)
-    p_bias.add_argument("--format", choices=["csv", "json"], default="csv")
+    add_format(p_bias)
 
-    p_pattern = sub.add_parser("pattern", help="far-field array factor for one operating point")
+    p_pattern = command("pattern", _cmd_pattern, "far-field array factor for one operating point")
     add_common(p_pattern)
     add_tone(p_pattern)
-    p_pattern.add_argument("--format", choices=["csv", "json"], default="csv")
+    add_format(p_pattern)
 
-    p_steer = sub.add_parser("steer", help="search frequency and amplitude for a target angle")
+    p_steer = command("steer", _cmd_steer, "search frequency and amplitude for a target angle")
     add_common(p_steer)
     p_steer.add_argument("--theta", type=_finite, required=True, metavar="DEG",
                          help="target beam angle in degrees")
-    p_steer.add_argument("--w0", type=_finite, metavar="V")
     p_steer.add_argument("--coarse-only", action="store_true",
                          help="skip the local refinement stage")
 
-    p_scan = sub.add_parser("scan", help="probe-angle magnitude over the search grid")
+    p_scan = command("scan", _cmd_scan, "probe-angle magnitude over the search grid")
     add_common(p_scan)
     p_scan.add_argument("--probe", default="0", metavar="DEG[,DEG...]",
                         help="comma-separated probe angles in degrees (default 0)")
@@ -113,10 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--wmin", type=_finite, default=SearchSpec.w_range[0], metavar="V")
     p_scan.add_argument("--wmax", type=_finite, default=SearchSpec.w_range[1], metavar="V")
     p_scan.add_argument("--wstep", type=_finite, default=SearchSpec.w_step, metavar="V")
-    p_scan.add_argument("--w0", type=_finite, metavar="V")
-    p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
+    add_format(p_scan)
 
-    p_fit = sub.add_parser("fit", help="recover circuit values from an impedance sweep")
+    p_fit = command("fit", _cmd_fit, "recover circuit values from an impedance sweep")
     p_fit.add_argument("--input", required=True, metavar="PATH",
                        help="impedance data: CSV (f_hz,re_z,im_z) or one-port Touchstone")
     p_fit.add_argument("--thickness", type=_finite, required=True, metavar="M",
@@ -126,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", metavar="DIR",
                        help="output directory (default '.')")
 
-    p_cascade = sub.add_parser("cascade", help="tap voltages from the loaded-line model")
+    p_cascade = command("cascade", _cmd_cascade, "tap voltages from the loaded-line model")
     add_common(p_cascade)
     add_tone(p_cascade, with_wb=False)
     p_cascade.add_argument("--zrect", metavar="OHM",
                            help="rectifier input impedance ('inf' for unloaded taps)")
     p_cascade.add_argument("--loss-db", type=_finite, default=0.0, metavar="DB",
                            help="total line loss in dB (default 0)")
-    p_cascade.add_argument("--format", choices=["csv", "json"], default="csv")
+    add_format(p_cascade)
 
     return parser
 
@@ -165,66 +171,66 @@ def _w0(args, config: RunConfig) -> float:
 def _resolve_tone(args, config: RunConfig, wb=None):
     """Fold CLI tone flags into the configured excitation.
 
-    Without wb, a single-mode (or empty) excitation derives its
-    amplitude from the generator chain at the requested frequency; a
-    multi-tone excitation passes through untouched.
+    A single-mode (or empty) excitation keeps its mode's index and phase
+    and takes wb as the amplitude, or without wb derives one from the
+    generator chain at the requested frequency.  A multi-tone excitation
+    passes through untouched and refuses wb.
     """
     exc = config.excitation
     fb = exc.fundamental_frequency if args.fb is None else args.fb
-    if wb is not None:
-        modes = (Mode(1, wb),)
-    elif len(exc.modes) <= 1:
-        old = exc.modes[0] if exc.modes else Mode(1, 0.0)
-        amp = standing_wave_amplitude(config.design, exc, old.mode_index * fb)
-        modes = (replace(old, amplitude=amp),)
-    else:
+    if len(exc.modes) > 1:
+        if wb is not None:
+            raise InputError(f"--wb sets the amplitude of a single drive tone; "
+                             f"the configuration drives {len(exc.modes)} modes")
         modes = exc.modes
+    else:
+        old = exc.modes[0] if exc.modes else Mode(1, 0.0)
+        if wb is None:
+            wb = standing_wave_amplitude(config.design, exc, old.mode_index * fb)
+        modes = (replace(old, amplitude=wb),)
     return replace(exc, dc_offset=_w0(args, config), fundamental_frequency=fb, modes=modes)
 
 
-def _cmd_bias(args, config, out_dir):
+# Each _cmd_* maps (args, config) to {artifact name: body}, which main
+# writes in order: a ".csv" body is write_csv's (header, columns), any
+# other body is the JSON document.
+
+def _cmd_bias(args, config):
     exc = _resolve_tone(args, config, args.wb)
     bias = rectified_bias(config.design, exc)
-    name = f"bias.{args.format}"
     if args.format == "csv":
-        write_csv(os.path.join(out_dir, name), ("element", "position_m", "bias_v"),
-                  columns=(np.arange(bias.voltages.size), bias.positions, bias.voltages))
-    else:
-        write_json(os.path.join(out_dir, name), {
-            "frequency_hz": exc.fundamental_frequency,
-            "dc_offset_v": exc.dc_offset,
-            "positions_m": bias.positions,
-            "bias_v": bias.voltages,
-        })
-    return [name]
+        return {"bias.csv": (("element", "position_m", "bias_v"),
+                             (np.arange(bias.voltages.size), bias.positions, bias.voltages))}
+    return {"bias.json": {
+        "frequency_hz": exc.fundamental_frequency,
+        "dc_offset_v": exc.dc_offset,
+        "positions_m": bias.positions,
+        "bias_v": bias.voltages,
+    }}
 
 
-def _cmd_pattern(args, config, out_dir):
+def _cmd_pattern(args, config):
     pattern = _drive_pattern(config.design, config.cell, config.varactors,
                              _resolve_tone(args, config, args.wb), config.carrier_frequency)
-    name = f"pattern.{args.format}"
+    metrics = pattern.metrics.to_dict()
     if args.format == "csv":
-        write_csv(os.path.join(out_dir, name),
-                  ("theta_deg", "magnitude", "magnitude_db"),
-                  columns=pattern_csv_columns(pattern))
+        body = (("theta_deg", "magnitude", "magnitude_db"), pattern_csv_columns(pattern))
     else:
-        write_json(os.path.join(out_dir, name), {
+        body = {
             "theta_deg": np.rad2deg(pattern.theta),
             "magnitude": pattern.magnitude,
             "magnitude_db": pattern.magnitude_db(),
-            "metrics": pattern.metrics.to_dict(),
-        })
-    write_json(os.path.join(out_dir, "pattern-metrics.json"), pattern.metrics.to_dict())
-    return [name, "pattern-metrics.json"]
+            "metrics": metrics,
+        }
+    return {f"pattern.{args.format}": body, "pattern-metrics.json": metrics}
 
 
-def _cmd_steer(args, config, out_dir):
+def _cmd_steer(args, config):
     spec = SearchSpec(w0=_w0(args, config), refine=not args.coarse_only)
     solution = optimize_single_beam(config.design, config.cell, config.varactors,
                                     math.radians(args.theta), spec,
                                     f_c=config.carrier_frequency)
-    write_json(os.path.join(out_dir, "steer.json"), solution.to_dict())
-    return ["steer.json"]
+    return {"steer.json": solution.to_dict()}
 
 
 def _parse_probes(raw: str):
@@ -234,42 +240,37 @@ def _parse_probes(raw: str):
         raise InputError(f"--probe: {err}") from None
 
 
-def _cmd_scan(args, config, out_dir):
+def _cmd_scan(args, config):
     probes = _parse_probes(args.probe)
     spec = SearchSpec(f_range=(args.fmin, args.fmax), f_step=args.fstep,
                       w_range=(args.wmin, args.wmax), w_step=args.wstep, w0=_w0(args, config))
     grids = specular_scan(config.design, config.cell, config.varactors, spec,
                           probes, f_c=config.carrier_frequency)
-    name = f"scan.{args.format}"
-    if args.format == "csv":
-        # rows run probe-major, then frequency, then amplitude
-        f_axis, w_axis = grids[0].f_axis, grids[0].w_axis
-        cells = f_axis.size * w_axis.size
-        columns = (
-            np.concatenate([np.full(cells, math.degrees(g.probe_angle)) for g in grids]),
-            np.tile(np.repeat(f_axis, w_axis.size), len(grids)),
-            np.tile(w_axis, f_axis.size * len(grids)),
-            np.concatenate([g.values.ravel() for g in grids]),
-        )
-        write_csv(os.path.join(out_dir, name),
-                  ("probe_deg", "frequency_hz", "amplitude_v", "magnitude"), columns=columns)
-    else:
-        write_json(os.path.join(out_dir, name), [grid.to_dict() for grid in grids])
-    return [name]
+    if args.format == "json":
+        return {"scan.json": [grid.to_dict() for grid in grids]}
+    # rows run probe-major, then frequency, then amplitude
+    f_axis, w_axis = grids[0].f_axis, grids[0].w_axis
+    cells = f_axis.size * w_axis.size
+    columns = (
+        np.concatenate([np.full(cells, math.degrees(g.probe_angle)) for g in grids]),
+        np.tile(np.repeat(f_axis, w_axis.size), len(grids)),
+        np.tile(w_axis, f_axis.size * len(grids)),
+        np.concatenate([g.values.ravel() for g in grids]),
+    )
+    return {"scan.csv": (("probe_deg", "frequency_hz", "amplitude_v", "magnitude"), columns)}
 
 
-def _cmd_fit(args, config, out_dir):
+def _cmd_fit(args, config):
     samples = ingest_impedance(args.input, fmt=args.input_format)
     cell = fit_circuit_model(samples, args.thickness)
-    write_json(os.path.join(out_dir, "cell.json"), {
+    return {"cell.json": {
         "R_d": cell.R_d,
         "C_d": cell.C_d,
         "L_d": cell.L_d,
         "L_s": cell.L_s,
         "electric_resonance_hz": cell.electric_resonance / (2.0 * math.pi),
         "magnetic_resonance_hz": cell.magnetic_resonance / (2.0 * math.pi),
-    })
-    return ["cell.json"]
+    }}
 
 
 def _parse_zrect(raw):
@@ -284,7 +285,7 @@ def _parse_zrect(raw):
     return value
 
 
-def _cmd_cascade(args, config, out_dir):
+def _cmd_cascade(args, config):
     exc = _resolve_tone(args, config)
     if len(exc.modes) != 1:
         raise InputError("the tapped-line comparison uses a single drive tone")
@@ -298,30 +299,17 @@ def _cmd_cascade(args, config, out_dir):
     nodes = solve_taps(net)
     tapped = rectified_from_phasors(nodes, exc.dc_offset)
     ideal = rectified_bias(config.design, exc)
-    name = f"cascade.{args.format}"
     if args.format == "csv":
-        write_csv(os.path.join(out_dir, name),
-                  ("element", "position_m", "ideal_v", "tapped_v", "delta_v"),
-                  columns=(np.arange(ideal.voltages.size), ideal.positions, ideal.voltages,
-                           tapped.voltages, tapped.voltages - ideal.voltages))
-    else:
-        write_json(os.path.join(out_dir, name), {
-            "frequency_hz": drive,
-            "positions_m": ideal.positions,
-            "ideal_v": ideal.voltages,
-            "tapped_v": tapped.voltages,
-        })
-    return [name]
-
-
-_COMMANDS = {
-    "bias": _cmd_bias,
-    "pattern": _cmd_pattern,
-    "steer": _cmd_steer,
-    "scan": _cmd_scan,
-    "fit": _cmd_fit,
-    "cascade": _cmd_cascade,
-}
+        return {"cascade.csv": (
+            ("element", "position_m", "ideal_v", "tapped_v", "delta_v"),
+            (np.arange(ideal.voltages.size), ideal.positions, ideal.voltages,
+             tapped.voltages, tapped.voltages - ideal.voltages))}
+    return {"cascade.json": {
+        "frequency_hz": drive,
+        "positions_m": ideal.positions,
+        "ideal_v": ideal.voltages,
+        "tapped_v": tapped.voltages,
+    }}
 
 
 # opens with a negative number, which argparse takes for an option unless
@@ -358,7 +346,14 @@ def main(argv=None) -> int:
             out_dir = args.out or (config.output_dir if config else None) or "."
             os.makedirs(out_dir, exist_ok=True)
             config_hash = sha256_of(config.to_dict() if config else _fit_inputs(args))
-            outputs = _COMMANDS[args.command](args, config, out_dir)
+            artifacts = args.run(args, config)
+            for name, body in artifacts.items():
+                path = os.path.join(out_dir, name)
+                if name.endswith(".csv"):
+                    write_csv(path, *body)
+                else:
+                    write_json(path, body)
+        outputs = list(artifacts)
         notes = sorted({str(w.message) for w in caught})
         report_name = f"{args.command}-report.json"
         write_json(os.path.join(out_dir, report_name), {

@@ -274,14 +274,14 @@ def config_from_dict(doc) -> RunConfig:
     Raises ConfigError carrying one line per offending field.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(None, "configuration must be a JSON object")
+        raise ConfigError("configuration must be a JSON object")
     problems = _Problems()
     values = _RUN.read(doc, "$", None, problems)
     values["design"] = _design(values["design"], values["microstrip"], problems)
     if problems:
-        raise ConfigError(None, "\n".join(problems))
+        raise ConfigError("\n".join(problems))
     if any(values[key] is None for key in ("design", "cell", "varactors", "excitation")):
-        raise ConfigError(None, "configuration incomplete")  # pragma: no cover
+        raise ConfigError("configuration incomplete")  # pragma: no cover
     return RunConfig(**values)
 
 
@@ -291,9 +291,9 @@ def load_config(path) -> RunConfig:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
-            raise ConfigError(None, f"not valid JSON: {err}") from None
+            raise ConfigError(f"not valid JSON: {err}") from None
         except UnicodeDecodeError as err:
-            raise ConfigError(None, f"not UTF-8 text: {err}") from None
+            raise ConfigError(f"not UTF-8 text: {err}") from None
     return config_from_dict(doc)
 
 

@@ -12,14 +12,10 @@ class InputError(WavectlError, ValueError):
 class ConfigError(WavectlError, ValueError):
     """A configuration document failed validation.
 
-    ``path`` is the JSON path of the offending field, for example
-    ``design.element_count``.  When several fields fail at once the
-    message carries one line per field.
+    A document that is not a JSON object, or not JSON at all, gets one
+    line saying so; otherwise the message carries one line per offending
+    field, opening with its path, for example ``design.element_count``.
     """
-
-    def __init__(self, path, message):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
 
 
 class ParseError(WavectlError, ValueError):
@@ -37,7 +33,12 @@ class ParseError(WavectlError, ValueError):
 
 
 class FitError(WavectlError, RuntimeError):
-    """Circuit-model extraction could not locate a required resonance."""
+    """An impedance sweep does not fit the cell's circuit model.
+
+    Raised when a fitted value is not positive, when the series branch
+    is undefined at a sample, or when the sweep's values are out of
+    range for the fit's arithmetic.
+    """
 
 
 class SolverError(WavectlError, RuntimeError):

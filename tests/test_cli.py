@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,60 @@ def test_cascade_artifact(tmp_path):
     a = (out / "cascade.csv").read_text()
     b = (out2 / "cascade.csv").read_text()
     assert a != b
+
+
+_SMALL_GRID = ["--fmin", "1e6", "--fmax", "3e6", "--fstep", "1e6",
+               "--wmin", "0", "--wmax", "2", "--wstep", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bias"], ["bias", "--format", "json"],
+    ["pattern"], ["pattern", "--format", "json"],
+    ["steer", "--theta", "3", "--coarse-only"],
+    ["scan", *_SMALL_GRID], ["scan", *_SMALL_GRID, "--format", "json"],
+    ["fit", "--thickness", "2.0292e-3"],
+    ["cascade"], ["cascade", "--format", "json"],
+], ids=lambda argv: "-".join(a for a in argv if a in ("bias", "pattern", "steer", "scan",
+                                                        "fit", "cascade", "json")))
+def test_report_outputs_are_the_files_written(tmp_path, argv):
+    if argv[0] == "fit":
+        samples = w.synthesize_samples(w.load_bundled_config().cell, np.linspace(1e9, 4e9, 501))
+        write_csv(tmp_path / "sweep.csv", ("f_hz", "re_z", "im_z"),
+                  (samples.frequencies, samples.impedances.real, samples.impedances.imag))
+        argv = [*argv, "--input", str(tmp_path / "sweep.csv")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    report_name = f"{argv[0]}-report.json"
+    outputs = _read_json(out / report_name)["outputs"]
+    assert sorted(path.name for path in out.iterdir()) == sorted([*outputs, report_name])
+
+
+def _single_tone_config(path, index, phase):
+    doc = w.load_bundled_config().to_dict()
+    doc["excitation"]["modes"] = [{"mode_index": index, "amplitude": 2.0, "phase": phase}]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["bias", "pattern"])
+def test_wb_sets_only_the_amplitude_of_the_configured_mode(tmp_path, command):
+    # mode 3 at f_b drives the line at 3 f_b, as the bundled mode 1 does there,
+    # and not as mode 1 does at f_b
+    third = _single_tone_config(tmp_path / "third.json", 3, 0.7)
+
+    def run(name, *argv):
+        out = tmp_path / name
+        assert main([command, *argv, "--wb", "5", "--out", str(out)]) == 0
+        return (out / f"{command}.csv").read_bytes()
+
+    got = run("third", "--config", third, "--fb", "2e6")
+    assert got == run("first-at-3fb", "--fb", "6e6")
+    assert got != run("first-at-fb", "--fb", "2e6")
+    if command == "bias":
+        cfg = w.load_bundled_config()
+        exc = replace(cfg.excitation, fundamental_frequency=2e6, modes=(w.Mode(3, 5.0, 0.7),))
+        volts = [float(row.split(",")[2]) for row in got.decode().splitlines()[1:]]
+        assert np.allclose(volts, w.rectified_bias(cfg.design, exc).voltages, rtol=1e-8)
 
 
 def test_artifacts_are_deterministic(tmp_path):
@@ -510,7 +565,12 @@ def _two_tone_config(path):
      "--zrect must be a positive number or 'inf', got '-5'"),
     (lambda p: ["cascade", "--config", _two_tone_config(p / "two.json")],
      "the tapped-line comparison uses a single drive tone"),
-], ids=["non_numeric_fb", "zero_zrect", "negative_zrect", "two_tone_cascade"])
+    (lambda p: ["bias", "--config", _two_tone_config(p / "two.json"), "--wb", "5"],
+     "--wb sets the amplitude of a single drive tone; the configuration drives 2 modes"),
+    (lambda p: ["pattern", "--config", _two_tone_config(p / "two.json"), "--wb", "5"],
+     "--wb sets the amplitude of a single drive tone; the configuration drives 2 modes"),
+], ids=["non_numeric_fb", "zero_zrect", "negative_zrect", "two_tone_cascade",
+        "two_tone_bias_wb", "two_tone_pattern_wb"])
 def test_cli_typed_errors_exit_2(tmp_path, capsys, argv, fragment):
     out = tmp_path / "out"
     assert _run_cli([*argv(tmp_path), "--out", str(out)]) == 2
