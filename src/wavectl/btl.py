@@ -192,11 +192,6 @@ class Excitation:
             raise InputError("mode indices must be unique")
         object.__setattr__(self, "modes", modes)
 
-    @property
-    def amplitude_sum(self):
-        """Sum of all mode amplitudes, the ideal rectified ceiling."""
-        return float(sum(m.amplitude for m in self.modes))
-
 
 @dataclass(frozen=True)
 class BiasPattern:

@@ -280,8 +280,6 @@ def config_from_dict(doc) -> RunConfig:
     values["design"] = _design(values["design"], values["microstrip"], problems)
     if problems:
         raise ConfigError("\n".join(problems))
-    if any(values[key] is None for key in ("design", "cell", "varactors", "excitation")):
-        raise ConfigError("configuration incomplete")  # pragma: no cover
     return RunConfig(**values)
 
 
@@ -300,6 +298,4 @@ def load_config(path) -> RunConfig:
 def load_bundled_config() -> RunConfig:
     """The reference design shipped with the package."""
     # read beside this module: the package ships its data files as plain files
-    with open(os.path.join(os.path.dirname(__file__), "data", BUNDLED_DESIGN),
-              encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return load_config(os.path.join(os.path.dirname(__file__), "data", BUNDLED_DESIGN))

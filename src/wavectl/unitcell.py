@@ -102,7 +102,6 @@ class CellCircuit:
 class ImpedanceSamples:
     """A one-port impedance sweep: strictly increasing frequencies."""
 
-    reference_impedance: float
     frequencies: np.ndarray
     impedances: np.ndarray
 
@@ -272,14 +271,10 @@ def equivalent_impedance(cell: CellCircuit, frequencies) -> np.ndarray:
     return _surface_array(cell, None, 2.0 * math.pi * np.asarray(frequencies, dtype=float))
 
 
-def synthesize_samples(cell: CellCircuit, frequencies, reference_impedance: float = 50.0) -> ImpedanceSamples:
+def synthesize_samples(cell: CellCircuit, frequencies) -> ImpedanceSamples:
     """Generate an impedance sweep from a known circuit (for round trips)."""
     f = np.asarray(frequencies, dtype=float)
-    return ImpedanceSamples(
-        reference_impedance=reference_impedance,
-        frequencies=f,
-        impedances=equivalent_impedance(cell, f),
-    )
+    return ImpedanceSamples(frequencies=f, impedances=equivalent_impedance(cell, f))
 
 
 def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> CellCircuit:
@@ -538,7 +533,7 @@ def _parse_touchstone(path):
         f_rest, z_rest = _located(partial(_touchstone_block, options), rest,
                                   lambda: rows()[first:])
         f, z = np.concatenate((f, f_rest)), np.concatenate((z, z_rest))
-    return _sweep_samples(f, z, options[2], rows)
+    return _sweep_samples(f, z, rows)
 
 
 def _parse_impedance_csv(path):
@@ -551,10 +546,10 @@ def _parse_impedance_csv(path):
     rows = lambda: _numbered(lines)[1:]  # line 1 is the header
     data = list(filter(str.strip, islice(lines, 1, None)))
     table = _located(partial(_columns, sep=","), data, rows)
-    return _sweep_samples(table[:, 0], _complex(table[:, 1], table[:, 2]), 50.0, rows)
+    return _sweep_samples(table[:, 0], _complex(table[:, 1], table[:, 2]), rows)
 
 
-def _sweep_samples(f, z, reference_impedance, linenos):
+def _sweep_samples(f, z, linenos):
     """ImpedanceSamples from parsed columns; linenos() lists each row's line, for errors."""
     if not f.size:
         raise ParseError("no data rows found")
@@ -568,8 +563,7 @@ def _sweep_samples(f, z, reference_impedance, linenos):
     if np.any(falls):
         raise ParseError("frequencies must be strictly increasing",
                          linenos()[int(np.argmax(falls)) + 1])
-    return ImpedanceSamples(reference_impedance=reference_impedance, frequencies=f,
-                            impedances=z)
+    return ImpedanceSamples(frequencies=f, impedances=z)
 
 
 def ingest_impedance(path, fmt: str = "auto") -> ImpedanceSamples:

@@ -124,6 +124,15 @@ def test_invalid_json_file(tmp_path):
         w.load_config(path)
 
 
+def test_invalid_bundled_json_is_a_config_error(tmp_path, monkeypatch):
+    # os.path.join keeps an absolute path, so the bundled read opens this file
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    monkeypatch.setattr("wavectl.config.BUNDLED_DESIGN", str(path))
+    with pytest.raises(ConfigError, match="^not valid JSON: "):
+        w.load_bundled_config()
+
+
 def test_to_dict_round_trip_and_hash():
     cfg = w.config_from_dict(_valid_doc())
     doc = cfg.to_dict()

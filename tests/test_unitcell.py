@@ -108,6 +108,16 @@ def test_reflection_passive_property(bias, f_c):
     assert prof.magnitudes[0] <= 1.0 + 1e-12
 
 
+def test_len_is_the_element_count(bundle):
+    # perfbench's tracer counts tone taps and sweep points with len()
+    bias = w.rectified_bias(bundle.design, bundle.excitation)
+    profile = w.reflection_profile(bundle.cell, bundle.varactors, bias.voltages, 2.45e9)
+    samples = w.synthesize_samples(bundle.cell, np.linspace(1e9, 4e9, 301))
+    assert len(bias) == bias.voltages.size == bundle.design.element_count
+    assert len(profile) == profile.magnitudes.size == bundle.design.element_count
+    assert len(samples) == samples.frequencies.size == 301
+
+
 def _lookup_reference(table, volts):
     """The lookup as it was: clip to the table, then one real np.interp per column."""
     v = np.asarray(volts, dtype=float)
@@ -265,7 +275,7 @@ def test_fit_rejects_sweep_without_pole():
     # pure capacitor: impedance magnitude falls monotonically
     f = np.linspace(1e9, 5e9, 64)
     z = 1.0 / (1j * 2 * math.pi * f * 1e-12)
-    samples = ImpedanceSamples(reference_impedance=50.0, frequencies=f, impedances=z)
+    samples = ImpedanceSamples(frequencies=f, impedances=z)
     with pytest.raises(FitError):
         w.fit_circuit_model(samples, 1e-3)
 
@@ -276,7 +286,7 @@ def test_fit_rejects_sweep_without_zero_crossing():
     omega = 2 * math.pi * f
     z = 1.0 / (1.0 / 1000.0 + 1j * (omega * 1e-9 - 1.0 / (omega * 4e-12)))
     z = z - 1j * 2e3  # push the upper reactance firmly negative
-    samples = ImpedanceSamples(reference_impedance=50.0, frequencies=f, impedances=z)
+    samples = ImpedanceSamples(frequencies=f, impedances=z)
     with pytest.raises(FitError):
         w.fit_circuit_model(samples, 1e-3)
 
@@ -312,7 +322,7 @@ def test_fit_under_relative_noise(cell):
         f = _sweep(truth, 3001)
         noise = 0.005 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
         z = w.synthesize_samples(truth, f).impedances * (1 + noise / math.sqrt(2))
-        got = w.fit_circuit_model(ImpedanceSamples(50.0, f, z), truth.L_s / w.MU0)
+        got = w.fit_circuit_model(ImpedanceSamples(f, z), truth.L_s / w.MU0)
         assert got.R_d == pytest.approx(truth.R_d, rel=5e-3)
         assert got.C_d == pytest.approx(truth.C_d, rel=2e-4)
         assert got.L_d == pytest.approx(truth.L_d, rel=2e-4)
@@ -327,7 +337,7 @@ def test_fit_rejects_sample_where_series_branch_is_undefined(where):
     if where == "zero":
         z = z + 1.0
         z[5] = 0.0
-    samples = ImpedanceSamples(reference_impedance=50.0, frequencies=f, impedances=z)
+    samples = ImpedanceSamples(frequencies=f, impedances=z)
     with pytest.raises(FitError, match="series branch"):
         w.fit_circuit_model(samples, 1e-3)
 
@@ -338,17 +348,17 @@ def test_impedance_samples_reject_non_finite(field, bad):
     arrays = dict(frequencies=np.linspace(1e9, 2e9, 16), impedances=np.ones(16, dtype=complex))
     arrays[field][-1] = bad
     with pytest.raises(InputError, match="finite"):
-        ImpedanceSamples(reference_impedance=50.0, **arrays)
+        ImpedanceSamples(**arrays)
 
 
 def test_impedance_samples_validation():
     f = np.linspace(1e9, 2e9, 8)
     with pytest.raises(InputError):
-        ImpedanceSamples(reference_impedance=50.0, frequencies=f,
+        ImpedanceSamples(frequencies=f,
                          impedances=np.ones(8, dtype=complex))
     f = np.array([1e9, 2e9, 2e9] + list(np.linspace(3e9, 6e9, 13)))
     with pytest.raises(InputError):
-        ImpedanceSamples(reference_impedance=50.0, frequencies=f,
+        ImpedanceSamples(frequencies=f,
                          impedances=np.ones(16, dtype=complex))
 
 
@@ -399,7 +409,6 @@ def test_touchstone_ma_round_trip(tmp_path):
     path = tmp_path / "cell.s1p"
     _write_s1p(path, lines)
     samples = w.ingest_impedance(path)
-    assert samples.reference_impedance == 50.0
     assert samples.frequencies[0] == pytest.approx(1.0e9)
     assert np.allclose(samples.impedances, z, rtol=1e-9)
 
@@ -412,7 +421,6 @@ def test_touchstone_ri_db_and_units(tmp_path):
     path = tmp_path / "ri.s1p"
     _write_s1p(path, lines)
     samples = w.ingest_impedance(path)
-    assert samples.reference_impedance == 75.0
     assert samples.frequencies[0] == pytest.approx(1.0e8)
     # Z = z_ref*(1+S)/(1-S) = 75j for S = j
     assert np.allclose(samples.impedances, 75.0j, rtol=1e-12)
@@ -433,7 +441,6 @@ def test_touchstone_default_options(tmp_path):
     path = tmp_path / "default.s1p"
     _write_s1p(path, lines)
     samples = w.ingest_impedance(path)
-    assert samples.reference_impedance == 50.0
     assert np.allclose(samples.impedances, 150.0)
 
 
@@ -560,7 +567,7 @@ def _ingest_text(path, name, text, fmt="auto"):
     (lambda p, c, t: w.VaractorTable(series_inductance=2.34e-9,
                                      rows=[(4.0, 1e-13, 0.5), (5.0, -1e-13, 0.5)]),
      InputError, "varactor capacitance must be positive"),
-    (lambda p, c, t: ImpedanceSamples(50.0, np.arange(1.0, 17.0), np.ones(15)),
+    (lambda p, c, t: ImpedanceSamples(np.arange(1.0, 17.0), np.ones(15)),
      InputError, "frequencies and impedances must be 1-d arrays of equal length"),
     (lambda p, c, t: w.ReflectionProfile(np.ones(3), np.zeros(2)),
      InputError, "magnitudes and phases must be 1-d arrays of equal length"),
