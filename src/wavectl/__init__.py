@@ -21,13 +21,7 @@ from .btl import (
     slowness_factor,
     standing_wave_amplitude,
 )
-from .cascade import (
-    CascadeNetwork,
-    NodeVoltages,
-    build_network,
-    rectified_from_phasors,
-    solve_taps,
-)
+from .cascade import CascadeNetwork, build_network, solve_taps
 from .config import RunConfig, config_from_dict, load_bundled_config, load_config
 from .constants import C0, ETA0, MU0
 from .errors import (
@@ -86,7 +80,6 @@ __all__ = [
     "MU0",
     "MicrostripSpec",
     "Mode",
-    "NodeVoltages",
     "ParseError",
     "PatternMetrics",
     "PatternRequest",
@@ -115,7 +108,6 @@ __all__ = [
     "load_config",
     "optimize_single_beam",
     "rectified_bias",
-    "rectified_from_phasors",
     "reflection_profile",
     "slowness_factor",
     "solve_taps",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .btl import BtlDesign, BiasPattern, Excitation, Termination
+from .btl import BtlDesign, Excitation, Termination
 from .errors import InputError, SolverError
 from .numutil import freeze_field
 
@@ -57,7 +57,6 @@ class CascadeNetwork:
     lead_angle: complex
     segment_angles: np.ndarray
     tap_loads: np.ndarray
-    tap_positions: np.ndarray
     termination: Termination
 
     def __post_init__(self):
@@ -73,9 +72,8 @@ class CascadeNetwork:
                 raise InputError(f"{name} must be positive")
         angles = freeze_field(self, "segment_angles", self.segment_angles, complex)
         loads = freeze_field(self, "tap_loads", self.tap_loads, complex)
-        pos = freeze_field(self, "tap_positions", self.tap_positions)
-        if angles.ndim != 1 or loads.shape != angles.shape or pos.shape != angles.shape:
-            raise InputError("segments, tap loads, and tap positions must align")
+        if angles.ndim != 1 or loads.shape != angles.shape:
+            raise InputError("segments and tap loads must align")
         if not (np.isfinite(angles).all() and np.isfinite(complex(self.lead_angle))):
             raise InputError("segment_angles and lead_angle must be finite")
         if np.isnan(loads).any():
@@ -87,20 +85,6 @@ class CascadeNetwork:
     @property
     def element_count(self):
         return self.segment_angles.size
-
-
-@dataclass(frozen=True)
-class NodeVoltages:
-    """Solved phasors, one per tap."""
-
-    tap_positions: np.ndarray
-    tap_voltages: np.ndarray
-
-    def __post_init__(self):
-        pos = freeze_field(self, "tap_positions", self.tap_positions)
-        taps = freeze_field(self, "tap_voltages", self.tap_voltages, complex)
-        if pos.shape != taps.shape or pos.ndim != 1:
-            raise InputError("positions and voltages must be 1-d arrays of equal length")
 
 
 def build_network(design: BtlDesign, f: float, z_rect=1000.0,
@@ -140,7 +124,6 @@ def build_network(design: BtlDesign, f: float, z_rect=1000.0,
         segment_angles=gamma * lengths,
         # a mis-sized load array fails CascadeNetwork's alignment check by name
         tap_loads=z_rect if np.ndim(z_rect) else np.full(design.element_count, z_rect, complex),
-        tap_positions=design.tap_positions(),
         termination=design.termination,
     )
 
@@ -152,8 +135,9 @@ def _propagate(v, i, c, s, z0):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by frequency
-def solve_taps(net: CascadeNetwork) -> NodeVoltages:
-    """Tap voltage phasors of the loaded line driven by its generator.
+def solve_taps(net: CascadeNetwork) -> np.ndarray:
+    """Tap voltage phasors of the loaded line driven by its generator,
+    an (M,) complex array in tap order.
 
     SolverError if any part of the line state overflows, as the
     decoupling inductor's current does near 0 Hz.
@@ -198,10 +182,4 @@ def solve_taps(net: CascadeNetwork) -> NodeVoltages:
     if not (np.isfinite([i, v_required]).all() and np.isfinite(taps).all()):
         raise SolverError(f"the tapped-line state overflows at {net.frequency!r} Hz")
 
-    return NodeVoltages(tap_positions=net.tap_positions, tap_voltages=taps)
-
-
-def rectified_from_phasors(nodes: NodeVoltages, dc_offset: float) -> BiasPattern:
-    """Peak-detect the solved tap phasors into a dc bias pattern: dc offset plus |V|."""
-    return BiasPattern(positions=nodes.tap_positions,
-                       voltages=dc_offset + np.abs(nodes.tap_voltages))
+    return taps

@@ -32,11 +32,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .btl import Mode, Termination, rectified_bias, standing_wave_amplitude
-from .cascade import build_network, rectified_from_phasors, solve_taps
+from .btl import BiasPattern, Mode, Termination, rectified_bias, standing_wave_amplitude
+from .cascade import build_network, solve_taps
 from .config import RunConfig, load_bundled_config, load_config
 from .errors import ConfigError, FitError, InputError, ParseError, SolverError
-from .radiation import pattern_csv_columns
 from .serialize import sha256_of, write_csv, write_json
 from .steering import SearchSpec, _drive_pattern, optimize_single_beam, specular_scan
 from .unitcell import fit_circuit_model, ingest_impedance
@@ -213,15 +212,12 @@ def _cmd_pattern(args, config):
     pattern = _drive_pattern(config.design, config.cell, config.varactors,
                              _resolve_tone(args, config, args.wb), config.carrier_frequency)
     metrics = pattern.metrics.to_dict()
+    header = ("theta_deg", "magnitude", "magnitude_db")
+    columns = (np.rad2deg(pattern.theta), pattern.magnitude, pattern.magnitude_db())
     if args.format == "csv":
-        body = (("theta_deg", "magnitude", "magnitude_db"), pattern_csv_columns(pattern))
+        body = (header, columns)
     else:
-        body = {
-            "theta_deg": np.rad2deg(pattern.theta),
-            "magnitude": pattern.magnitude,
-            "magnitude_db": pattern.magnitude_db(),
-            "metrics": metrics,
-        }
+        body = {**dict(zip(header, columns)), "metrics": metrics}
     return {f"pattern.{args.format}": body, "pattern-metrics.json": metrics}
 
 
@@ -296,8 +292,8 @@ def _cmd_cascade(args, config):
                         total_loss_db=args.loss_db,
                         generator_voltage=exc.generator_voltage,
                         generator_impedance=exc.generator_impedance)
-    nodes = solve_taps(net)
-    tapped = rectified_from_phasors(nodes, exc.dc_offset)
+    # peak detection: the dc offset plus each tap's phasor magnitude
+    tapped = BiasPattern(config.design.tap_positions(), exc.dc_offset + np.abs(solve_taps(net)))
     ideal = rectified_bias(config.design, exc)
     if args.format == "csv":
         return {"cascade.csv": (

@@ -251,7 +251,3 @@ def _metrics_from_arrays(theta, magnitude):
         half_power_beamwidth=hpbw,
     )
 
-
-def pattern_csv_columns(pattern: RadiationPattern):
-    """Columns of the theta_deg,magnitude,magnitude_db CSV schema."""
-    return np.rad2deg(pattern.theta), pattern.magnitude, pattern.magnitude_db()

@@ -462,6 +462,21 @@ def test_overflowing_cascade_state_exits_4_naming_the_frequency(tmp_path, capsys
         f"wavectl: the tapped-line state overflows at {float(fb)!r} Hz\n")
 
 
+def test_overflowing_tapped_bias_exits_2(tmp_path, capsys):
+    # the loaded line's phasors are finite, but the largest dc offset plus
+    # their magnitudes is not: the tapped bias refuses it before the ideal
+    # one is drawn, and nothing is written
+    doc = w.load_bundled_config().to_dict()
+    doc["excitation"]["dc_offset"] = 1.7976931348623157e308
+    doc["excitation"]["generator_voltage"] = 3e292
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["cascade", "--config", str(cfg), "--fb", "7.18e6", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "wavectl: bias voltages must be finite\n"
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("argv", [["pattern"], ["steer", "--theta", "3"],
                                   ["scan", "--fmax", "1e6"]])
 @pytest.mark.parametrize("carrier", [1e200, 1e300])

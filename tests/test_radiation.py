@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import wavectl as w
 from wavectl import radiation
 from wavectl.errors import InputError
-from wavectl.radiation import DB_FLOOR, pattern_csv_columns
+from wavectl.radiation import DB_FLOOR
 
 F_C = 2.45e9
 D_X = 0.02
@@ -157,7 +157,7 @@ def test_metrics_to_dict_keys():
 
 def test_pattern_csv_rows_floor():
     pattern = w.array_factor(_profile_from(np.zeros(4)), _request())
-    theta_deg, _, magnitude_db = pattern_csv_columns(pattern)
+    theta_deg, magnitude_db = np.rad2deg(pattern.theta), pattern.magnitude_db()
     assert len(theta_deg) == len(magnitude_db) == 3601
     assert np.all(magnitude_db == DB_FLOOR)
     assert theta_deg[0] == pytest.approx(-90.0)
