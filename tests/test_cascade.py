@@ -1,5 +1,6 @@
 """Tapped-line network model against the unloaded closed form."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import wavectl as w
+from wavectl.cli import main
 from wavectl.errors import InputError, SolverError
+from wavectl.serialize import format_float
 
 F0 = 7175550.224338915
 
@@ -100,6 +103,20 @@ def test_source_cancelled_by_the_line_raises(design):
         w.solve_taps(net)
 
 
+def test_rectified_from_phasors_clamps(design, tmp_path):
+    # the cascade command peak-detects the loaded line's phasors into its
+    # tapped bias: the dc offset plus each tap's phasor magnitude
+    out = tmp_path / "run"
+    assert main(["cascade", "--format", "json", "--zrect", "1000", "--out", str(out)]) == 0
+    tapped = json.loads((out / "cascade.json").read_text())["tapped_v"]
+    exc = w.load_bundled_config().excitation
+    net = w.build_network(design, exc.modes[0].mode_index * exc.fundamental_frequency,
+                          z_rect=1000.0, generator_voltage=exc.generator_voltage,
+                          generator_impedance=exc.generator_impedance)
+    expected = exc.dc_offset + np.abs(w.solve_taps(net))
+    assert tapped == [float(format_float(v)) for v in expected]  # as the artifact prints them
+
+
 @pytest.mark.parametrize("loss", [math.nan, math.inf, -1.0])
 def test_build_network_rejects_bad_loss(design, loss):
     with pytest.raises(InputError, match="total_loss_db"):
@@ -161,7 +178,11 @@ def test_overflowing_electrical_length_raises_input_error(design):
     (lambda d: replace(w.build_network(d, 7.18e6),
                        segment_angles=np.r_[math.inf, np.ones(d.element_count - 1)]),
      "segment_angles and lead_angle must be finite"),
-], ids=["zero_coupling", "misaligned_loads", "missized_z_rect", "inf_segment"])
+    # the tapped bias the cascade command builds refuses phasors that miss a tap
+    (lambda d: w.BiasPattern(d.tap_positions(), np.zeros(d.element_count - 1)),
+     "1-d arrays of equal length"),
+], ids=["zero_coupling", "misaligned_loads", "missized_z_rect", "inf_segment",
+        "unequal_node_shapes"])
 def test_cascade_typed_errors(design, build, fragment):
     with pytest.raises(InputError) as info:
         build(design)
