@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import math
 import os
 import re
@@ -156,10 +157,13 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _fit_inputs(args):
-    """What a fit's report hashes in place of a configuration."""
+    """The sweep, read once, and what a fit's report hashes in place of a configuration."""
     with open(args.input, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return {"input_sha256": digest, "thickness": float(args.thickness)}
+        data = fh.read()
+    sweep = io.BytesIO(data)
+    sweep.name = args.input  # ingest_impedance's "auto" format reads the name
+    return sweep, {"input_sha256": hashlib.sha256(data).hexdigest(),
+                   "thickness": float(args.thickness)}
 
 
 def _w0(args, config: RunConfig) -> float:
@@ -192,7 +196,7 @@ def _resolve_tone(args, config: RunConfig, wb=None):
 
 # Each _cmd_* maps (args, config) to {artifact name: body}, which main
 # writes in order: a ".csv" body is write_csv's (header, columns), any
-# other body is the JSON document.
+# other body is the JSON document.  fit's config is its sweep.
 
 def _cmd_bias(args, config):
     exc = _resolve_tone(args, config, args.wb)
@@ -244,20 +248,22 @@ def _cmd_scan(args, config):
                           probes, f_c=config.carrier_frequency)
     if args.format == "json":
         return {"scan.json": [grid.to_dict() for grid in grids]}
-    # rows run probe-major, then frequency, then amplitude
+    # rows run probe-major, then frequency, then amplitude; the three axis
+    # columns are broadcast views, whose distinct values write_csv formats once
     f_axis, w_axis = grids[0].f_axis, grids[0].w_axis
-    cells = f_axis.size * w_axis.size
+    shape = (len(grids), f_axis.size, w_axis.size)
+    probe_deg = np.array([math.degrees(g.probe_angle) for g in grids])
     columns = (
-        np.concatenate([np.full(cells, math.degrees(g.probe_angle)) for g in grids]),
-        np.tile(np.repeat(f_axis, w_axis.size), len(grids)),
-        np.tile(w_axis, f_axis.size * len(grids)),
-        np.concatenate([g.values.ravel() for g in grids]),
+        np.broadcast_to(probe_deg[:, None, None], shape),
+        np.broadcast_to(f_axis[:, None], shape),
+        np.broadcast_to(w_axis, shape),
+        np.stack([g.values for g in grids]),
     )
     return {"scan.csv": (("probe_deg", "frequency_hz", "amplitude_v", "magnitude"), columns)}
 
 
-def _cmd_fit(args, config):
-    samples = ingest_impedance(args.input, fmt=args.input_format)
+def _cmd_fit(args, sweep):
+    samples = ingest_impedance(sweep, fmt=args.input_format)
     cell = fit_circuit_model(samples, args.thickness)
     return {"cell.json": {
         "R_d": cell.R_d,
@@ -341,7 +347,11 @@ def main(argv=None) -> int:
             config = None if args.command == "fit" else _load_run_config(args)
             out_dir = args.out or (config.output_dir if config else None) or "."
             os.makedirs(out_dir, exist_ok=True)
-            config_hash = sha256_of(config.to_dict() if config else _fit_inputs(args))
+            if config is None:
+                config, hashed = _fit_inputs(args)
+            else:
+                hashed = config.to_dict()
+            config_hash = sha256_of(hashed)
             artifacts = args.run(args, config)
             for name, body in artifacts.items():
                 path = os.path.join(out_dir, name)

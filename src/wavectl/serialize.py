@@ -10,12 +10,16 @@ Float arrays are checked for finiteness and have ``-0.0`` collapsed
 once per array; from ``_VECTOR_MIN`` values up they are formatted in
 one numpy pass, smaller ones one value at a time (``format_floats``).
 The numpy pass writes each value as a NUL-padded 16-byte slot of
-lookup-table words, and one mask drops the pads.  A JSON float ndarray
-is one such matrix, with the commas, brackets and indentation between
-its values written into the words after each value.  A CSV is given as
-columns and written in blocks of rows: a block of float columns is the
-same matrix, with a comma or a newline after each value, and a block
-with an integer column is formatted one cell at a time.
+lookup-table words, and one ``bytes.translate`` drops the pads.  A JSON
+float ndarray is one such matrix, with the commas, brackets and
+indentation between its values written into the words after each
+value.  A CSV is given as columns of one shape, its rows their
+elements in C order, and written in blocks of rows: a block of float
+columns is the same matrix, with a comma or a newline after each
+value, and a CSV with an integer column is formatted one cell at a
+time.  A column that is a broadcast view repeats each value along its
+zero-stride axes; its distinct values, the core, are checked and
+formatted once, and their slots are copied into every block.
 
 The numpy pass is exact.  With e the decade of |x| (corrected by one
 where s leaves [1e8, 1e9)) and k = 8 - e, 10**k is an exact double for
@@ -60,6 +64,8 @@ def _digit_words(width):
 # the exponent's sign and two digits.  The longest _FLOAT string of a
 # finite float, "-1.23456789e-308", also fills the 16 bytes.
 _SLOT_WORDS = 4
+# a slot as one 16-byte element, which numpy copies whole
+_SLOT = np.dtype((np.void, 4 * _SLOT_WORDS))
 _LEAD = _words([sign + f"{d // 10}.{d % 10}" for sign in ("\0", "-") for d in range(100)])
 _QUAD = _digit_words(4)
 _TRIPLE = _digit_words(3)
@@ -104,28 +110,39 @@ def _joined_floats(x, inner, separators, ends):
     if x.size < _VECTOR_MIN:
         return "".join([separators[0].join(map(_FLOAT.format, row)) + separators[end]
                         for row, end in zip(rows.tolist(), ends.tolist())])
+    out, slots = _word_matrix(inner, separators, ends)
+    _float_slots(rows, slots)
+    return _text(out)
+
+
+def _word_matrix(inner, separators, ends):
+    """The word matrix of rows of ``inner`` slots, separators written, slots not.
+
+    Returns the matrix and its (rows, inner, _SLOT_WORDS) view of the
+    slots, which the caller fills: every word of the matrix is a slot
+    word or a separator word.
+    """
     gap = -(-len(separators[0]) // 4)  # words of the separator within a row
     width = -(-max(map(len, separators)) // 4)
     table = _words([sep.ljust(4 * width, "\0") for sep in separators]).reshape(-1, width)
     step = _SLOT_WORDS + gap
-    out = np.zeros((rows.shape[0], inner * step - gap + width), np.uint32)
+    out = np.empty((ends.size, inner * step - gap + width), np.uint32)
     cells = out[:, :inner * step].reshape(-1, inner, step)
-    _float_slots(rows, cells[..., :_SLOT_WORDS])
     cells[:, :-1, _SLOT_WORDS:] = table[0, :gap]
     out[:, inner * step - gap:] = table[ends]
-    return _text(out)
+    return out, cells[..., :_SLOT_WORDS]
 
 
 def _text(out):
     """The bytes of a C-contiguous NUL-padded word matrix, without the NULs."""
-    b = out.view(np.uint8)
-    return b[b != 0].tobytes().decode("ascii")
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _float_slots(x, out):
-    """Write _FLOAT of each value of finite ``x`` into the zeroed words ``out``.
+    """Write _FLOAT of each value of finite ``x`` into the words ``out``, NUL-padded.
 
-    ``out`` has the shape of ``x`` and one more axis of 4 words.
+    ``out`` has the shape of ``x`` and one more axis of 4 words, each
+    of which is written.
     """
     zero = x == 0.0
     a = np.where(zero, 1.0, np.abs(x))
@@ -167,46 +184,112 @@ _BLOCK_ROWS = 4096
 
 
 def write_csv(path, header, columns):
-    """Write a CSV file from equal-length 1-D column arrays; return its text.
+    """Write a CSV file from columns of one shape; return its text.
 
-    Integer columns print with ``str`` and float columns as format_float
-    prints them.  Rows are formatted and written in blocks (_csv_block).
+    The rows are the columns' elements in C order, so 1-D columns of
+    equal length give a row per index.  Integer columns print with
+    ``str`` and float columns as format_float prints them.  A column may
+    be a broadcast view (``np.broadcast_to``), whose distinct values are
+    formatted once.  Rows are formatted and written in blocks
+    (_csv_blocks).
     """
-    columns = _csv_columns(columns)
+    shape, cores = _csv_cores(columns)
     parts = [",".join(header) + "\n"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(parts[0])
-        for start in range(0, columns[0].size, _BLOCK_ROWS):
-            block = _csv_block([c[start:start + _BLOCK_ROWS] for c in columns])
+        for block in _csv_blocks(shape, cores):
             fh.write(block)
             parts.append(block)
     return "".join(parts)
 
 
-def _csv_columns(columns):
-    """Checked column arrays, float columns finite with -0.0 collapsed."""
+def _csv_cores(columns):
+    """The columns' shape and their checked cores, floats finite with -0.0 collapsed."""
     arrays = [np.asarray(c) for c in columns]
-    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
-        raise ValueError("CSV columns must be 1-D arrays of equal length")
-    for i, a in enumerate(arrays):
-        if a.dtype.kind == "f":
-            arrays[i] = _finite_floats(a)
-        elif a.dtype.kind not in "iu":
-            raise TypeError(f"unsupported CSV column dtype {a.dtype}")
-    return arrays
+    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim == 0:
+        raise ValueError("CSV columns must be 1-D arrays of equal length, "
+                         "or arrays of one shape")
+    cores = [_core(a) for a in arrays]
+    for i, core in enumerate(cores):
+        if core.dtype.kind == "f":
+            cores[i] = _finite_floats(core)
+        elif core.dtype.kind not in "iu":
+            raise TypeError(f"unsupported CSV column dtype {core.dtype}")
+    return arrays[0].shape, cores
 
 
-def _csv_block(columns):
-    """The CSV rows of a block of columns.
+def _core(a):
+    """``a`` without the repeats along its zero-stride axes: one of each distinct value."""
+    return a[tuple(slice(None) if step else slice(1) for step in a.strides)]
 
-    A block of float columns alone is one _joined_floats text; a block
-    with an integer column is formatted one cell at a time.
+
+def _csv_blocks(shape, cores):
+    """The CSV rows of columns of ``shape`` with these cores, _BLOCK_ROWS rows at a time.
+
+    Float columns alone from _VECTOR_MIN cells up give word matrices:
+    a core smaller than the column has its slots formatted once and
+    copied into each block a box at a time (_boxes); the other columns
+    are formatted a block at a time, before the first block's matrix is
+    allocated.  Other CSVs are formatted one cell at a time.
     """
-    if all(c.dtype.kind == "f" for c in columns):
-        return _joined_floats(np.stack(columns, axis=1).ravel(), len(columns), [",", "\n"],
-                              np.ones(columns[0].size, np.intp))
-    cells = [map(_FLOAT.format if c.dtype.kind == "f" else str, c.tolist()) for c in columns]
-    return "".join([",".join(row) + "\n" for row in zip(*cells)])
+    rows = math.prod(shape)
+    if any(c.dtype.kind != "f" for c in cores) or rows * len(cores) < _VECTOR_MIN:
+        flat = [(np.broadcast_to(c, shape) if c.size < rows else c).reshape(-1) for c in cores]
+        for start in range(0, rows, _BLOCK_ROWS):
+            cells = [map(_FLOAT.format if c.dtype.kind == "f" else str,
+                         c[start:start + _BLOCK_ROWS].tolist()) for c in flat]
+            yield "".join([",".join(row) + "\n" for row in zip(*cells)])
+        return
+    repeated = {j: np.broadcast_to(_slots(c), shape) for j, c in enumerate(cores) if c.size < rows}
+    flat = {j: c.reshape(-1) for j, c in enumerate(cores) if j not in repeated}
+    out = None
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        fresh = {j: _slots(x[start:stop]) for j, x in flat.items()}
+        if out is None:  # the first block is the longest; every block reuses its matrix
+            out, words = _word_matrix(len(cores), [",", "\n"], np.ones(stop, np.intp))
+            slots = words.view(_SLOT)[..., 0]
+        for j, values in fresh.items():
+            slots[:stop - start, j] = values
+        row = 0
+        for index, box in _boxes(shape, start, stop) if repeated else ():
+            n = math.prod(box)
+            # a view: slots' rows are a slice of out's, and only the row axis is split
+            cells = slots[row:row + n].reshape(box + (len(cores),))
+            for j, values in repeated.items():
+                cells[..., j] = values[index]
+            row += n
+        yield _text(out[:stop - start])
+
+
+def _slots(x):
+    """_float_slots of finite ``x`` in a new array of x's shape, a _SLOT per value."""
+    words = np.empty(x.shape + (_SLOT_WORDS,), np.uint32)
+    _float_slots(x, words)
+    return words.view(_SLOT)[..., 0]
+
+
+def _boxes(shape, start, stop, prefix=()):
+    """Cover elements ``start`` to ``stop`` of a C-order array of ``shape`` with boxes.
+
+    Yields (index, box shape) pairs in order: the index is a few integers
+    and one slice over the leading axes, and the box every element it
+    selects, the trailing axes whole.  At most 2·ndim - 1 boxes cover
+    any range.
+    """
+    inner = math.prod(shape[1:])
+    (i, head), (j, tail) = divmod(start, inner), divmod(stop, inner)
+    if i == j:
+        if head < tail:
+            yield from _boxes(shape[1:], head, tail, prefix + (i,))
+        return
+    if head:
+        yield from _boxes(shape[1:], head, inner, prefix + (i,))
+        i += 1
+    if i < j:
+        yield prefix + (slice(i, j),), (j - i,) + shape[1:]
+    if tail:
+        yield from _boxes(shape[1:], 0, tail, prefix + (j,))
 
 
 def _emit(obj, indent, out):

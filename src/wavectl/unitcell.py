@@ -334,9 +334,15 @@ _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
 def _read_text(path):
-    """The file as UTF-8 text; ParseError naming the line of the first byte that is not."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """A file, named or open in binary mode, as UTF-8 text.
+
+    ParseError names the line of the first byte that is not UTF-8.
+    """
+    if hasattr(path, "read"):
+        data = path.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -569,11 +575,13 @@ def _sweep_samples(f, z, linenos):
 def ingest_impedance(path, fmt: str = "auto") -> ImpedanceSamples:
     """Load an impedance sweep from a CSV or one-port Touchstone file.
 
-    fmt is "csv", "s1p", or "auto" (by file extension).
+    path is the file's name or the file open in binary mode.  fmt is
+    "csv", "s1p", or "auto" (by the extension of the file's name).
     """
     fmt = fmt.lower()
     if fmt == "auto":
-        fmt = "s1p" if str(path).lower().endswith(".s1p") else "csv"
+        name = str(getattr(path, "name", path))
+        fmt = "s1p" if name.lower().endswith(".s1p") else "csv"
     if fmt == "csv":
         return _parse_impedance_csv(path)
     if fmt in ("s1p", "touchstone"):

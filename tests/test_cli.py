@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, reports, exit codes, determinism."""
 
+import builtins
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import wavectl as w
 from wavectl.cli import build_parser, main
-from wavectl.serialize import write_csv
+from wavectl.serialize import sha256_of, write_csv
 
 
 def _read_json(path):
@@ -621,3 +622,29 @@ def test_angle_beyond_90_degrees_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err == (
         "wavectl: target and probe angles must lie within +-90 degrees\n")
     assert not list(out.iterdir())
+
+
+def test_fit_report_hashes_the_sweep_it_reads_once(tmp_path, monkeypatch):
+    # the report's config_hash is sha256_of the sweep file's digest and the
+    # thickness, pinned for one sweep, and the sweep file is opened once
+    sweep = tmp_path / "sweep.csv"
+    samples = w.synthesize_samples(w.load_bundled_config().cell, np.linspace(1e9, 4e9, 501))
+    write_csv(sweep, ("f_hz", "re_z", "im_z"),
+              (samples.frequencies, samples.impedances.real, samples.impedances.imag))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "run"
+    assert main(["fit", "--input", str(sweep), "--thickness", "2.0292e-3",
+                 "--out", str(out)]) == 0
+    assert opened.count(str(sweep)) == 1
+    digest = hashlib.sha256(sweep.read_bytes()).hexdigest()
+    config_hash = _read_json(out / "fit-report.json")["config_hash"]
+    assert config_hash == sha256_of({"input_sha256": digest, "thickness": 2.0292e-3})
+    assert digest == "3f9acc401c1b385632fc2665fd84433e556a42523cede9a6e1df6a8ac7a80e49"
+    assert config_hash == "e56cea3845f690024016f62113b956e25aa313ab9d2adee278b824ed4848d61f"

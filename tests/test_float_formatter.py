@@ -197,3 +197,102 @@ def test_numpy_path_refuses_non_finite_values(vector):
         values[250] = bad
         with pytest.raises(ValueError, match="non-finite"):
             vector(values)
+
+
+# the scan CSV's header; its first three columns are axes of the (P, Nf, Nw) grid
+SCAN_HEADER = ("probe_deg", "frequency_hz", "amplitude_v", "magnitude")
+# half-way points, which _float_slots leaves to _FLOAT, one per axis
+PROBE_HALF, FREQ_HALF, AMP_HALF = 123456789.5, 1234567895.0, 0.0123456789 + 5e-11
+
+
+def _scan_columns(probes, nf, nw):
+    """Broadcast and materialized scan columns over values chosen to break the numpy path."""
+    rng = np.random.default_rng(probes * 1000 + nf)
+    edges = np.array([-7.0, 0.0, -0.0, TINY, -TINY, 1e300, -1e-300, 1e-300])
+    probe = np.array([PROBE_HALF, -0.0, -7.25, TINY])[:probes]
+    f = rng.standard_normal(nf) * 10.0 ** rng.integers(-30, 30, nf)
+    f[:edges.size + 1] = np.append(edges, FREQ_HALF)
+    w = rng.standard_normal(nw) * 10.0 ** rng.integers(-30, 30, nw)
+    w[-edges.size - 1:] = np.append(edges, AMP_HALF)
+    mag = rng.standard_normal((probes, nf, nw)) * 10.0 ** rng.integers(-300, 300, (probes, nf, nw))
+    mag.ravel()[::7] = np.resize(SLOW, mag.ravel()[::7].size)
+    shape = (probes, nf, nw)
+    factored = (np.broadcast_to(probe[:, None, None], shape), np.broadcast_to(f[:, None], shape),
+                np.broadcast_to(w, shape), mag)
+    materialized = (np.repeat(probe, nf * nw), np.tile(np.repeat(f, nw), probes),
+                    np.tile(w, nf * probes), mag.ravel())
+    return factored, materialized
+
+
+@pytest.mark.parametrize("probes", [1, 2, 3, 4])
+def test_axis_factored_csv_is_the_materialized_csv(tmp_path, monkeypatch, probes):
+    # probe, frequency and amplitude columns broadcast over the grid, as
+    # the scan command passes them, write the bytes of the same columns
+    # materialized with np.repeat and np.tile and of format_float per
+    # cell.  40 x 121 rows a probe are no multiple of the 4096-row block,
+    # and blocks of 50 rows split most frequencies' 121 rows; a vector
+    # minimum above every size puts the columns through the cell path
+    factored, materialized = _scan_columns(probes, 40, 121)
+    # compared as lists of lines, whose first difference pytest names at once
+    expected = _csv_oracle(SCAN_HEADER, materialized).splitlines()
+    assert _csv_oracle(SCAN_HEADER, [np.ravel(c) for c in factored]).splitlines() == expected
+    formatted = []
+
+    class Spy(str):
+        def format(self, *values):
+            formatted.extend(values)
+            return super().format(*values)
+
+    monkeypatch.setattr(serialize, "_FLOAT", Spy(serialize._FLOAT))
+    for block_rows in (serialize._BLOCK_ROWS, 50):
+        monkeypatch.setattr(serialize, "_BLOCK_ROWS", block_rows)
+        for vector_min in (serialize._VECTOR_MIN, 10 ** 9):
+            monkeypatch.setattr(serialize, "_VECTOR_MIN", vector_min)
+            formatted.clear()
+            assert write_csv(tmp_path / "f.csv", SCAN_HEADER, factored).splitlines() == expected
+            if vector_min < 10 ** 9:
+                # each axis' half-way value takes the fallback once, not once a row
+                assert [formatted.count(v) for v in (PROBE_HALF, FREQ_HALF, AMP_HALF)] == [1] * 3
+            assert write_csv(tmp_path / "m.csv", SCAN_HEADER, materialized).splitlines() == expected
+            assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+
+
+def test_broadcast_columns_small_integer_and_non_finite(tmp_path):
+    # a grid below _VECTOR_MIN cells, an integer axis, and a broadcast
+    # column's non-finite value, refused as in a materialized column
+    shape = (2, 3, 4)
+    columns = (np.broadcast_to(np.arange(3)[:, None] - 1, shape),
+               np.broadcast_to(np.array([-0.0, 2.5e-310, 0.5, 1e300]), shape),
+               np.arange(24.0).reshape(shape) - 11.5)
+    flat = [np.ravel(c) for c in columns]
+    header = ("i", "j", "k")
+    assert write_csv(tmp_path / "t.csv", header, columns) == _csv_oracle(header, flat)
+    assert write_csv(tmp_path / "u.csv", header[1:], columns[1:]) \
+        == _csv_oracle(header[1:], flat[1:])
+    for bad in (math.nan, math.inf):
+        column = np.broadcast_to(np.array([0.0, bad, 1.0, 2.0]), (100, 4))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(tmp_path / "t.csv", ("a", "b"), (column, np.zeros((100, 4))))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5), (4, 1, 3, 2)], ids=str)
+def test_boxes_cover_a_range_in_order(shape):
+    a = np.arange(math.prod(shape)).reshape(shape)
+    for start in range(a.size + 1):
+        for stop in range(start, a.size + 1):
+            boxes = list(serialize._boxes(shape, start, stop))
+            assert all(a[index].shape == box for index, box in boxes)
+            got = [a[index].ravel() for index, _ in boxes]
+            assert np.array_equal(np.concatenate([[]] + got), np.arange(start, stop))
+            assert len(boxes) <= 2 * len(shape) - 1
+
+
+@pytest.mark.parametrize("nul_share", [0.0, 0.3, 0.9, 1.0])
+def test_text_drops_the_nuls_as_a_mask_does(nul_share):
+    rng = np.random.default_rng(int(nul_share * 10))
+    for rows, words in ((0, 3), (1, 1), (7, 5), (300, 19)):
+        b = rng.integers(1, 128, (rows, words, 4), dtype=np.uint8)
+        b[rng.random(b.shape) < nul_share] = 0
+        out = b.view(np.uint32).reshape(rows, words)
+        flat = b.ravel()
+        assert serialize._text(out) == flat[flat != 0].tobytes().decode("ascii")
