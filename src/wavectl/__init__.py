@@ -9,7 +9,6 @@ frequency and amplitude of the standing wave.
 """
 
 from .btl import (
-    BiasPattern,
     BtlDesign,
     Excitation,
     MicrostripSpec,
@@ -43,7 +42,6 @@ from .radiation import (
     default_theta_grid,
 )
 from .steering import (
-    ScanGrid,
     SearchSpec,
     SteeringSolution,
     evaluate_operating_point,
@@ -65,7 +63,6 @@ from .unitcell import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasPattern",
     "BtlDesign",
     "C0",
     "CascadeNetwork",
@@ -86,7 +83,6 @@ __all__ = [
     "RadiationPattern",
     "ReflectionProfile",
     "RunConfig",
-    "ScanGrid",
     "SearchSpec",
     "SolverError",
     "SteeringSolution",

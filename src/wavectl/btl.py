@@ -31,7 +31,6 @@ import numpy as np
 
 from .constants import C0
 from .errors import InputError
-from .numutil import freeze_field
 
 # most taps a line may carry: a 3601-angle pattern over this many taps
 # peaks near 0.5 GB, and every per-tap array stays small
@@ -193,25 +192,6 @@ class Excitation:
         object.__setattr__(self, "modes", modes)
 
 
-@dataclass(frozen=True)
-class BiasPattern:
-    """Per-element dc bias voltages and the tap positions they belong to."""
-
-    positions: np.ndarray
-    voltages: np.ndarray
-
-    def __post_init__(self):
-        positions = freeze_field(self, "positions", self.positions)
-        voltages = freeze_field(self, "voltages", self.voltages)
-        if positions.shape != voltages.shape or positions.ndim != 1:
-            raise InputError("positions and voltages must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(voltages)):
-            raise InputError("bias voltages must be finite")
-
-    def __len__(self):
-        return self.voltages.size
-
-
 def effective_permittivity(spec: MicrostripSpec) -> float:
     """Quasi-static effective permittivity of the microstrip trace."""
     eps = spec.relative_permittivity
@@ -341,18 +321,22 @@ def _envelope_peaks(phasors, exc):
     return _ac_sum(coeff, indices, tau[:, None])[:, 0]
 
 
-def rectified_bias(design: BtlDesign, exc: Excitation) -> BiasPattern:
+def rectified_bias(design: BtlDesign, exc: Excitation) -> np.ndarray:
     """Dc bias at every tap of the lossless line: dc offset plus the peak
-    of the local ac sum."""
-    x = design.tap_positions()
-    peaks = _envelope_peaks(_mode_phasors(design, exc, x), exc)
+    of the local ac sum.
+
+    Shape (M,), in volts, one per ``design.tap_positions()``; InputError
+    naming the dc offset, the mode amplitudes and the drive frequency if
+    any is not finite.
+    """
+    peaks = _envelope_peaks(_mode_phasors(design, exc, design.tap_positions()), exc)
     with np.errstate(over="ignore"):
         voltages = exc.dc_offset + peaks
     if not np.all(np.isfinite(voltages)):
         raise InputError(f"the bias of a {float(exc.dc_offset)!r} V dc offset plus modes of "
                          f"{[float(mode.amplitude) for mode in exc.modes]!r} V at a "
                          f"{float(exc.fundamental_frequency)!r} Hz drive is not finite")
-    return BiasPattern(positions=x, voltages=voltages)
+    return voltages
 
 
 def standing_wave_amplitude(design: BtlDesign, exc: Excitation, f: float) -> float:

@@ -33,7 +33,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .btl import BiasPattern, Mode, Termination, rectified_bias, standing_wave_amplitude
+from .btl import Mode, Termination, rectified_bias, standing_wave_amplitude
 from .cascade import build_network, solve_taps
 from .config import RunConfig, load_bundled_config, load_config
 from .errors import ConfigError, FitError, InputError, ParseError, SolverError
@@ -201,14 +201,15 @@ def _resolve_tone(args, config: RunConfig, wb=None):
 def _cmd_bias(args, config):
     exc = _resolve_tone(args, config, args.wb)
     bias = rectified_bias(config.design, exc)
+    positions = config.design.tap_positions()
     if args.format == "csv":
         return {"bias.csv": (("element", "position_m", "bias_v"),
-                             (np.arange(bias.voltages.size), bias.positions, bias.voltages))}
+                             (np.arange(bias.size), positions, bias))}
     return {"bias.json": {
         "frequency_hz": exc.fundamental_frequency,
         "dc_offset_v": exc.dc_offset,
-        "positions_m": bias.positions,
-        "bias_v": bias.voltages,
+        "positions_m": positions,
+        "bias_v": bias,
     }}
 
 
@@ -244,20 +245,20 @@ def _cmd_scan(args, config):
     probes = _parse_probes(args.probe)
     spec = SearchSpec(f_range=(args.fmin, args.fmax), f_step=args.fstep,
                       w_range=(args.wmin, args.wmax), w_step=args.wstep, w0=_w0(args, config))
-    grids = specular_scan(config.design, config.cell, config.varactors, spec,
-                          probes, f_c=config.carrier_frequency)
+    maps = specular_scan(config.design, config.cell, config.varactors, spec,
+                         probes, f_c=config.carrier_frequency)
+    f_axis, w_axis = spec.f_axis(), spec.w_axis()
+    probe_deg = [math.degrees(probe) for probe in probes]
     if args.format == "json":
-        return {"scan.json": [grid.to_dict() for grid in grids]}
+        return {"scan.json": [{"probe_deg": deg, "f_hz": f_axis, "w_volts": w_axis,
+                               "magnitude": values} for deg, values in zip(probe_deg, maps)]}
     # rows run probe-major, then frequency, then amplitude; the three axis
     # columns are broadcast views, whose distinct values write_csv formats once
-    f_axis, w_axis = grids[0].f_axis, grids[0].w_axis
-    shape = (len(grids), f_axis.size, w_axis.size)
-    probe_deg = np.array([math.degrees(g.probe_angle) for g in grids])
     columns = (
-        np.broadcast_to(probe_deg[:, None, None], shape),
-        np.broadcast_to(f_axis[:, None], shape),
-        np.broadcast_to(w_axis, shape),
-        np.stack([g.values for g in grids]),
+        np.broadcast_to(np.array(probe_deg)[:, None, None], maps.shape),
+        np.broadcast_to(f_axis[:, None], maps.shape),
+        np.broadcast_to(w_axis, maps.shape),
+        maps,
     )
     return {"scan.csv": (("probe_deg", "frequency_hz", "amplitude_v", "magnitude"), columns)}
 
@@ -299,18 +300,23 @@ def _cmd_cascade(args, config):
                         generator_voltage=exc.generator_voltage,
                         generator_impedance=exc.generator_impedance)
     # peak detection: the dc offset plus each tap's phasor magnitude
-    tapped = BiasPattern(config.design.tap_positions(), exc.dc_offset + np.abs(solve_taps(net)))
+    with np.errstate(over="ignore"):
+        tapped = exc.dc_offset + np.abs(solve_taps(net))
+    if not np.isfinite(tapped).all():
+        raise InputError(f"the tapped bias of a {float(exc.dc_offset)!r} V dc offset and a "
+                         f"{float(exc.generator_voltage)!r} V generator at a {float(drive)!r} "
+                         f"Hz drive is not finite")
     ideal = rectified_bias(config.design, exc)
+    positions = config.design.tap_positions()
     if args.format == "csv":
         return {"cascade.csv": (
             ("element", "position_m", "ideal_v", "tapped_v", "delta_v"),
-            (np.arange(ideal.voltages.size), ideal.positions, ideal.voltages,
-             tapped.voltages, tapped.voltages - ideal.voltages))}
+            (np.arange(ideal.size), positions, ideal, tapped, tapped - ideal))}
     return {"cascade.json": {
         "frequency_hz": drive,
-        "positions_m": ideal.positions,
-        "ideal_v": ideal.voltages,
-        "tapped_v": tapped.voltages,
+        "positions_m": positions,
+        "ideal_v": ideal,
+        "tapped_v": tapped,
     }}
 
 

@@ -21,7 +21,7 @@ from . import radiation as _radiation
 from . import unitcell as _unitcell
 from .config import RunConfig
 from .errors import ClampWarning, InputError
-from .numutil import freeze_field, golden_section_maximize
+from .numutil import golden_section_maximize
 
 
 # largest (f, W) grid a search may span, 29x the default 300 x 121 grid
@@ -106,31 +106,6 @@ class SteeringSolution:
                 "magnitude_linear": self.achieved_pattern.magnitude,
                 "metrics": self.achieved_pattern.metrics.to_dict(),
             },
-        }
-
-
-@dataclass(frozen=True)
-class ScanGrid:
-    """|F(theta_probe)| sampled over the (f_b, W_b) grid."""
-
-    probe_angle: float
-    f_axis: np.ndarray
-    w_axis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        f_axis = freeze_field(self, "f_axis", self.f_axis)
-        w_axis = freeze_field(self, "w_axis", self.w_axis)
-        values = freeze_field(self, "values", self.values)
-        if f_axis.ndim != 1 or w_axis.ndim != 1 or values.shape != (f_axis.size, w_axis.size):
-            raise InputError("scan matrix shape must match its axes")
-
-    def to_dict(self):
-        return {
-            "probe_deg": math.degrees(self.probe_angle),
-            "f_hz": self.f_axis,
-            "w_volts": self.w_axis,
-            "magnitude": self.values,
         }
 
 
@@ -283,15 +258,16 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
 
 
 def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
-                  f_c: float = RunConfig.carrier_frequency):
+                  f_c: float = RunConfig.carrier_frequency) -> np.ndarray:
     """Dense |F(theta_probe)| maps over the grid, one per probe angle.
 
-    The reflection of each block of the grid does not depend on the
-    probe, so it is built once and contracted against every probe.
+    Shape (P, Nf, Nw): maps[p, i, j] is |F| at probe_angles[p], drive
+    frequency spec.f_axis()[i] and amplitude spec.w_axis()[j].  The
+    reflection of each block of the grid does not depend on the probe,
+    so it is built once and contracted against every probe.
     """
     probe_angles = [float(probe) for probe in probe_angles]
     if not probe_angles:
         raise InputError("at least one probe angle is required")
-    f_axis, w_axis, _, maps = _search_maps(design, cell, table, spec, probe_angles, f_c)
-    return tuple(ScanGrid(probe_angle=probe, f_axis=f_axis, w_axis=w_axis, values=values)
-                 for probe, values in zip(probe_angles, maps))
+    *_, maps = _search_maps(design, cell, table, spec, probe_angles, f_c)
+    return maps

@@ -256,10 +256,10 @@ def _check_carrier(cell, table, f_c):
 
 
 def reflection_profile(cell: CellCircuit, table: VaractorTable, bias, f_c: float) -> ReflectionProfile:
-    """Element-wise reflection coefficients for a bias pattern at f_c."""
+    """Element-wise reflection coefficients at f_c for bias voltages, one
+    per element (a scalar is one element), such as rectified_bias returns."""
     _check_carrier(cell, table, f_c)
-    volts = np.atleast_1d(np.asarray(
-        bias.voltages if hasattr(bias, "voltages") else bias, dtype=float))
+    volts = np.atleast_1d(np.asarray(bias, dtype=float))
     gamma, clamped = _reflection_array(cell, table, volts, f_c)
     if clamped:
         warnings.warn(_CLAMP_MESSAGE, ClampWarning, stacklevel=2)

@@ -169,14 +169,14 @@ def test_multitone_envelope_against_dense_scan(design):
     for case in range(100):
         exc = _random_excitation(rng, int(rng.integers(1, 9)))
         d = replace(design, termination=cycle[case % 3])
-        bias = w.rectified_bias(d, exc).voltages
+        bias = w.rectified_bias(d, exc)
         ref = _dense_scan_bias(d, exc)
         worst = np.abs(bias - ref).max()
         assert worst <= 1e-4, f"case {case}: {worst} V from the dense scan"
     for case in range(10):
         exc = _random_excitation(rng, 1)
         d = replace(design, termination=cycle[case % 3])
-        bias = w.rectified_bias(d, exc).voltages
+        bias = w.rectified_bias(d, exc)
         ref = _dense_scan_bias(d, exc)
         worst = np.abs(bias - ref).max()
         assert worst <= 1e-6, f"single-tone case {case}: {worst} V from the dense scan"
@@ -252,12 +252,12 @@ def test_specular_suppression_scan(bundle):
                         w_range=(0.0, 12.0), w_step=0.25, w0=W0)
     grid = w.specular_scan(bundle.design, bundle.cell, bundle.varactors,
                            spec, [0.0], f_c=F_C)[0]
-    baseline = grid.values[:, 0]
+    baseline = grid[:, 0]
     # zero drive leaves a uniform surface whatever the frequency
     assert np.allclose(baseline, baseline[0], rtol=1e-12)
     threshold = baseline[0] * 10.0 ** (-10.0 / 20.0)
-    region = grid.values[np.ix_(grid.f_axis > 7.0e6,
-                                (grid.w_axis >= 3.5) & (grid.w_axis <= 4.5))]
+    region = grid[np.ix_(spec.f_axis() > 7.0e6,
+                         (spec.w_axis() >= 3.5) & (spec.w_axis() <= 4.5))]
     assert np.any(region <= threshold), (
         "no drive point beyond 7 MHz at 3.5 to 4.5 V pushes the specular "
         "return 10 dB under the undriven baseline")
@@ -389,7 +389,7 @@ def test_property_bias_stays_within_the_mode_budget(seed):
     term = (w.Termination.SHORT, w.Termination.OPEN,
             w.Termination.MATCHED)[int(rng.integers(0, 3))]
     d = replace(_BUNDLE.design, termination=term)
-    bias = w.rectified_bias(d, exc).voltages
+    bias = w.rectified_bias(d, exc)
     budget = sum(m.amplitude for m in exc.modes)
     assert np.all(bias >= exc.dc_offset - 1e-9)
     assert np.all(bias <= exc.dc_offset + budget + 1e-9)
@@ -402,11 +402,11 @@ def test_property_matched_line_is_flat_and_feed_side_invariant(seed):
     rng = np.random.default_rng(seed)
     exc = _random_excitation(rng, int(rng.integers(1, 4)))
     d = replace(_BUNDLE.design, termination=w.Termination.MATCHED)
-    flat = w.rectified_bias(d, exc).voltages
+    flat = w.rectified_bias(d, exc)
     assert np.allclose(flat, flat[0], rtol=0.0, atol=1e-9)
     # lengthening the feed-side stub only delays the traveling wave
     longer = replace(d, right_extension=float(rng.uniform(0.0, 0.2)))
-    assert np.allclose(w.rectified_bias(longer, exc).voltages, flat,
+    assert np.allclose(w.rectified_bias(longer, exc), flat,
                        rtol=0.0, atol=1e-9)
 
 
@@ -420,7 +420,7 @@ def test_property_short_line_bias_is_monotone_below_resonance(seed):
         dc_offset=W0,
         modes=(w.Mode(1, float(rng.uniform(0.5, 8.0))),),
         fundamental_frequency=float(rng.uniform(0.05e6, f0)))
-    bias = w.rectified_bias(_BUNDLE.design, exc).voltages
+    bias = w.rectified_bias(_BUNDLE.design, exc)
     assert np.all(np.diff(bias) > 0.0)
 
 

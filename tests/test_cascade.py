@@ -178,11 +178,7 @@ def test_overflowing_electrical_length_raises_input_error(design):
     (lambda d: replace(w.build_network(d, 7.18e6),
                        segment_angles=np.r_[math.inf, np.ones(d.element_count - 1)]),
      "segment_angles and lead_angle must be finite"),
-    # the tapped bias the cascade command builds refuses phasors that miss a tap
-    (lambda d: w.BiasPattern(d.tap_positions(), np.zeros(d.element_count - 1)),
-     "1-d arrays of equal length"),
-], ids=["zero_coupling", "misaligned_loads", "missized_z_rect", "inf_segment",
-        "unequal_node_shapes"])
+], ids=["zero_coupling", "misaligned_loads", "missized_z_rect", "inf_segment"])
 def test_cascade_typed_errors(design, build, fragment):
     with pytest.raises(InputError) as info:
         build(design)

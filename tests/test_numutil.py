@@ -58,14 +58,6 @@ def test_parabola_vertex_only_for_a_downward_parabola():
     assert parabola_vertex((0.0, 1.0, 2.0), (1.0, 0.0, 1.0)) is None  # upward
 
 
-def _two_bias_patterns(config):
-    exc = config.excitation
-    net = w.build_network(config.design, exc.fundamental_frequency)
-    return (w.rectified_bias(config.design, exc),
-            w.BiasPattern(config.design.tap_positions(),
-                          exc.dc_offset + np.abs(w.solve_taps(net))))
-
-
 def _two_profiles(config):
     bias = w.rectified_bias(config.design, config.excitation)
     return tuple(w.reflection_profile(config.cell, config.varactors, bias, f_c)
@@ -87,15 +79,9 @@ def _two_sweeps(config):
     return w.synthesize_samples(config.cell, f), w.synthesize_samples(config.cell, f)
 
 
-def _two_scan_grids(config):
-    spec = w.SearchSpec(f_step=1e6, w_range=(0.0, 10.0), w_step=1.0)
-    return w.specular_scan(config.design, config.cell, config.varactors, spec,
-                           [0.0, math.radians(5.0)], f_c=config.carrier_frequency)
-
-
 @pytest.mark.parametrize("results", [
-    _two_bias_patterns, _two_profiles, _two_patterns, _two_sweeps, _two_scan_grids,
-], ids=["BiasPattern", "ReflectionProfile", "RadiationPattern", "ImpedanceSamples", "ScanGrid"])
+    _two_profiles, _two_patterns, _two_sweeps,
+], ids=["ReflectionProfile", "RadiationPattern", "ImpedanceSamples"])
 def test_result_arrays_are_read_only_and_unshared(bundle, results):
     arrays = [getattr(result, field.name) for result in results(bundle)
               for field in dataclasses.fields(result)

@@ -109,11 +109,14 @@ def test_reflection_passive_property(bias, f_c):
 
 
 def test_len_is_the_element_count(bundle):
-    # perfbench's tracer counts tone taps and sweep points with len()
+    # perfbench's tracer counts tone taps, scan probes and sweep points with len()
     bias = w.rectified_bias(bundle.design, bundle.excitation)
-    profile = w.reflection_profile(bundle.cell, bundle.varactors, bias.voltages, 2.45e9)
+    profile = w.reflection_profile(bundle.cell, bundle.varactors, bias, 2.45e9)
     samples = w.synthesize_samples(bundle.cell, np.linspace(1e9, 4e9, 301))
-    assert len(bias) == bias.voltages.size == bundle.design.element_count
+    spec = w.SearchSpec(f_range=(1e6, 3e6), f_step=1e6, w_range=(0.0, 2.0), w_step=1.0)
+    maps = w.specular_scan(bundle.design, bundle.cell, bundle.varactors, spec, [0.0, 0.1, -0.2])
+    assert len(bias) == bias.size == bundle.design.element_count
+    assert len(maps) == 3
     assert len(profile) == profile.magnitudes.size == bundle.design.element_count
     assert len(samples) == samples.frequencies.size == 301
 
