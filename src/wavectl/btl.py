@@ -325,9 +325,9 @@ def rectified_bias(design: BtlDesign, exc: Excitation) -> np.ndarray:
     """Dc bias at every tap of the lossless line: dc offset plus the peak
     of the local ac sum.
 
-    Shape (M,), in volts, one per ``design.tap_positions()``; InputError
-    naming the dc offset, the mode amplitudes and the drive frequency if
-    any is not finite.
+    Shape (M,), in volts, one per ``design.tap_positions()``, read-only;
+    InputError naming the dc offset, the mode amplitudes and the drive
+    frequency if any is not finite.
     """
     peaks = _envelope_peaks(_mode_phasors(design, exc, design.tap_positions()), exc)
     with np.errstate(over="ignore"):
@@ -336,6 +336,7 @@ def rectified_bias(design: BtlDesign, exc: Excitation) -> np.ndarray:
         raise InputError(f"the bias of a {float(exc.dc_offset)!r} V dc offset plus modes of "
                          f"{[float(mode.amplitude) for mode in exc.modes]!r} V at a "
                          f"{float(exc.fundamental_frequency)!r} Hz drive is not finite")
+    voltages.setflags(write=False)
     return voltages
 
 

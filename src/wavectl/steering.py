@@ -261,8 +261,8 @@ def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
                   f_c: float = RunConfig.carrier_frequency) -> np.ndarray:
     """Dense |F(theta_probe)| maps over the grid, one per probe angle.
 
-    Shape (P, Nf, Nw): maps[p, i, j] is |F| at probe_angles[p], drive
-    frequency spec.f_axis()[i] and amplitude spec.w_axis()[j].  The
+    Shape (P, Nf, Nw), read-only: maps[p, i, j] is |F| at probe_angles[p],
+    drive frequency spec.f_axis()[i] and amplitude spec.w_axis()[j].  The
     reflection of each block of the grid does not depend on the probe,
     so it is built once and contracted against every probe.
     """
@@ -270,4 +270,5 @@ def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,
     if not probe_angles:
         raise InputError("at least one probe angle is required")
     *_, maps = _search_maps(design, cell, table, spec, probe_angles, f_c)
+    maps.setflags(write=False)
     return maps

@@ -417,6 +417,14 @@ def test_multi_tone_peaks_against_roots_reference_property(termination, count, m
     assert np.all(np.abs(peaks - polished) <= tol)
 
 
+def _stacked_bias_profile(design):
+    """The reflection of two biases stacked as one (2, M) array."""
+    config = w.load_bundled_config()
+    bias = w.rectified_bias(design, config.excitation)
+    return w.reflection_profile(config.cell, config.varactors, np.stack([bias, bias]),
+                                config.carrier_frequency)
+
+
 @pytest.mark.parametrize("build, fragment", [
     (lambda d, m: replace(d, element_count=27.0), "element_count must be an integer"),
     (lambda d, m: replace(d, termination="short"), "termination must be a Termination value"),
@@ -426,9 +434,16 @@ def test_multi_tone_peaks_against_roots_reference_property(termination, count, m
     (lambda d, m: w.Mode(1.0, 1.0), "mode_index must be an integer"),
     (lambda d, m: w.Excitation(4.0, fundamental_frequency=0.0),
      "fundamental_frequency must be positive"),
+    # the bias is one voltage per element, so a stack of biases is no profile
+    (lambda d, m: _stacked_bias_profile(d), "1-d arrays of equal length"),
+    (lambda d, m: w.rectified_bias(d, w.Excitation(
+        1.7976931348623157e308, modes=(w.Mode(1, 1e308),), fundamental_frequency=7.18e6)),
+     "the bias of a 1.7976931348623157e+308 V dc offset plus modes of [1e+308] V at a "
+     "7180000.0 Hz drive is not finite"),
     (lambda d, m: w.slowness_factor(m, 0.0), "d_x must be positive"),
 ], ids=["float_count", "str_termination", "overflowing_length", "zero_length",
-        "float_mode_index", "zero_frequency", "zero_pitch"])
+        "float_mode_index", "zero_frequency", "unequal_bias_shapes", "inf_bias",
+        "zero_pitch"])
 def test_btl_typed_errors(design, microstrip, build, fragment):
     with pytest.raises(InputError) as info:
         build(design, microstrip)

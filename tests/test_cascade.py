@@ -178,7 +178,12 @@ def test_overflowing_electrical_length_raises_input_error(design):
     (lambda d: replace(w.build_network(d, 7.18e6),
                        segment_angles=np.r_[math.inf, np.ones(d.element_count - 1)]),
      "segment_angles and lead_angle must be finite"),
-], ids=["zero_coupling", "misaligned_loads", "missized_z_rect", "inf_segment"])
+    # one load per segment in shape, not only in count, so one phasor per tap
+    (lambda d: replace(w.build_network(d, 7.18e6),
+                       tap_loads=np.full((d.element_count, 1), 1e3)),
+     "segments and tap loads must align"),
+], ids=["zero_coupling", "misaligned_loads", "missized_z_rect", "inf_segment",
+        "unequal_node_shapes"])
 def test_cascade_typed_errors(design, build, fragment):
     with pytest.raises(InputError) as info:
         build(design)

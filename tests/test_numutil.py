@@ -58,6 +58,10 @@ def test_parabola_vertex_only_for_a_downward_parabola():
     assert parabola_vertex((0.0, 1.0, 2.0), (1.0, 0.0, 1.0)) is None  # upward
 
 
+def _two_biases(config):
+    return tuple(w.rectified_bias(config.design, config.excitation) for _ in range(2))
+
+
 def _two_profiles(config):
     bias = w.rectified_bias(config.design, config.excitation)
     return tuple(w.reflection_profile(config.cell, config.varactors, bias, f_c)
@@ -79,13 +83,27 @@ def _two_sweeps(config):
     return w.synthesize_samples(config.cell, f), w.synthesize_samples(config.cell, f)
 
 
+def _two_scan_maps(config):
+    spec = w.SearchSpec(f_step=1e6, w_range=(0.0, 10.0), w_step=1.0)
+    return tuple(w.specular_scan(config.design, config.cell, config.varactors, spec,
+                                 [0.0, math.radians(5.0)], f_c=config.carrier_frequency)
+                 for _ in range(2))
+
+
+def _result_arrays(result):
+    if isinstance(result, np.ndarray):  # a stage whose one output is an array
+        return [result]
+    return [getattr(result, field.name) for field in dataclasses.fields(result)
+            if isinstance(getattr(result, field.name), np.ndarray)]
+
+
+# the BiasPattern and ScanGrid cases are the bias and scan-map arrays that
+# rectified_bias and specular_scan return in place of those types
 @pytest.mark.parametrize("results", [
-    _two_profiles, _two_patterns, _two_sweeps,
-], ids=["ReflectionProfile", "RadiationPattern", "ImpedanceSamples"])
+    _two_biases, _two_profiles, _two_patterns, _two_sweeps, _two_scan_maps,
+], ids=["BiasPattern", "ReflectionProfile", "RadiationPattern", "ImpedanceSamples", "ScanGrid"])
 def test_result_arrays_are_read_only_and_unshared(bundle, results):
-    arrays = [getattr(result, field.name) for result in results(bundle)
-              for field in dataclasses.fields(result)
-              if isinstance(getattr(result, field.name), np.ndarray)]
+    arrays = [array for result in results(bundle) for array in _result_arrays(result)]
     assert arrays
     assert not any(array.flags.writeable for array in arrays)
     for a, b in itertools.combinations(arrays, 2):

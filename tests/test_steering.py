@@ -389,3 +389,13 @@ def test_extreme_carriers_inside_the_kernel_range_stay_finite(design, cell, tabl
         (grid,) = w.specular_scan(design, cell, table, SMALL, [0.0], f_c=f_c)
     assert np.isfinite(grid).all()
 
+
+@pytest.mark.parametrize("build, fragment", [
+    # a probe off the angle axis refuses the whole scan, not only its own map
+    (lambda d, c, t: w.specular_scan(d, c, t, SMALL, [0.0, math.radians(91.0)]),
+     "target and probe angles must lie within +-90 degrees"),
+], ids=["values_off_axes"])
+def test_steering_typed_errors(design, cell, table, build, fragment):
+    with pytest.raises(InputError) as info:
+        build(design, cell, table)
+    assert fragment in str(info.value)
