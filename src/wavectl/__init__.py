@@ -35,7 +35,6 @@ from .errors import (
 from .numutil import wrap_phase
 from .radiation import (
     PatternMetrics,
-    PatternRequest,
     RadiationPattern,
     array_factor,
     db_from_linear,
@@ -79,7 +78,6 @@ __all__ = [
     "Mode",
     "ParseError",
     "PatternMetrics",
-    "PatternRequest",
     "RadiationPattern",
     "ReflectionProfile",
     "RunConfig",

@@ -37,6 +37,7 @@ from .btl import Mode, Termination, rectified_bias, standing_wave_amplitude
 from .cascade import build_network, solve_taps
 from .config import RunConfig, load_bundled_config, load_config
 from .errors import ConfigError, FitError, InputError, ParseError, SolverError
+from .radiation import db_from_linear
 from .serialize import sha256_of, write_csv, write_json
 from .steering import SearchSpec, _drive_pattern, optimize_single_beam, specular_scan
 from .unitcell import fit_circuit_model, ingest_impedance
@@ -218,7 +219,7 @@ def _cmd_pattern(args, config):
                              _resolve_tone(args, config, args.wb), config.carrier_frequency)
     metrics = pattern.metrics.to_dict()
     header = ("theta_deg", "magnitude", "magnitude_db")
-    columns = (np.rad2deg(pattern.theta), pattern.magnitude, pattern.magnitude_db())
+    columns = (np.rad2deg(pattern.theta), pattern.magnitude, db_from_linear(pattern.magnitude))
     if args.format == "csv":
         body = (header, columns)
     else:
@@ -321,29 +322,30 @@ def _cmd_cascade(args, config):
 
 
 # opens with a negative number, which argparse takes for an option unless
-# the whole token is one
+# the whole token is a plain one such as -12.5
 _NEGATIVE_LEAD = re.compile(r"-\.?\d")
 
 
-def _bind_probe_list(argv):
-    """Join ``--probe -12.5,3`` (or ``--prob -12.5,3``) into ``--probe=-12.5,3``.
+def _bind_negative_values(argv):
+    """Join ``--opt -1e1`` into ``--opt=-1e1`` for any long option.
 
     argparse reads only a plain negative number such as ``-12.5`` as a
-    value, so a probe list that opens with a negative angle would
-    otherwise be taken for an unknown option.
+    value, so one in exponent form (``--theta -1e1``) or a list that
+    opens with a negative angle (``--probe -12.5,3``) would otherwise be
+    taken for an unknown option.
     """
     out = []
     for token in argv:
-        if (out and len(out[-1]) > 2 and "--probe".startswith(out[-1])
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
                 and _NEGATIVE_LEAD.match(token)):
-            out[-1] = f"--probe={token}"
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_bind_probe_list(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_bind_negative_values(sys.argv[1:] if argv is None else argv))
 
     started = time.perf_counter()
     try:

@@ -6,6 +6,10 @@ elements (array factor only, normalized by element count):
 
     F(theta) = (1/M) * sum_m R_m * exp(j*(m*k*d_x*sin(theta) + alpha_m))
 
+array_factor(profile, element_spacing, carrier_frequency, theta_grid)
+takes the pitch d_x, the carrier that sets k and the observation angles
+as plain arguments and checks each of them itself.
+
 Metrics derived from the sampled pattern: refined peak angle and
 value, the broadside (specular) level, the highest sidelobe outside
 the half-power mainlobe, and the half-power beamwidth.
@@ -43,31 +47,6 @@ def default_theta_grid():
     """
     degs = (np.arange(3601) - 1800) * 0.05
     return np.deg2rad(degs)
-
-
-@dataclass(frozen=True)
-class PatternRequest:
-    """What to evaluate: carrier, element pitch, observation angles."""
-
-    carrier_frequency: float
-    element_spacing: float
-    theta_grid: np.ndarray
-
-    def __post_init__(self):
-        if not (self.carrier_frequency > 0):
-            raise InputError("carrier_frequency must be positive")
-        if not (self.element_spacing > 0):
-            raise InputError("element_spacing must be positive")
-        if not math.isfinite(_kd(self.carrier_frequency, self.element_spacing)):
-            raise InputError(f"the phase step k*d of a {float(self.carrier_frequency)!r} Hz carrier "
-                             f"over a {float(self.element_spacing)!r} m spacing is not finite")
-        grid = freeze_field(self, "theta_grid", self.theta_grid)
-        if grid.ndim != 1 or grid.size < 2:
-            raise InputError("theta_grid must be a 1-d array with at least 2 angles")
-        if not np.all(np.diff(grid) > 0):
-            raise InputError("theta_grid must be strictly increasing")
-        if grid[0] < -math.pi / 2 - 1e-12 or grid[-1] > math.pi / 2 + 1e-12:
-            raise InputError("theta_grid must lie within [-pi/2, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -120,9 +99,6 @@ class RadiationPattern:
         mag = freeze_field(self, "magnitude", self.magnitude)
         if theta.shape != mag.shape or theta.ndim != 1:
             raise InputError("theta and magnitude must be 1-d arrays of equal length")
-
-    def magnitude_db(self):
-        return db_from_linear(self.magnitude)
 
 
 def _kd(f_c, spacing):
@@ -179,10 +155,30 @@ def _steering_rows(element_count, spacing, f_c, thetas):
     return rows
 
 
-def array_factor(profile, req: PatternRequest) -> RadiationPattern:
-    """Normalized array factor of a reflection profile on a theta grid."""
+def array_factor(profile, element_spacing, carrier_frequency, theta_grid) -> RadiationPattern:
+    """Normalized array factor of a reflection profile on a theta grid.
+
+    InputError unless the carrier and the spacing are positive, their
+    phase step k*d is finite, and the grid is a 1-d, strictly increasing
+    array of at least 2 angles within [-pi/2, pi/2].
+    """
+    if not (carrier_frequency > 0):
+        raise InputError("carrier_frequency must be positive")
+    if not (element_spacing > 0):
+        raise InputError("element_spacing must be positive")
+    if not math.isfinite(_kd(carrier_frequency, element_spacing)):
+        raise InputError(f"the phase step k*d of a {float(carrier_frequency)!r} Hz carrier "
+                         f"over a {float(element_spacing)!r} m spacing is not finite")
+    # float before the checks and before _steering_rows keys its cache on the bytes
+    theta = np.asarray(theta_grid, dtype=float)
+    if theta.ndim != 1 or theta.size < 2:
+        raise InputError("theta_grid must be a 1-d array with at least 2 angles")
+    if not np.all(np.diff(theta) > 0):
+        raise InputError("theta_grid must be strictly increasing")
+    if theta[0] < -math.pi / 2 - 1e-12 or theta[-1] > math.pi / 2 + 1e-12:
+        raise InputError("theta_grid must lie within [-pi/2, pi/2]")
     m_count = len(profile)
-    rows = _steering_rows(m_count, req.element_spacing, req.carrier_frequency, req.theta_grid)
+    rows = _steering_rows(m_count, element_spacing, carrier_frequency, theta)
     coefficients = profile.coefficients()
     # rows added in order: the bits of sum(axis=0) over the C-ordered (M, T)
     # product, which the tests keep as the reference
@@ -191,8 +187,8 @@ def array_factor(profile, req: PatternRequest) -> RadiationPattern:
         field += coefficients[m] * rows[m]
     field /= m_count
     magnitude = np.abs(field)
-    metrics = _metrics_from_arrays(req.theta_grid, magnitude)
-    return RadiationPattern(theta=req.theta_grid, magnitude=magnitude, metrics=metrics)
+    metrics = _metrics_from_arrays(theta, magnitude)
+    return RadiationPattern(theta=theta, magnitude=magnitude, metrics=metrics)
 
 
 def _metrics_from_arrays(theta, magnitude):

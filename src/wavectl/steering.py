@@ -175,9 +175,7 @@ def _drive_pattern(design, cell, table, exc, f_c, theta_grid=None):
     bias = _btl.rectified_bias(design, exc)
     profile = _unitcell.reflection_profile(cell, table, bias, f_c)
     grid = theta_grid if theta_grid is not None else _radiation.default_theta_grid()
-    req = _radiation.PatternRequest(carrier_frequency=f_c, element_spacing=design.spacing,
-                                    theta_grid=grid)
-    return _radiation.array_factor(profile, req)
+    return _radiation.array_factor(profile, design.spacing, f_c, grid)
 
 
 def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,

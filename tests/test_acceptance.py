@@ -337,8 +337,7 @@ def test_ideal_tapped_line_matches_closed_form(bundle):
 # each property runs at least 100 instances; all of them feed the same
 # checklist line, so the item is green only when every law holds.
 
-_PATTERN_REQ = w.PatternRequest(carrier_frequency=F_C, element_spacing=0.02,
-                                theta_grid=w.default_theta_grid())
+_PATTERN_GEOMETRY = (0.02, F_C, w.default_theta_grid())  # spacing, carrier, angles
 
 
 @pytest.mark.criterion(11, C11)
@@ -349,8 +348,8 @@ def test_property_conjugate_profile_mirrors_the_pattern(seed):
     count = int(rng.integers(2, 41))
     mags = rng.uniform(0.0, 1.0, count)
     phases = rng.uniform(-math.pi, math.pi, count)
-    fwd = w.array_factor(w.ReflectionProfile(mags, phases), _PATTERN_REQ)
-    rev = w.array_factor(w.ReflectionProfile(mags, -phases), _PATTERN_REQ)
+    fwd = w.array_factor(w.ReflectionProfile(mags, phases), *_PATTERN_GEOMETRY)
+    rev = w.array_factor(w.ReflectionProfile(mags, -phases), *_PATTERN_GEOMETRY)
     assert np.allclose(rev.magnitude, fwd.magnitude[::-1], rtol=0.0, atol=1e-12)
 
 
@@ -363,9 +362,9 @@ def test_property_global_phase_leaves_the_pattern_alone(seed, offset):
     count = int(rng.integers(2, 41))
     mags = rng.uniform(0.0, 1.0, count)
     phases = rng.uniform(-math.pi, math.pi, count)
-    base = w.array_factor(w.ReflectionProfile(mags, phases), _PATTERN_REQ)
+    base = w.array_factor(w.ReflectionProfile(mags, phases), *_PATTERN_GEOMETRY)
     rotated = np.angle(np.exp(1j * (phases + offset)))
-    shifted = w.array_factor(w.ReflectionProfile(mags, rotated), _PATTERN_REQ)
+    shifted = w.array_factor(w.ReflectionProfile(mags, rotated), *_PATTERN_GEOMETRY)
     assert np.allclose(shifted.magnitude, base.magnitude, rtol=0.0, atol=1e-12)
 
 

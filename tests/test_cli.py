@@ -125,6 +125,14 @@ def test_scan_probe_list_opening_with_a_negative_angle(tmp_path):
         assert (spaced / "scan.csv").read_bytes() == csv
 
 
+def test_steer_angle_in_exponent_form_after_a_space(tmp_path):
+    # argparse alone reads "-1e1" as an unknown option, not as --theta's value
+    plain, exponent = tmp_path / "plain", tmp_path / "exponent"
+    assert main(["steer", "--theta", "-10", "--coarse-only", "--out", str(plain)]) == 0
+    assert main(["steer", "--theta", "-1e1", "--coarse-only", "--out", str(exponent)]) == 0
+    assert (exponent / "steer.json").read_bytes() == (plain / "steer.json").read_bytes()
+
+
 def test_fit_command_round_trip(tmp_path):
     cell = w.CellCircuit(R_d=0.17, C_d=0.74e-12, L_d=1.64e-9, L_s=1.60e-9)
     sweep = tmp_path / "sweep.csv"

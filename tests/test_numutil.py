@@ -69,13 +69,12 @@ def _two_profiles(config):
 
 
 def _two_patterns(config):
-    req = w.PatternRequest(carrier_frequency=config.carrier_frequency,
-                           element_spacing=config.design.spacing,
-                           theta_grid=w.default_theta_grid())
+    grid = w.default_theta_grid()
     profile = w.reflection_profile(config.cell, config.varactors,
                                    w.rectified_bias(config.design, config.excitation),
                                    config.carrier_frequency)
-    return w.array_factor(profile, req), w.array_factor(profile, req)
+    return tuple(w.array_factor(profile, config.design.spacing, config.carrier_frequency, grid)
+                 for _ in range(2))
 
 
 def _two_sweeps(config):

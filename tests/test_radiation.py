@@ -32,11 +32,10 @@ def _linear_ramp(theta_p, count):
     return np.exp(-1j * step * np.arange(count))
 
 
-def _request(grid=None):
+def _pattern(coeffs, grid=None):
     if grid is None:
         grid = w.default_theta_grid()
-    return w.PatternRequest(carrier_frequency=F_C, element_spacing=D_X,
-                            theta_grid=np.asarray(grid, dtype=float))
+    return w.array_factor(_profile_from(coeffs), D_X, F_C, grid)
 
 
 def test_default_theta_grid_shape():
@@ -50,39 +49,65 @@ def test_default_theta_grid_shape():
 
 def test_request_validation():
     with pytest.raises(InputError):
-        _request(np.array([0.3, 0.2, 0.4]))
+        _pattern(np.ones(2), np.array([0.3, 0.2, 0.4]))
     with pytest.raises(InputError):
-        _request(np.array([0.0]))
+        _pattern(np.ones(2), np.array([0.0]))
     with pytest.raises(InputError):
-        _request(np.array([-2.0, 0.0, 2.0]))
+        _pattern(np.ones(2), np.array([-2.0, 0.0, 2.0]))
     with pytest.raises(InputError):
-        w.PatternRequest(carrier_frequency=0.0, element_spacing=D_X,
-                         theta_grid=np.array([0.0, 0.1]))
+        w.array_factor(_profile_from(np.ones(2)), D_X, 0.0, np.array([0.0, 0.1]))
 
 
 @pytest.mark.parametrize("carrier, spacing", [(math.inf, D_X), (1e308, D_X), (2.45e9, math.inf)])
 def test_request_refuses_a_phase_step_out_of_float_range(carrier, spacing):
     # k*d would be inf and every pattern value NaN
     with pytest.raises(InputError, match="phase step"):
-        w.PatternRequest(carrier_frequency=carrier, element_spacing=spacing,
-                         theta_grid=np.array([0.0, 0.1]))
+        w.array_factor(_profile_from(np.ones(2)), spacing, carrier, np.array([0.0, 0.1]))
 
 
 @pytest.mark.parametrize("count, spacing, refused", [(27, 1e306, True), (27, 1e300, False),
                                                      (1, 1e306, False)])
 def test_array_factor_refuses_a_phase_span_out_of_float_range(count, spacing, refused):
     # k*d is finite at both spacings; (M - 1)*k*d overflows only at 1e306 with 27 elements
-    req = w.PatternRequest(carrier_frequency=F_C, element_spacing=spacing,
-                           theta_grid=np.array([0.0, 0.1]))
+    grid = np.array([0.0, 0.1])
     if refused:
         with pytest.raises(InputError, match=r"\(M - 1\)\*k\*d across 27 elements"):
-            w.array_factor(_profile_from(np.ones(count)), req)
+            w.array_factor(_profile_from(np.ones(count)), spacing, F_C, grid)
     else:
-        assert np.isfinite(w.array_factor(_profile_from(np.ones(count)), req).magnitude).all()
+        pattern = w.array_factor(_profile_from(np.ones(count)), spacing, F_C, grid)
+        assert np.isfinite(pattern.magnitude).all()
+
+
+def test_a_list_int_or_float32_grid_gives_the_float_grid_pattern(monkeypatch):
+    coeffs = np.exp(-0.3j * np.arange(27))
+    want = _pattern(coeffs, np.array([-1.0, 0.0, 1.0]))
+    for grid in ([-1, 0, 1], np.array([-1, 0, 1])):
+        for cached in (True, False):
+            if not cached:
+                monkeypatch.setattr(radiation, "_rows_cache", None)
+            got = _pattern(coeffs, grid)
+            assert got.theta.dtype == np.float64
+            assert got.theta.tobytes() == want.theta.tobytes()
+            assert got.magnitude.tobytes() == want.magnitude.tobytes()
+            assert got.metrics == want.metrics
+    # converted before _steering_rows keys its cache on the grid's bytes: these
+    # four float32 angles have the bytes of a valid 2-angle float64 grid
+    narrow = np.array([-0.5, 0.25, 0.5, 1.0], dtype=np.float32)
+    want = _pattern(coeffs, narrow.astype(float))
+    _pattern(coeffs, narrow.view(float))
+    assert _pattern(coeffs, narrow).magnitude.tobytes() == want.magnitude.tobytes()
+
+
+def test_pattern_theta_does_not_share_the_callers_grid():
+    grid = w.default_theta_grid()
+    pattern = _pattern(np.ones(27), grid)
+    assert not np.shares_memory(pattern.theta, grid)
+    grid[0] = 0.0
+    assert pattern.theta[0] == -math.pi / 2
 
 
 def test_uniform_profile_peaks_at_specular():
-    pattern = w.array_factor(_profile_from(np.ones(27)), _request())
+    pattern = _pattern(np.ones(27))
     m = pattern.metrics
     assert m.peak_angle == pytest.approx(0.0, abs=1e-9)
     assert m.peak_value == pytest.approx(1.0, rel=1e-12)
@@ -112,13 +137,13 @@ def test_uniform_hpbw_matches_bisection_oracle():
     theta_half = math.asin(u_half / (k * D_X))
     expected = 2.0 * theta_half
 
-    pattern = w.array_factor(_profile_from(np.ones(m_count)), _request())
+    pattern = _pattern(np.ones(m_count))
     got = pattern.metrics.half_power_beamwidth
     assert got == pytest.approx(expected, rel=2e-3)
 
 
 def test_uniform_first_sidelobe_level():
-    pattern = w.array_factor(_profile_from(np.ones(27)), _request())
+    pattern = _pattern(np.ones(27))
     sll = pattern.metrics.highest_sidelobe
     # independent scan of the closed form over the visible span
     k = 2.0 * math.pi * F_C / w.C0
@@ -129,7 +154,7 @@ def test_uniform_first_sidelobe_level():
 
 def test_gradient_steers_the_peak():
     theta_p = math.radians(20.0)
-    pattern = w.array_factor(_profile_from(_linear_ramp(theta_p, 27)), _request())
+    pattern = _pattern(_linear_ramp(theta_p, 27))
     assert pattern.metrics.peak_angle == pytest.approx(theta_p, abs=math.radians(0.05))
     assert pattern.metrics.peak_value == pytest.approx(1.0, rel=1e-9)
     assert pattern.metrics.specular_value < pattern.metrics.peak_value
@@ -137,7 +162,7 @@ def test_gradient_steers_the_peak():
 
 def test_specular_omitted_off_grid():
     grid = np.linspace(math.radians(10.0), math.radians(30.0), 201)
-    pattern = w.array_factor(_profile_from(np.ones(27)), _request(grid))
+    pattern = _pattern(np.ones(27), grid)
     assert pattern.metrics.specular_omitted
     assert pattern.metrics.specular_value is None
     d = pattern.metrics.to_dict()
@@ -146,7 +171,7 @@ def test_specular_omitted_off_grid():
 
 
 def test_metrics_to_dict_keys():
-    pattern = w.array_factor(_profile_from(np.ones(27)), _request())
+    pattern = _pattern(np.ones(27))
     d = pattern.metrics.to_dict()
     for key in ("peak_angle_deg", "peak_value_linear", "peak_value_db",
                 "specular_omitted", "specular_linear", "specular_db",
@@ -156,8 +181,8 @@ def test_metrics_to_dict_keys():
 
 
 def test_pattern_csv_rows_floor():
-    pattern = w.array_factor(_profile_from(np.zeros(4)), _request())
-    theta_deg, magnitude_db = np.rad2deg(pattern.theta), pattern.magnitude_db()
+    pattern = _pattern(np.zeros(4))
+    theta_deg, magnitude_db = np.rad2deg(pattern.theta), w.db_from_linear(pattern.magnitude)
     assert len(theta_deg) == len(magnitude_db) == 3601
     assert np.all(magnitude_db == DB_FLOOR)
     assert theta_deg[0] == pytest.approx(-90.0)
@@ -167,7 +192,7 @@ def test_peak_refinement_beats_grid_resolution():
     # steer between grid points; the refined peak should land closer
     # than half a grid step
     theta_p = math.radians(20.013)
-    pattern = w.array_factor(_profile_from(_linear_ramp(theta_p, 27)), _request())
+    pattern = _pattern(_linear_ramp(theta_p, 27))
     err = abs(pattern.metrics.peak_angle - theta_p)
     assert err < math.radians(0.015)
 
@@ -178,8 +203,8 @@ def test_peak_refinement_beats_grid_resolution():
 def test_conjugate_symmetry_property(rows):
     coeffs = np.array([m * cmath.exp(1j * p) for m, p in rows])
     grid = np.linspace(-math.pi / 2, math.pi / 2, 181)
-    fwd = w.array_factor(_profile_from(coeffs), _request(grid))
-    rev = w.array_factor(_profile_from(np.conj(coeffs)), _request(grid))
+    fwd = _pattern(coeffs, grid)
+    rev = _pattern(np.conj(coeffs), grid)
     assert np.allclose(rev.magnitude, fwd.magnitude[::-1], atol=1e-12)
 
 
@@ -190,14 +215,13 @@ def test_conjugate_symmetry_property(rows):
 def test_global_phase_invariance_property(rows, phi):
     coeffs = np.array([m * cmath.exp(1j * p) for m, p in rows])
     grid = np.linspace(-math.pi / 2, math.pi / 2, 181)
-    base = w.array_factor(_profile_from(coeffs), _request(grid))
-    spun = w.array_factor(_profile_from(coeffs * cmath.exp(1j * phi)), _request(grid))
+    base = _pattern(coeffs, grid)
+    spun = _pattern(coeffs * cmath.exp(1j * phi), grid)
     assert np.allclose(spun.magnitude, base.magnitude, atol=1e-12)
 
 
 @pytest.mark.parametrize("build, fragment", [
-    (lambda: w.PatternRequest(carrier_frequency=F_C, element_spacing=0.0,
-                              theta_grid=w.default_theta_grid()),
+    (lambda: w.array_factor(_profile_from(np.ones(2)), 0.0, F_C, w.default_theta_grid()),
      "element_spacing must be positive"),
     (lambda: w.RadiationPattern(theta=np.zeros(3), magnitude=np.zeros(2),
                                 metrics=w.PatternMetrics(0.0, 1.0, None, None, None)),
@@ -209,10 +233,10 @@ def test_radiation_typed_errors(build, fragment):
     assert fragment in str(info.value)
 
 
-def _vectorized_factor(coeffs, req):
+def _vectorized_factor(coeffs, carrier, grid):
     """The pattern field as one (M, T) product summed over its rows, for reference."""
-    kd = 2.0 * math.pi * req.carrier_frequency / w.C0 * req.element_spacing
-    phases = np.multiply.outer(np.arange(len(coeffs)), kd * np.sin(req.theta_grid))
+    kd = 2.0 * math.pi * carrier / w.C0 * D_X
+    phases = np.multiply.outer(np.arange(len(coeffs)), kd * np.sin(grid))
     return np.abs((coeffs[:, None] * np.exp(1j * phases)).sum(axis=0) / len(coeffs))
 
 
@@ -230,22 +254,20 @@ def test_reused_rows_give_the_bits_of_a_cold_build(monkeypatch):
     monkeypatch.setattr(radiation, "_rows_cache", None)
     for count, carrier, grid, cached_rows in sequence:
         coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
-        req = w.PatternRequest(carrier_frequency=carrier, element_spacing=D_X,
-                               theta_grid=grids[grid])
-        warm = w.array_factor(_profile_from(coeffs), req).magnitude
+        warm = w.array_factor(_profile_from(coeffs), D_X, carrier, grids[grid]).magnitude
         kept = radiation._rows_cache
         assert len(kept[1]) == cached_rows
         radiation._rows_cache = None
-        cold = w.array_factor(_profile_from(coeffs), req).magnitude
+        cold = w.array_factor(_profile_from(coeffs), D_X, carrier, grids[grid]).magnitude
         radiation._rows_cache = kept
         assert warm.tobytes() == cold.tobytes()
         assert cold.tobytes() == _vectorized_factor(_profile_from(coeffs).coefficients(),
-                                                    req).tobytes()
+                                                    carrier, grids[grid]).tobytes()
 
 
 def test_cached_rows_are_read_only(monkeypatch):
     monkeypatch.setattr(radiation, "_rows_cache", None)
-    w.array_factor(_profile_from(np.ones(27)), _request())
+    _pattern(np.ones(27))
     rows = radiation._rows_cache[1]
     leading = radiation._steering_rows(5, D_X, F_C, w.default_theta_grid())
     assert np.shares_memory(leading, rows)
@@ -256,16 +278,14 @@ def test_cached_rows_are_read_only(monkeypatch):
 
 
 def test_a_phase_span_out_of_float_range_leaves_the_rows_alone(monkeypatch):
-    bad = w.PatternRequest(carrier_frequency=F_C, element_spacing=1e306,
-                           theta_grid=w.default_theta_grid())
     messages = []
     monkeypatch.setattr(radiation, "_rows_cache", None)
     for warm_up in (False, True):
         if warm_up:
-            w.array_factor(_profile_from(np.ones(60)), _request())
+            _pattern(np.ones(60))
         before = radiation._rows_cache
         with pytest.raises(InputError) as info:
-            w.array_factor(_profile_from(np.ones(27)), bad)
+            w.array_factor(_profile_from(np.ones(27)), 1e306, F_C, w.default_theta_grid())
         assert radiation._rows_cache is before
         messages.append(str(info.value))
     assert messages[0] == messages[1]

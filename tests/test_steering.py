@@ -63,9 +63,7 @@ def test_evaluate_matches_manual_pipeline(design, cell, table):
     exc = w.Excitation(dc_offset=w0, modes=(w.Mode(1, w_b),), fundamental_frequency=f_b)
     bias = w.rectified_bias(design, exc)
     profile = w.reflection_profile(cell, table, bias, f_c)
-    req = w.PatternRequest(carrier_frequency=f_c, element_spacing=design.spacing,
-                           theta_grid=w.default_theta_grid())
-    expected = w.array_factor(profile, req)
+    expected = w.array_factor(profile, design.spacing, f_c, w.default_theta_grid())
     assert np.array_equal(pattern.magnitude, expected.magnitude)
     assert pattern.metrics.peak_angle == expected.metrics.peak_angle
 
@@ -399,3 +397,33 @@ def test_steering_typed_errors(design, cell, table, build, fragment):
     with pytest.raises(InputError) as info:
         build(design, cell, table)
     assert fragment in str(info.value)
+
+
+def test_criterion_7_red_row_misses_by_its_frequency(bundle):
+    # criterion 7's one red row asks -6 deg of (0.5 MHz, 10.4 V) on the shorted
+    # 60-tap line; its test and rows stay as tabulated, and this one pins
+    # which half of the drive the bundled cell disagrees with
+    design = replace(bundle.design, termination=w.Termination.SHORT, element_count=60)
+
+    def peak(f_b, w_b):
+        pattern = w.evaluate_operating_point(design, bundle.cell, bundle.varactors,
+                                             f_b, w_b, 4.0, 2.45e9)
+        return math.degrees(pattern.metrics.peak_angle), pattern.metrics.peak_value
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", w.ClampWarning)
+        # the row's amplitude at 0.75 to 2.15 MHz: every frequency places the beam
+        by_frequency = {k * 50e3: peak(k * 50e3, 10.4) for k in range(15, 44)}
+        # the row's frequency at 0 to 12 V: no amplitude does
+        by_amplitude = [peak(0.5e6, k / 10)[0] for k in range(121)]
+    assert all(abs(angle + 6.0) <= 1.5 for angle, _ in by_frequency.values())
+    best = max(by_frequency, key=lambda f_b: by_frequency[f_b][1])
+    assert best == 0.9e6
+    assert by_frequency[best][1] == pytest.approx(0.839, abs=5e-4)
+    assert all(abs(angle + 6.0) > 1.5 for angle in by_amplitude)
+    assert min(by_amplitude) == pytest.approx(-3.14, abs=5e-3)
+    assert max(by_amplitude) == pytest.approx(0.0, abs=1e-9)
+    # nor can the bundled generator deliver the row's amplitude at its frequency
+    delivered = w.standing_wave_amplitude(design, bundle.excitation, 0.5e6)
+    assert delivered == pytest.approx(3.94, abs=5e-3)
+    assert delivered < 10.4
