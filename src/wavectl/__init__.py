@@ -32,7 +32,6 @@ from .errors import (
     SolverError,
     WavectlError,
 )
-from .numutil import wrap_phase
 from .radiation import (
     PatternMetrics,
     RadiationPattern,
@@ -50,7 +49,6 @@ from .steering import (
 from .unitcell import (
     CellCircuit,
     ImpedanceSamples,
-    ReflectionProfile,
     VaractorTable,
     equivalent_impedance,
     fit_circuit_model,
@@ -79,7 +77,6 @@ __all__ = [
     "ParseError",
     "PatternMetrics",
     "RadiationPattern",
-    "ReflectionProfile",
     "RunConfig",
     "SearchSpec",
     "SolverError",
@@ -108,6 +105,5 @@ __all__ = [
     "specular_scan",
     "standing_wave_amplitude",
     "synthesize_samples",
-    "wrap_phase",
     "__version__",
 ]

@@ -1,5 +1,5 @@
-"""Small numeric helpers: frozen array fields, phase wrapping, a
-golden-section line search and a three-point parabola vertex."""
+"""Small numeric helpers: frozen array fields, a golden-section line
+search and a three-point parabola vertex."""
 
 import math
 
@@ -16,16 +16,6 @@ def freeze_field(obj, name, values, dtype=float):
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
     return array
-
-
-def wrap_phase(angle):
-    """Wrap an angle (radians) to the principal interval (-pi, pi]."""
-    wrapped = np.mod(np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    # np.mod lands on [-pi, pi); fold the open end onto +pi
-    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
-    if np.ndim(angle) == 0:
-        return float(wrapped)
-    return wrapped
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

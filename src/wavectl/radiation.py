@@ -1,14 +1,15 @@
 """Far-field array factor of the linear array and derived metrics.
 
 The scattered field is modeled as the interference sum of the
-per-element reflection coefficients over a uniform line of isotropic
-elements (array factor only, normalized by element count):
+per-element complex reflection coefficients Gamma_m over a uniform line
+of isotropic elements (array factor only, normalized by element count):
 
-    F(theta) = (1/M) * sum_m R_m * exp(j*(m*k*d_x*sin(theta) + alpha_m))
+    F(theta) = (1/M) * sum_m Gamma_m * exp(j*m*k*d_x*sin(theta))
 
-array_factor(profile, element_spacing, carrier_frequency, theta_grid)
-takes the pitch d_x, the carrier that sets k and the observation angles
-as plain arguments and checks each of them itself.
+array_factor(coefficients, element_spacing, carrier_frequency, theta_grid)
+takes the (M,) Gamma that reflection_profile returns, the pitch d_x, the
+carrier that sets k and the observation angles as plain arguments and
+checks each of them itself.
 
 Metrics derived from the sampled pattern: refined peak angle and
 value, the broadside (specular) level, the highest sidelobe outside
@@ -155,13 +156,19 @@ def _steering_rows(element_count, spacing, f_c, thetas):
     return rows
 
 
-def array_factor(profile, element_spacing, carrier_frequency, theta_grid) -> RadiationPattern:
-    """Normalized array factor of a reflection profile on a theta grid.
+def array_factor(coefficients, element_spacing, carrier_frequency, theta_grid) -> RadiationPattern:
+    """Normalized array factor of per-element reflection coefficients on a theta grid.
 
-    InputError unless the carrier and the spacing are positive, their
-    phase step k*d is finite, and the grid is a 1-d, strictly increasing
-    array of at least 2 angles within [-pi/2, pi/2].
+    InputError unless the coefficients are a nonempty, finite 1-d array,
+    the carrier and the spacing are positive, their phase step k*d is
+    finite, and the grid is a 1-d, strictly increasing array of at least
+    2 angles within [-pi/2, pi/2].
     """
+    coefficients = np.asarray(coefficients, dtype=complex)
+    if coefficients.ndim != 1 or coefficients.size < 1:
+        raise InputError("coefficients must be a nonempty 1-d array, one per element")
+    if not np.all(np.isfinite(coefficients)):
+        raise InputError("coefficients must be finite")
     if not (carrier_frequency > 0):
         raise InputError("carrier_frequency must be positive")
     if not (element_spacing > 0):
@@ -177,9 +184,8 @@ def array_factor(profile, element_spacing, carrier_frequency, theta_grid) -> Rad
         raise InputError("theta_grid must be strictly increasing")
     if theta[0] < -math.pi / 2 - 1e-12 or theta[-1] > math.pi / 2 + 1e-12:
         raise InputError("theta_grid must lie within [-pi/2, pi/2]")
-    m_count = len(profile)
+    m_count = len(coefficients)
     rows = _steering_rows(m_count, element_spacing, carrier_frequency, theta)
-    coefficients = profile.coefficients()
     # rows added in order: the bits of sum(axis=0) over the C-ordered (M, T)
     # product, which the tests keep as the reference
     field = coefficients[0] * rows[0]

@@ -120,10 +120,10 @@ def _grid_maps(cell, table, envelope, w_axis, w0, f_c, steer):
     _BLOCK_POINTS (f, m) entries at a time, and the cell kernel runs
     once per distinct level and W row (_level_maps).  Neither the
     (Nf, Nw, M) reflection tensor nor its biases ever exist.  Each
-    reflection and each tap sum is formed by the same ufuncs, over the
-    same M contiguous values, as in the rectified_bias ->
-    reflection_profile -> array_factor pipeline for a single-tone
-    excitation; only the evaluation order differs.
+    reflection is the kernel's Gamma bit for bit, as reflection_profile
+    hands it to array_factor in the rectified_bias -> reflection_profile
+    -> array_factor pipeline for a single-tone excitation; only the order
+    of the tap sum differs.
     """
     maps = np.empty((len(steer), len(envelope), w_axis.size))
     freqs = max(1, min(_BLOCK_POINTS // envelope.shape[1], len(envelope)))
@@ -173,9 +173,9 @@ def _level_maps(cell, table, levels, inverse, w_axis, w0, f_c, steer, maps):
 def _drive_pattern(design, cell, table, exc, f_c, theta_grid=None):
     """Full pipeline for one drive: bias, reflection, pattern."""
     bias = _btl.rectified_bias(design, exc)
-    profile = _unitcell.reflection_profile(cell, table, bias, f_c)
+    gamma = _unitcell.reflection_profile(cell, table, bias, f_c)
     grid = theta_grid if theta_grid is not None else _radiation.default_theta_grid()
-    return _radiation.array_factor(profile, design.spacing, f_c, grid)
+    return _radiation.array_factor(gamma, design.spacing, f_c, grid)
 
 
 def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,

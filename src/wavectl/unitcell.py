@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import ETA0, MU0
 from .errors import ClampWarning, FitError, InputError, ParseError
-from .numutil import freeze_field, wrap_phase
+from .numutil import freeze_field
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,12 @@ class CellCircuit:
         for name in ("R_d", "C_d", "L_d", "L_s"):
             if not (0 < getattr(self, name) < math.inf):
                 raise InputError(f"{name} must be strictly positive and finite")
+        # each resonance is 1/sqrt of a product that must not underflow to 0 or overflow
+        for names, product in (("C_d * L_d", self.C_d * self.L_d),
+                               ("C_d * (L_d + L_s)", self.C_d * (self.L_d + self.L_s))):
+            if not (0 < product < math.inf):
+                raise InputError(f"{names} is out of float range at C_d = {self.C_d!r} F, "
+                                 f"L_d = {self.L_d!r} H, L_s = {self.L_s!r} H")
 
     @property
     def electric_resonance(self):
@@ -119,35 +125,6 @@ class ImpedanceSamples:
 
     def __len__(self):
         return self.frequencies.size
-
-
-@dataclass(frozen=True)
-class ReflectionProfile:
-    """Per-element reflection coefficient at the carrier.
-
-    magnitudes are linear in [0, 1]; phases are principal values in
-    (-pi, pi] radians.
-    """
-
-    magnitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        mags = freeze_field(self, "magnitudes", self.magnitudes)
-        phases = freeze_field(self, "phases", self.phases)
-        if mags.ndim != 1 or mags.shape != phases.shape:
-            raise InputError("magnitudes and phases must be 1-d arrays of equal length")
-        if mags.size < 1:
-            raise InputError("reflection profile may not be empty")
-        if np.any(mags < 0):
-            raise InputError("reflection magnitudes must be nonnegative")
-
-    def __len__(self):
-        return self.magnitudes.size
-
-    def coefficients(self):
-        """Complex reflection coefficients R_m * exp(j alpha_m)."""
-        return self.magnitudes * np.exp(1j * self.phases)
 
 
 _CLAMP_MESSAGE = "bias voltage outside the varactor table range; clamped to the end row"
@@ -255,15 +232,25 @@ def _check_carrier(cell, table, f_c):
         raise InputError(f"carrier frequency {float(f_c)!r} Hz is out of range for the cell model")
 
 
-def reflection_profile(cell: CellCircuit, table: VaractorTable, bias, f_c: float) -> ReflectionProfile:
-    """Element-wise reflection coefficients at f_c for bias voltages, one
-    per element (a scalar is one element), such as rectified_bias returns."""
-    _check_carrier(cell, table, f_c)
+def reflection_profile(cell: CellCircuit, table: VaractorTable, bias, f_c: float) -> np.ndarray:
+    """Complex reflection coefficient of each element at f_c for bias
+    voltages, one per element (a scalar is one element), such as
+    rectified_bias returns.
+
+    Shape (M,), read-only: the cell kernel's own values, bit for bit.
+    InputError unless the bias is a scalar or a nonempty 1-d array.
+    """
     volts = np.atleast_1d(np.asarray(bias, dtype=float))
+    if volts.ndim != 1:
+        raise InputError("bias must be a scalar or a 1-d array, one voltage per element")
+    if volts.size < 1:
+        raise InputError("bias may not be empty")
+    _check_carrier(cell, table, f_c)
     gamma, clamped = _reflection_array(cell, table, volts, f_c)
     if clamped:
         warnings.warn(_CLAMP_MESSAGE, ClampWarning, stacklevel=2)
-    return ReflectionProfile(magnitudes=np.abs(gamma), phases=wrap_phase(np.angle(gamma)))
+    gamma.setflags(write=False)
+    return gamma
 
 
 def equivalent_impedance(cell: CellCircuit, frequencies) -> np.ndarray:
@@ -291,8 +278,9 @@ def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> 
     Z (dZ_ser = Z_ser**2 dZ / Z**2).  Noise-free data is recovered to
     rounding at any sweep that holds the sixteen points ImpedanceSamples
     requires.  A fitted value that is not positive, a sample at which
-    the series branch is undefined (Z = 0 or Z = jwL_s), or a sweep
-    whose values are out of range for the arithmetic raises FitError.
+    the series branch is undefined (Z = 0 or Z = jwL_s), a sweep whose
+    values are out of range for the arithmetic, or a fitted circuit that
+    CellCircuit refuses raises FitError.
     """
     if not (substrate_thickness > 0):
         raise InputError("substrate_thickness must be positive")
@@ -305,7 +293,10 @@ def fit_circuit_model(samples: ImpedanceSamples, substrate_thickness: float) -> 
     if not (r_d > 0 and l_d > 0 and inv_c_d > 0):
         raise FitError(f"fitted R_d = {r_d:.6g}, L_d = {l_d:.6g}, 1/C_d = {inv_c_d:.6g}: "
                        "not all positive; the sweep does not look like this circuit")
-    return CellCircuit(R_d=r_d, C_d=1.0 / inv_c_d, L_d=l_d, L_s=l_s)
+    try:
+        return CellCircuit(R_d=r_d, C_d=1.0 / inv_c_d, L_d=l_d, L_s=l_s)
+    except InputError as err:
+        raise FitError(f"the fitted circuit is out of range: {err}") from None
 
 
 def _series_branch_fit(samples, l_s):

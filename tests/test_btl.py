@@ -435,7 +435,7 @@ def _stacked_bias_profile(design):
     (lambda d, m: w.Excitation(4.0, fundamental_frequency=0.0),
      "fundamental_frequency must be positive"),
     # the bias is one voltage per element, so a stack of biases is no profile
-    (lambda d, m: _stacked_bias_profile(d), "1-d arrays of equal length"),
+    (lambda d, m: _stacked_bias_profile(d), "bias must be a scalar or a 1-d array"),
     (lambda d, m: w.rectified_bias(d, w.Excitation(
         1.7976931348623157e308, modes=(w.Mode(1, 1e308),), fundamental_frequency=7.18e6)),
      "the bias of a 1.7976931348623157e+308 V dc offset plus modes of [1e+308] V at a "

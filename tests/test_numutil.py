@@ -4,31 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import wavectl as w
-from wavectl.numutil import golden_section_maximize, parabola_vertex, wrap_phase
-
-
-def test_wrap_phase_halfopen_interval():
-    # the branch cut maps to +pi, never -pi
-    assert wrap_phase(math.pi) == pytest.approx(math.pi)
-    assert wrap_phase(-math.pi) == pytest.approx(math.pi)
-    assert wrap_phase(3 * math.pi) == pytest.approx(math.pi)
-    assert wrap_phase(0.0) == 0.0
-
-
-@given(st.floats(-1e6, 1e6))
-def test_wrap_phase_congruent(angle):
-    wrapped = wrap_phase(angle)
-    assert -math.pi < wrapped <= math.pi
-    # same angle modulo 2*pi
-    assert math.remainder(wrapped - angle, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_wrap_phase_array():
-    out = wrap_phase(np.array([0.0, math.pi, -math.pi, 2 * math.pi]))
-    assert np.allclose(out, [0.0, math.pi, math.pi, 0.0])
+from wavectl.numutil import golden_section_maximize, parabola_vertex
 
 
 def test_golden_section_finds_parabola_peak():
@@ -96,8 +74,9 @@ def _result_arrays(result):
             if isinstance(getattr(result, field.name), np.ndarray)]
 
 
-# the BiasPattern and ScanGrid cases are the bias and scan-map arrays that
-# rectified_bias and specular_scan return in place of those types
+# the BiasPattern, ReflectionProfile and ScanGrid cases are the bias,
+# reflection and scan-map arrays that rectified_bias, reflection_profile and
+# specular_scan return in place of those types
 @pytest.mark.parametrize("results", [
     _two_biases, _two_profiles, _two_patterns, _two_sweeps, _two_scan_maps,
 ], ids=["BiasPattern", "ReflectionProfile", "RadiationPattern", "ImpedanceSamples", "ScanGrid"])

@@ -21,11 +21,6 @@ F_C = 2.45e9
 D_X = 0.02
 
 
-def _profile_from(coeffs):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return w.ReflectionProfile(magnitudes=np.abs(coeffs), phases=np.angle(coeffs))
-
-
 def _linear_ramp(theta_p, count):
     """Unit coefficients whose phase falls by k*d*sin(theta_p) per element."""
     step = 2.0 * math.pi * F_C / w.C0 * D_X * math.sin(theta_p)
@@ -35,7 +30,7 @@ def _linear_ramp(theta_p, count):
 def _pattern(coeffs, grid=None):
     if grid is None:
         grid = w.default_theta_grid()
-    return w.array_factor(_profile_from(coeffs), D_X, F_C, grid)
+    return w.array_factor(coeffs, D_X, F_C, grid)
 
 
 def test_default_theta_grid_shape():
@@ -55,14 +50,14 @@ def test_request_validation():
     with pytest.raises(InputError):
         _pattern(np.ones(2), np.array([-2.0, 0.0, 2.0]))
     with pytest.raises(InputError):
-        w.array_factor(_profile_from(np.ones(2)), D_X, 0.0, np.array([0.0, 0.1]))
+        w.array_factor(np.ones(2), D_X, 0.0, np.array([0.0, 0.1]))
 
 
 @pytest.mark.parametrize("carrier, spacing", [(math.inf, D_X), (1e308, D_X), (2.45e9, math.inf)])
 def test_request_refuses_a_phase_step_out_of_float_range(carrier, spacing):
     # k*d would be inf and every pattern value NaN
     with pytest.raises(InputError, match="phase step"):
-        w.array_factor(_profile_from(np.ones(2)), spacing, carrier, np.array([0.0, 0.1]))
+        w.array_factor(np.ones(2), spacing, carrier, np.array([0.0, 0.1]))
 
 
 @pytest.mark.parametrize("count, spacing, refused", [(27, 1e306, True), (27, 1e300, False),
@@ -72,9 +67,9 @@ def test_array_factor_refuses_a_phase_span_out_of_float_range(count, spacing, re
     grid = np.array([0.0, 0.1])
     if refused:
         with pytest.raises(InputError, match=r"\(M - 1\)\*k\*d across 27 elements"):
-            w.array_factor(_profile_from(np.ones(count)), spacing, F_C, grid)
+            w.array_factor(np.ones(count), spacing, F_C, grid)
     else:
-        pattern = w.array_factor(_profile_from(np.ones(count)), spacing, F_C, grid)
+        pattern = w.array_factor(np.ones(count), spacing, F_C, grid)
         assert np.isfinite(pattern.magnitude).all()
 
 
@@ -208,6 +203,19 @@ def test_conjugate_symmetry_property(rows):
     assert np.allclose(rev.magnitude, fwd.magnitude[::-1], atol=1e-12)
 
 
+@pytest.mark.parametrize("coeffs, fragment", [
+    # a NaN or inf coefficient would make every |F| NaN, with the peak at -90 degrees
+    ([math.nan, 1.0], "coefficients must be finite"),
+    ([math.inf, 1.0], "coefficients must be finite"),
+    ([complex(0.0, -math.inf), 1.0], "coefficients must be finite"),
+    (np.zeros(0), "coefficients must be a nonempty 1-d array"),
+    (1.0, "coefficients must be a nonempty 1-d array"),
+], ids=["nan", "inf", "inf_imag", "empty", "scalar"])
+def test_array_factor_refuses_coefficients_it_cannot_sum(coeffs, fragment):
+    with pytest.raises(InputError, match=fragment):
+        _pattern(coeffs)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),
                 min_size=2, max_size=40),
@@ -221,7 +229,7 @@ def test_global_phase_invariance_property(rows, phi):
 
 
 @pytest.mark.parametrize("build, fragment", [
-    (lambda: w.array_factor(_profile_from(np.ones(2)), 0.0, F_C, w.default_theta_grid()),
+    (lambda: w.array_factor(np.ones(2), 0.0, F_C, w.default_theta_grid()),
      "element_spacing must be positive"),
     (lambda: w.RadiationPattern(theta=np.zeros(3), magnitude=np.zeros(2),
                                 metrics=w.PatternMetrics(0.0, 1.0, None, None, None)),
@@ -254,15 +262,14 @@ def test_reused_rows_give_the_bits_of_a_cold_build(monkeypatch):
     monkeypatch.setattr(radiation, "_rows_cache", None)
     for count, carrier, grid, cached_rows in sequence:
         coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
-        warm = w.array_factor(_profile_from(coeffs), D_X, carrier, grids[grid]).magnitude
+        warm = w.array_factor(coeffs, D_X, carrier, grids[grid]).magnitude
         kept = radiation._rows_cache
         assert len(kept[1]) == cached_rows
         radiation._rows_cache = None
-        cold = w.array_factor(_profile_from(coeffs), D_X, carrier, grids[grid]).magnitude
+        cold = w.array_factor(coeffs, D_X, carrier, grids[grid]).magnitude
         radiation._rows_cache = kept
         assert warm.tobytes() == cold.tobytes()
-        assert cold.tobytes() == _vectorized_factor(_profile_from(coeffs).coefficients(),
-                                                    carrier, grids[grid]).tobytes()
+        assert cold.tobytes() == _vectorized_factor(coeffs, carrier, grids[grid]).tobytes()
 
 
 def test_cached_rows_are_read_only(monkeypatch):
@@ -285,7 +292,7 @@ def test_a_phase_span_out_of_float_range_leaves_the_rows_alone(monkeypatch):
             _pattern(np.ones(60))
         before = radiation._rows_cache
         with pytest.raises(InputError) as info:
-            w.array_factor(_profile_from(np.ones(27)), 1e306, F_C, w.default_theta_grid())
+            w.array_factor(np.ones(27), 1e306, F_C, w.default_theta_grid())
         assert radiation._rows_cache is before
         messages.append(str(info.value))
     assert messages[0] == messages[1]

@@ -6,6 +6,7 @@ module existed; the fit tests synthesize sweeps from known values and
 demand the recovered circuit match them.
 """
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavectl as w
+from wavectl import unitcell
 from wavectl.errors import ClampWarning, FitError, InputError, ParseError
 from wavectl.serialize import write_csv
-from wavectl.unitcell import (ImpedanceSamples, _Buffers, _lookup_arrays, _surface_array,
-                              _varactor_array)
+from wavectl.unitcell import (ImpedanceSamples, _Buffers, _lookup_arrays, _reflection_array,
+                              _surface_array, _varactor_array)
 
 # an earlier published value set for this cell family; used as a fit
 # target because its resonances sit inside an easy sweep range
@@ -69,12 +71,11 @@ def test_ris_impedance_and_reflection_frozen(table):
     z = complex(_surface_array(cell, z_v, 2.0 * math.pi * 2.45e9))
     assert z.real == pytest.approx(0.5871391884261575, rel=1e-10)
     assert z.imag == pytest.approx(-5.487042731161679, rel=1e-10)
-    prof = w.reflection_profile(cell, table, 4.0, 2.45e9)
-    g = complex(prof.coefficients()[0])
+    g = complex(w.reflection_profile(cell, table, 4.0, 2.45e9)[0])
     assert g.real == pytest.approx(-0.9964684426566407, rel=1e-10)
     assert g.imag == pytest.approx(-0.0290123961314427, rel=1e-10)
-    assert prof.magnitudes[0] == pytest.approx(0.9968907043100756, rel=1e-10)
-    assert math.degrees(prof.phases[0]) == pytest.approx(-178.33229200782718, abs=1e-8)
+    assert abs(g) == pytest.approx(0.9968907043100756, rel=1e-10)
+    assert math.degrees(cmath.phase(g)) == pytest.approx(-178.33229200782718, abs=1e-8)
 
 
 def test_equivalent_impedance_matches_rational_form(cell):
@@ -91,21 +92,28 @@ def test_equivalent_impedance_matches_rational_form(cell):
 
 
 def test_reflection_profile_array_and_scalar(cell, table):
-    prof = w.reflection_profile(cell, table, 7.0, 2.45e9)
-    assert prof.magnitudes.shape == (1,)
+    gamma = w.reflection_profile(cell, table, 7.0, 2.45e9)
+    assert gamma.shape == (1,) and gamma.dtype == complex
     volts = np.array([5.0, 9.0, 14.0])
-    prof = w.reflection_profile(cell, table, volts, 2.45e9)
-    coeffs = prof.coefficients()
-    assert np.allclose(np.abs(coeffs), prof.magnitudes)
-    assert np.allclose(np.angle(coeffs), prof.phases)
+    gamma = w.reflection_profile(cell, table, volts, 2.45e9)
+    each = [w.reflection_profile(cell, table, v, 2.45e9)[0] for v in volts]
+    assert gamma.tobytes() == np.array(each).tobytes()
+
+
+def test_reflection_profile_is_the_kernel_gamma_bit_for_bit(bundle):
+    # no |Gamma| / phase round trip between the cell kernel and the pattern
+    bias = w.rectified_bias(bundle.design, bundle.excitation)
+    gamma = w.reflection_profile(bundle.cell, bundle.varactors, bias, 2.45e9)
+    kernel, _ = _reflection_array(bundle.cell, bundle.varactors, bias, 2.45e9)
+    assert gamma.dtype == kernel.dtype and gamma.tobytes() == kernel.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(4.0, 15.0), st.floats(1.5e9, 4.0e9))
 def test_reflection_passive_property(bias, f_c):
     cfg = w.load_bundled_config()
-    prof = w.reflection_profile(cfg.cell, cfg.varactors, bias, f_c)
-    assert prof.magnitudes[0] <= 1.0 + 1e-12
+    gamma = w.reflection_profile(cfg.cell, cfg.varactors, bias, f_c)
+    assert abs(gamma[0]) <= 1.0 + 1e-12
 
 
 def test_len_is_the_element_count(bundle):
@@ -117,7 +125,7 @@ def test_len_is_the_element_count(bundle):
     maps = w.specular_scan(bundle.design, bundle.cell, bundle.varactors, spec, [0.0, 0.1, -0.2])
     assert len(bias) == bias.size == bundle.design.element_count
     assert len(maps) == 3
-    assert len(profile) == profile.magnitudes.size == bundle.design.element_count
+    assert len(profile) == profile.size == bundle.design.element_count
     assert len(samples) == samples.frequencies.size == 301
 
 
@@ -292,6 +300,19 @@ def test_fit_rejects_sweep_without_zero_crossing():
     samples = ImpedanceSamples(frequencies=f, impedances=z)
     with pytest.raises(FitError):
         w.fit_circuit_model(samples, 1e-3)
+
+
+@pytest.mark.parametrize("fitted, fragment", [
+    ((1.0, 1e-30, 1e300), "C_d * L_d is out of float range"),  # C_d * L_d underflows
+    ((1.0, 1e-9, 5e-324), "C_d must be strictly positive and finite"),  # 1/C_d overflows
+], ids=["resonance_out_of_range", "capacitance_overflows"])
+def test_fit_refuses_a_fitted_circuit_out_of_float_range(cell, monkeypatch, fitted, fragment):
+    # CellCircuit's refusal becomes a FitError, as every other failed fit
+    monkeypatch.setattr(unitcell, "_series_branch_fit", lambda samples, l_s: fitted)
+    samples = w.synthesize_samples(cell, np.linspace(1e9, 4e9, 64))
+    with pytest.raises(FitError) as info:
+        w.fit_circuit_model(samples, 1e-3)
+    assert fragment in str(info.value)
 
 
 def _cells_around(cell, count):
@@ -572,12 +593,18 @@ def _ingest_text(path, name, text, fmt="auto"):
      InputError, "varactor capacitance must be positive"),
     (lambda p, c, t: ImpedanceSamples(np.arange(1.0, 17.0), np.ones(15)),
      InputError, "frequencies and impedances must be 1-d arrays of equal length"),
-    (lambda p, c, t: w.ReflectionProfile(np.ones(3), np.zeros(2)),
-     InputError, "magnitudes and phases must be 1-d arrays of equal length"),
-    (lambda p, c, t: w.ReflectionProfile(np.array([0.5, -0.5]), np.zeros(2)),
-     InputError, "reflection magnitudes must be nonnegative"),
-    (lambda p, c, t: w.ReflectionProfile(np.zeros(0), np.zeros(0)),
-     InputError, "reflection profile may not be empty"),
+    (lambda p, c, t: w.array_factor(np.ones((3, 2)), 0.02, 2.45e9, w.default_theta_grid()),
+     InputError, "coefficients must be a nonempty 1-d array"),
+    (lambda p, c, t: w.array_factor(np.array([0.5, np.nan]), 0.02, 2.45e9,
+                                    w.default_theta_grid()),
+     InputError, "coefficients must be finite"),
+    (lambda p, c, t: w.reflection_profile(c, t, np.zeros(0), 2.45e9),
+     InputError, "bias may not be empty"),
+    # 1/sqrt(C_d * L_d) would divide by zero: the product underflows
+    (lambda p, c, t: w.CellCircuit(R_d=1.0, C_d=1e-300, L_d=1e-30, L_s=1e-9),
+     InputError, "C_d * L_d is out of float range"),
+    (lambda p, c, t: w.CellCircuit(R_d=1.0, C_d=1e300, L_d=1e-10, L_s=1e10),
+     InputError, "C_d * (L_d + L_s) is out of float range"),
     (lambda p, c, t: w.fit_circuit_model(
         w.synthesize_samples(c, np.linspace(1e9, 4e9, 64)), 0.0),
      InputError, "substrate_thickness must be positive"),
@@ -593,7 +620,8 @@ def _ingest_text(path, name, text, fmt="auto"):
         series_inductance=2.34e-9, rows=[(4.0, 1e-12, 0.5), (5.0, 1e-310, 0.5)]), [4.0], 1.0),
      InputError, "carrier frequency 1.0 Hz is out of range for the cell model"),
 ], ids=["one_row_table", "negative_capacitance", "unequal_sweep_shapes",
-        "unequal_profile_shapes", "negative_magnitude", "empty_profile", "zero_thickness",
+        "unequal_profile_shapes", "negative_magnitude", "empty_profile",
+        "electric_resonance_out_of_range", "magnetic_resonance_out_of_range", "zero_thickness",
         "option_line_without_impedance", "empty_csv", "header_only_csv", "unknown_format",
         "carrier_out_of_range_at_the_last_row"])
 def test_unitcell_typed_errors(tmp_path, cell, table, build, error, fragment):
