@@ -36,7 +36,6 @@ from .radiation import (
     PatternMetrics,
     RadiationPattern,
     array_factor,
-    db_from_linear,
     default_theta_grid,
 )
 from .steering import (
@@ -87,7 +86,6 @@ __all__ = [
     "array_factor",
     "build_network",
     "config_from_dict",
-    "db_from_linear",
     "default_theta_grid",
     "effective_permittivity",
     "equivalent_impedance",

@@ -37,7 +37,6 @@ from .btl import Mode, Termination, rectified_bias, standing_wave_amplitude
 from .cascade import build_network, solve_taps
 from .config import RunConfig, load_bundled_config, load_config
 from .errors import ConfigError, FitError, InputError, ParseError, SolverError
-from .radiation import db_from_linear
 from .serialize import sha256_of, write_csv, write_json
 from .steering import SearchSpec, _drive_pattern, optimize_single_beam, specular_scan
 from .unitcell import fit_circuit_model, ingest_impedance
@@ -195,6 +194,38 @@ def _resolve_tone(args, config: RunConfig, wb=None):
     return replace(exc, dc_offset=_w0(args, config), fundamental_frequency=fb, modes=modes)
 
 
+# reported dB values are floored here; a zero of the pattern would
+# otherwise serialize as -inf
+_DB_FLOOR = -60.0
+
+
+def _db_from_linear(magnitude):
+    """20*log10 with the reporting floor applied."""
+    mag = np.asarray(magnitude, dtype=float)
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(np.maximum(mag, 0.0))
+    return np.maximum(db, _DB_FLOOR)
+
+
+def _metrics_doc(metrics):
+    """A pattern's metrics as JSON, in degrees and dB; a metric not resolved is left out."""
+    doc = {
+        "peak_angle_deg": math.degrees(metrics.peak_angle),
+        "peak_value_linear": metrics.peak_value,
+        "peak_value_db": float(_db_from_linear(metrics.peak_value)),
+        "specular_omitted": metrics.specular_value is None,
+    }
+    if metrics.specular_value is not None:
+        doc["specular_linear"] = metrics.specular_value
+        doc["specular_db"] = float(_db_from_linear(metrics.specular_value))
+    if metrics.highest_sidelobe is not None:
+        doc["highest_sidelobe_linear"] = metrics.highest_sidelobe
+        doc["highest_sidelobe_db"] = float(_db_from_linear(metrics.highest_sidelobe))
+    if metrics.half_power_beamwidth is not None:
+        doc["half_power_beamwidth_deg"] = math.degrees(metrics.half_power_beamwidth)
+    return doc
+
+
 # Each _cmd_* maps (args, config) to {artifact name: body}, which main
 # writes in order: a ".csv" body is write_csv's (header, columns), any
 # other body is the JSON document.  fit's config is its sweep.
@@ -217,9 +248,9 @@ def _cmd_bias(args, config):
 def _cmd_pattern(args, config):
     pattern = _drive_pattern(config.design, config.cell, config.varactors,
                              _resolve_tone(args, config, args.wb), config.carrier_frequency)
-    metrics = pattern.metrics.to_dict()
+    metrics = _metrics_doc(pattern.metrics)
     header = ("theta_deg", "magnitude", "magnitude_db")
-    columns = (np.rad2deg(pattern.theta), pattern.magnitude, db_from_linear(pattern.magnitude))
+    columns = (np.rad2deg(pattern.theta), pattern.magnitude, _db_from_linear(pattern.magnitude))
     if args.format == "csv":
         body = (header, columns)
     else:
@@ -229,10 +260,21 @@ def _cmd_pattern(args, config):
 
 def _cmd_steer(args, config):
     spec = SearchSpec(w0=_w0(args, config), refine=not args.coarse_only)
-    solution = optimize_single_beam(config.design, config.cell, config.varactors,
-                                    math.radians(args.theta), spec,
-                                    f_c=config.carrier_frequency)
-    return {"steer.json": solution.to_dict()}
+    theta_p = math.radians(args.theta)
+    solution = optimize_single_beam(config.design, config.cell, config.varactors, theta_p,
+                                    spec, f_c=config.carrier_frequency)
+    pattern = solution.achieved_pattern
+    return {"steer.json": {
+        "f_hz": solution.f_b,
+        "w_volts": solution.w_b,
+        "objective": {"kind": "maximize_at", "theta_deg": math.degrees(theta_p)},
+        "objective_value": solution.objective_value,
+        "pattern": {
+            "theta_deg": np.rad2deg(pattern.theta),
+            "magnitude_linear": pattern.magnitude,
+            "metrics": _metrics_doc(pattern.metrics),
+        },
+    }}
 
 
 def _parse_probes(raw: str):

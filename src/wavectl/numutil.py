@@ -57,15 +57,14 @@ def parabola_vertex(x, y):
     or upward-opening fit never poses as a maximum.  The x values must
     be distinct.
     """
-    # explicit Lagrange form of y = a*x**2 + b*x + c
+    # fit y = y1 + b*t + a*t**2 in t = x - x1, so each term is a difference
+    # from the middle sample and none cancels against another
     x0, x1, x2 = x
     y0, y1, y2 = y
-    d0 = (x1 - x0) * (x2 - x0)
-    d1 = (x1 - x0) * (x2 - x1)
-    d2 = (x2 - x0) * (x2 - x1)
-    a = y0 / d0 - y1 / d1 + y2 / d2
+    s0 = (y0 - y1) / (x0 - x1)
+    s2 = (y2 - y1) / (x2 - x1)
+    a = (s2 - s0) / (x2 - x0)
     if not a < 0:
         return None
-    b = -y0 * (x1 + x2) / d0 + y1 * (x0 + x2) / d1 - y2 * (x0 + x1) / d2
-    c = y0 * x1 * x2 / d0 - y1 * x0 * x2 / d1 + y2 * x0 * x1 / d2
-    return -b / (2.0 * a), c - b * b / (4.0 * a)
+    b = s0 - a * (x0 - x1)
+    return x1 - b / (2.0 * a), y1 - b * b / (4.0 * a)

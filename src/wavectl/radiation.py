@@ -28,19 +28,6 @@ from .constants import C0
 from .errors import InputError
 from .numutil import freeze_field, parabola_vertex
 
-# reported dB values are floored here; a zero of the pattern would
-# otherwise serialize as -inf
-DB_FLOOR = -60.0
-
-
-def db_from_linear(magnitude):
-    """20*log10 with the reporting floor applied."""
-    mag = np.asarray(magnitude, dtype=float)
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(np.maximum(mag, 0.0))
-    return np.maximum(db, DB_FLOOR)
-
-
 def default_theta_grid():
     """Observation angles from -90 to +90 degrees in 0.05 deg steps.
 
@@ -64,27 +51,6 @@ class PatternMetrics:
     specular_value: Optional[float]
     highest_sidelobe: Optional[float]
     half_power_beamwidth: Optional[float]
-
-    @property
-    def specular_omitted(self):
-        return self.specular_value is None
-
-    def to_dict(self):
-        out = {
-            "peak_angle_deg": math.degrees(self.peak_angle),
-            "peak_value_linear": self.peak_value,
-            "peak_value_db": float(db_from_linear(self.peak_value)),
-            "specular_omitted": self.specular_omitted,
-        }
-        if self.specular_value is not None:
-            out["specular_linear"] = self.specular_value
-            out["specular_db"] = float(db_from_linear(self.specular_value))
-        if self.highest_sidelobe is not None:
-            out["highest_sidelobe_linear"] = self.highest_sidelobe
-            out["highest_sidelobe_db"] = float(db_from_linear(self.highest_sidelobe))
-        if self.half_power_beamwidth is not None:
-            out["half_power_beamwidth_deg"] = math.degrees(self.half_power_beamwidth)
-        return out
 
 
 @dataclass(frozen=True)

@@ -93,20 +93,6 @@ class SteeringSolution:
     w_b: float
     achieved_pattern: _radiation.RadiationPattern
     objective_value: float
-    theta_p: float
-
-    def to_dict(self):
-        return {
-            "f_hz": self.f_b,
-            "w_volts": self.w_b,
-            "objective": {"kind": "maximize_at", "theta_deg": math.degrees(self.theta_p)},
-            "objective_value": self.objective_value,
-            "pattern": {
-                "theta_deg": np.rad2deg(self.achieved_pattern.theta),
-                "magnitude_linear": self.achieved_pattern.magnitude,
-                "metrics": self.achieved_pattern.metrics.to_dict(),
-            },
-        }
 
 
 def _grid_maps(cell, table, envelope, w_axis, w0, f_c, steer):
@@ -252,7 +238,7 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
 
     pattern = evaluate_operating_point(design, cell, table, best_f, best_w, spec.w0, f_c)
     return SteeringSolution(f_b=best_f, w_b=best_w, achieved_pattern=pattern,
-                            objective_value=best_val, theta_p=theta_p)
+                            objective_value=best_val)
 
 
 def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,

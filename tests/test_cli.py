@@ -96,6 +96,24 @@ def test_steer_artifact_and_clamp_note(tmp_path):
     assert any("clamped" in note for note in report["warnings"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theta", "3", "--coarse-only"],
+    ["--theta=-8"],
+    ["--theta", "20", "--elements", "60", "--termination", "open"],
+], ids=["coarse-3", "refined-neg8", "refined-20-open-60"])
+def test_steer_objective_value_is_the_pattern_at_the_target(tmp_path, argv):
+    # the search's |F(theta_p)| and the achieved pattern it writes agree
+    # at the grid angle equal to the target
+    out = tmp_path / "run"
+    assert main(["steer", *argv, "--out", str(out)]) == 0
+    doc = _read_json(out / "steer.json")
+    theta_deg = np.array(doc["pattern"]["theta_deg"])
+    i = int(np.argmin(np.abs(theta_deg - doc["objective"]["theta_deg"])))
+    assert theta_deg[i] == pytest.approx(doc["objective"]["theta_deg"], abs=1e-9)
+    assert doc["objective_value"] == pytest.approx(doc["pattern"]["magnitude_linear"][i],
+                                                   rel=1e-8)
+
+
 def test_scan_csv_and_json(tmp_path):
     out = tmp_path / "run"
     args = ["--out", str(out), "--probe", "0,10", "--fmin", "1e6", "--fmax", "3e6",

@@ -36,6 +36,25 @@ def test_parabola_vertex_only_for_a_downward_parabola():
     assert parabola_vertex((0.0, 1.0, 2.0), (1.0, 0.0, 1.0)) is None  # upward
 
 
+def test_parabola_vertex_value_is_stable_to_an_ulp_of_the_samples():
+    # three samples 0.05 deg apart around a cosine peak anywhere in the
+    # visible span, as the pattern's peak refinement sees them: moving an
+    # outer sample by 1 ulp moves the vertex value by a few ulp at most
+    rng = np.random.default_rng(20)
+    step = math.radians(0.05)
+    for _ in range(500):
+        x1 = math.radians(rng.uniform(-85.0, 85.0))
+        x = (x1 - step, x1, x1 + step)
+        peak = x1 + rng.uniform(-0.5, 0.5) * step
+        width = math.radians(rng.uniform(1.0, 20.0))
+        y = tuple(math.cos((xi - peak) / width) for xi in x)
+        _, value = parabola_vertex(x, y)
+        for up0, up2 in itertools.product((-math.inf, math.inf), repeat=2):
+            moved = (math.nextafter(y[0], up0), y[1], math.nextafter(y[2], up2))
+            _, moved_value = parabola_vertex(x, moved)
+            assert abs(moved_value - value) <= 4 * math.ulp(value), (x, y)
+
+
 def _two_biases(config):
     return tuple(w.rectified_bias(config.design, config.excitation) for _ in range(2))
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import wavectl as w
 from wavectl import radiation
+from wavectl.cli import _DB_FLOOR, _db_from_linear, _metrics_doc
 from wavectl.errors import InputError
-from wavectl.radiation import DB_FLOOR
 
 F_C = 2.45e9
 D_X = 0.02
@@ -107,7 +107,7 @@ def test_uniform_profile_peaks_at_specular():
     assert m.peak_angle == pytest.approx(0.0, abs=1e-9)
     assert m.peak_value == pytest.approx(1.0, rel=1e-12)
     assert m.specular_value == pytest.approx(1.0, rel=1e-12)
-    assert not m.specular_omitted
+    assert _metrics_doc(m)["specular_omitted"] is False
 
 
 def _uniform_factor(u, m_count):
@@ -158,16 +158,15 @@ def test_gradient_steers_the_peak():
 def test_specular_omitted_off_grid():
     grid = np.linspace(math.radians(10.0), math.radians(30.0), 201)
     pattern = _pattern(np.ones(27), grid)
-    assert pattern.metrics.specular_omitted
     assert pattern.metrics.specular_value is None
-    d = pattern.metrics.to_dict()
+    d = _metrics_doc(pattern.metrics)
     assert d["specular_omitted"] is True
     assert "specular_linear" not in d
 
 
 def test_metrics_to_dict_keys():
     pattern = _pattern(np.ones(27))
-    d = pattern.metrics.to_dict()
+    d = _metrics_doc(pattern.metrics)
     for key in ("peak_angle_deg", "peak_value_linear", "peak_value_db",
                 "specular_omitted", "specular_linear", "specular_db",
                 "highest_sidelobe_linear", "highest_sidelobe_db",
@@ -177,9 +176,9 @@ def test_metrics_to_dict_keys():
 
 def test_pattern_csv_rows_floor():
     pattern = _pattern(np.zeros(4))
-    theta_deg, magnitude_db = np.rad2deg(pattern.theta), w.db_from_linear(pattern.magnitude)
+    theta_deg, magnitude_db = np.rad2deg(pattern.theta), _db_from_linear(pattern.magnitude)
     assert len(theta_deg) == len(magnitude_db) == 3601
-    assert np.all(magnitude_db == DB_FLOOR)
+    assert np.all(magnitude_db == _DB_FLOOR)
     assert theta_deg[0] == pytest.approx(-90.0)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import wavectl as w
 from wavectl import steering
+from wavectl.cli import _cmd_steer, build_parser
 from wavectl.errors import InputError
 
 SMALL = w.SearchSpec(f_range=(1.0e6, 8.0e6), f_step=0.5e6,
@@ -125,12 +126,12 @@ def test_optimizer_rejects_bad_target(design, cell, table):
         w.optimize_single_beam(design, cell, table, 2.0, SMALL)
 
 
-def test_solution_to_dict_structure(design, cell, table):
+def test_solution_to_dict_structure(bundle):
+    # steer.json's body, which cli lays out from the solution's fields
+    args = build_parser().parse_args(["steer", "--theta", "-4", "--coarse-only"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = w.optimize_single_beam(design, cell, table, math.radians(-4.0),
-                                     replace(SMALL, refine=False))
-    d = sol.to_dict()
+        d = _cmd_steer(args, bundle)["steer.json"]
     assert set(d) == {"f_hz", "w_volts", "objective", "objective_value", "pattern"}
     assert d["objective"]["kind"] == "maximize_at"
     assert d["objective"]["theta_deg"] == pytest.approx(-4.0)
