@@ -33,14 +33,12 @@ from .errors import (
     WavectlError,
 )
 from .radiation import (
-    PatternMetrics,
     RadiationPattern,
     array_factor,
     default_theta_grid,
 )
 from .steering import (
     SearchSpec,
-    SteeringSolution,
     evaluate_operating_point,
     optimize_single_beam,
     specular_scan,
@@ -74,12 +72,10 @@ __all__ = [
     "MicrostripSpec",
     "Mode",
     "ParseError",
-    "PatternMetrics",
     "RadiationPattern",
     "RunConfig",
     "SearchSpec",
     "SolverError",
-    "SteeringSolution",
     "Termination",
     "VaractorTable",
     "WavectlError",

@@ -38,7 +38,8 @@ from .cascade import build_network, solve_taps
 from .config import RunConfig, load_bundled_config, load_config
 from .errors import ConfigError, FitError, InputError, ParseError, SolverError
 from .serialize import sha256_of, write_csv, write_json
-from .steering import SearchSpec, _drive_pattern, optimize_single_beam, specular_scan
+from .steering import (SearchSpec, _drive_pattern, evaluate_operating_point,
+                       optimize_single_beam, specular_scan)
 from .unitcell import fit_circuit_model, ingest_impedance
 
 EXIT_OK = 0
@@ -66,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def command(name, run, help):
+    def command(name, run, help, load=_load_run_config):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, load=load)
         return p
 
     def add_common(p):
@@ -122,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--wstep", type=_finite, default=SearchSpec.w_step, metavar="V")
     add_format(p_scan)
 
-    p_fit = command("fit", _cmd_fit, "recover circuit values from an impedance sweep")
+    p_fit = command("fit", _cmd_fit, "recover circuit values from an impedance sweep",
+                    load=_fit_inputs)
     p_fit.add_argument("--input", required=True, metavar="PATH",
                        help="impedance data: CSV (f_hz,re_z,im_z) or one-port Touchstone")
     p_fit.add_argument("--thickness", type=_finite, required=True, metavar="M",
@@ -144,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args):
+    """The configuration under the flags' overrides, its hashed dict and its output directory."""
     config = load_config(args.config) if args.config else load_bundled_config()
     design = config.design
     if args.termination:
@@ -153,7 +156,7 @@ def _load_run_config(args) -> RunConfig:
         design = replace(design, element_count=args.elements)
     if design is not config.design:
         config = replace(config, design=design)
-    return config
+    return config, config.to_dict(), config.output_dir
 
 
 def _fit_inputs(args):
@@ -163,7 +166,7 @@ def _fit_inputs(args):
     sweep = io.BytesIO(data)
     sweep.name = args.input  # ingest_impedance's "auto" format reads the name
     return sweep, {"input_sha256": hashlib.sha256(data).hexdigest(),
-                   "thickness": float(args.thickness)}
+                   "thickness": float(args.thickness)}, None  # and no output directory
 
 
 def _w0(args, config: RunConfig) -> float:
@@ -207,22 +210,22 @@ def _db_from_linear(magnitude):
     return np.maximum(db, _DB_FLOOR)
 
 
-def _metrics_doc(metrics):
+def _metrics_doc(pattern):
     """A pattern's metrics as JSON, in degrees and dB; a metric not resolved is left out."""
     doc = {
-        "peak_angle_deg": math.degrees(metrics.peak_angle),
-        "peak_value_linear": metrics.peak_value,
-        "peak_value_db": float(_db_from_linear(metrics.peak_value)),
-        "specular_omitted": metrics.specular_value is None,
+        "peak_angle_deg": math.degrees(pattern.peak_angle),
+        "peak_value_linear": pattern.peak_value,
+        "peak_value_db": float(_db_from_linear(pattern.peak_value)),
+        "specular_omitted": pattern.specular_value is None,
     }
-    if metrics.specular_value is not None:
-        doc["specular_linear"] = metrics.specular_value
-        doc["specular_db"] = float(_db_from_linear(metrics.specular_value))
-    if metrics.highest_sidelobe is not None:
-        doc["highest_sidelobe_linear"] = metrics.highest_sidelobe
-        doc["highest_sidelobe_db"] = float(_db_from_linear(metrics.highest_sidelobe))
-    if metrics.half_power_beamwidth is not None:
-        doc["half_power_beamwidth_deg"] = math.degrees(metrics.half_power_beamwidth)
+    if pattern.specular_value is not None:
+        doc["specular_linear"] = pattern.specular_value
+        doc["specular_db"] = float(_db_from_linear(pattern.specular_value))
+    if pattern.highest_sidelobe is not None:
+        doc["highest_sidelobe_linear"] = pattern.highest_sidelobe
+        doc["highest_sidelobe_db"] = float(_db_from_linear(pattern.highest_sidelobe))
+    if pattern.half_power_beamwidth is not None:
+        doc["half_power_beamwidth_deg"] = math.degrees(pattern.half_power_beamwidth)
     return doc
 
 
@@ -248,7 +251,7 @@ def _cmd_bias(args, config):
 def _cmd_pattern(args, config):
     pattern = _drive_pattern(config.design, config.cell, config.varactors,
                              _resolve_tone(args, config, args.wb), config.carrier_frequency)
-    metrics = _metrics_doc(pattern.metrics)
+    metrics = _metrics_doc(pattern)
     header = ("theta_deg", "magnitude", "magnitude_db")
     columns = (np.rad2deg(pattern.theta), pattern.magnitude, _db_from_linear(pattern.magnitude))
     if args.format == "csv":
@@ -261,18 +264,19 @@ def _cmd_pattern(args, config):
 def _cmd_steer(args, config):
     spec = SearchSpec(w0=_w0(args, config), refine=not args.coarse_only)
     theta_p = math.radians(args.theta)
-    solution = optimize_single_beam(config.design, config.cell, config.varactors, theta_p,
-                                    spec, f_c=config.carrier_frequency)
-    pattern = solution.achieved_pattern
+    design, cell, table, f_c = (config.design, config.cell, config.varactors,
+                                config.carrier_frequency)
+    f_b, w_b, value = optimize_single_beam(design, cell, table, theta_p, spec, f_c=f_c)
+    pattern = evaluate_operating_point(design, cell, table, f_b, w_b, spec.w0, f_c)
     return {"steer.json": {
-        "f_hz": solution.f_b,
-        "w_volts": solution.w_b,
+        "f_hz": f_b,
+        "w_volts": w_b,
         "objective": {"kind": "maximize_at", "theta_deg": math.degrees(theta_p)},
-        "objective_value": solution.objective_value,
+        "objective_value": value,
         "pattern": {
             "theta_deg": np.rad2deg(pattern.theta),
             "magnitude_linear": pattern.magnitude,
-            "metrics": _metrics_doc(pattern.metrics),
+            "metrics": _metrics_doc(pattern),
         },
     }}
 
@@ -320,7 +324,8 @@ def _cmd_fit(args, sweep):
 
 
 def _parse_zrect(raw):
-    if raw.strip().lower() == "inf":
+    # +inf in any spelling float() reads, but not a number that overflows to it
+    if raw.strip().lower().removeprefix("+") in ("inf", "infinity"):
         return math.inf
     try:
         value = _finite(raw)
@@ -393,14 +398,9 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            # fit reads no configuration; every other command reads one
-            config = None if args.command == "fit" else _load_run_config(args)
-            out_dir = args.out or (config.output_dir if config else None) or "."
+            config, hashed, out_dir = args.load(args)
+            out_dir = args.out or out_dir or "."
             os.makedirs(out_dir, exist_ok=True)
-            if config is None:
-                config, hashed = _fit_inputs(args)
-            else:
-                hashed = config.to_dict()
             config_hash = sha256_of(hashed)
             artifacts = args.run(args, config)
             for name, body in artifacts.items():

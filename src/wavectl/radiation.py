@@ -38,28 +38,21 @@ def default_theta_grid():
 
 
 @dataclass(frozen=True)
-class PatternMetrics:
-    """Scalar summaries of a sampled pattern.
+class RadiationPattern:
+    """Sampled normalized array factor and scalar summaries of it.
 
     Angles are radians; magnitudes are linear.  specular_value is None
     when the grid does not contain broadside; half_power_beamwidth and
     highest_sidelobe are None when the pattern does not resolve them.
     """
 
+    theta: np.ndarray
+    magnitude: np.ndarray
     peak_angle: float
     peak_value: float
     specular_value: Optional[float]
     highest_sidelobe: Optional[float]
     half_power_beamwidth: Optional[float]
-
-
-@dataclass(frozen=True)
-class RadiationPattern:
-    """Sampled normalized array factor plus its metrics."""
-
-    theta: np.ndarray
-    magnitude: np.ndarray
-    metrics: PatternMetrics
 
     def __post_init__(self):
         theta = freeze_field(self, "theta", self.theta)
@@ -159,11 +152,11 @@ def array_factor(coefficients, element_spacing, carrier_frequency, theta_grid) -
         field += coefficients[m] * rows[m]
     field /= m_count
     magnitude = np.abs(field)
-    metrics = _metrics_from_arrays(theta, magnitude)
-    return RadiationPattern(theta=theta, magnitude=magnitude, metrics=metrics)
+    return RadiationPattern(theta, magnitude, *_metrics_from_arrays(theta, magnitude))
 
 
 def _metrics_from_arrays(theta, magnitude):
+    """RadiationPattern's five scalar fields, in its order, of a sampled pattern."""
     i_peak = int(np.argmax(magnitude))
     peak_angle = float(theta[i_peak])
     peak_value = float(magnitude[i_peak])
@@ -211,11 +204,5 @@ def _metrics_from_arrays(theta, magnitude):
     cand = cand[(theta[cand] < lobe_lo) | (theta[cand] > lobe_hi)]
     sidelobe = float(magnitude[cand].max()) if cand.size else None
 
-    return PatternMetrics(
-        peak_angle=peak_angle,
-        peak_value=peak_value,
-        specular_value=specular,
-        highest_sidelobe=sidelobe,
-        half_power_beamwidth=hpbw,
-    )
+    return peak_angle, peak_value, specular, sidelobe, hpbw
 

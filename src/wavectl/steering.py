@@ -85,16 +85,6 @@ def _axis(lo, hi, step):
     return lo + np.arange(_axis_count(lo, hi, step)) * step
 
 
-@dataclass(frozen=True)
-class SteeringSolution:
-    """An optimized operating point and |F(theta_p)| it achieves."""
-
-    f_b: float
-    w_b: float
-    achieved_pattern: _radiation.RadiationPattern
-    objective_value: float
-
-
 def _grid_maps(cell, table, envelope, w_axis, w0, f_c, steer):
     """|F(theta)| over the (f, W) grid for each steering vector, and whether any bias was clamped.
 
@@ -143,8 +133,8 @@ def _level_maps(cell, table, levels, inverse, w_axis, w0, f_c, steer, maps):
         w_rows = w_axis[j:j + rows, None]
         bias = volts[:len(w_rows)]
         np.add(w0, np.multiply(w_rows, levels, out=bias), out=bias)
-        buf = _unitcell._Buffers(z[:len(w_rows)], tmp[:bias.size].reshape(bias.shape))
-        gamma, block_clamped = _unitcell._reflection_array(cell, table, bias, f_c, buf)
+        gamma, block_clamped = _unitcell._reflection_array(
+            cell, table, bias, f_c, z[:len(w_rows)], tmp[:bias.size].reshape(bias.shape))
         clamped = clamped or block_clamped
         # each angle gathers the taps' reflections anew into tmp, which the
         # kernel is done with, and forms |mean over taps of gamma * s| there
@@ -196,13 +186,14 @@ def _search_maps(design, cell, table, spec, thetas, f_c):
 
 
 def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
-                         f_c: float = RunConfig.carrier_frequency) -> SteeringSolution:
-    """Pick (f_b, W_b) that maximize |F(theta_p)|.
+                         f_c: float = RunConfig.carrier_frequency):
+    """Pick (f_b, W_b) that maximize |F(theta_p)|; returns (f_b, w_b, |F(theta_p)|).
 
     Exhaustive scan of the SearchSpec grid, then (optionally) two
     rounds of coordinate-wise golden-section refinement bounded to one
     grid step around the best coarse point.  Exact value ties resolve
-    toward lower f_b, then lower W_b.
+    toward lower f_b, then lower W_b.  The pattern at the point is
+    evaluate_operating_point's.
     """
     f_axis, w_axis, steer, (values,) = _search_maps(design, cell, table, spec, [theta_p], f_c)
 
@@ -236,9 +227,7 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
             if val > best_val:
                 best_w, best_val = x, val
 
-    pattern = evaluate_operating_point(design, cell, table, best_f, best_w, spec.w0, f_c)
-    return SteeringSolution(f_b=best_f, w_b=best_w, achieved_pattern=pattern,
-                            objective_value=best_val)
+    return best_f, best_w, best_val
 
 
 def specular_scan(design, cell, table, spec: SearchSpec, probe_angles,

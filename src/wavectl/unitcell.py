@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -152,28 +151,18 @@ def _lookup_arrays(table: VaractorTable, volts):
 
 # The bias -> reflection kernel in its three steps.  Each takes arrays
 # (a bias pattern or a block of the steering grid), so every path
-# evaluates the same ufuncs.  Each step writes its intermediates and
-# result into the arrays of a _Buffers, or into new ones where a field
-# is None.
+# evaluates the same ufuncs.  Each step writes its result into z and its
+# intermediates into tmp, two complex arrays of the bias's shape, or
+# into new arrays where they are None.
 
-class _Buffers(NamedTuple):
-    """Two complex arrays of one shape for the kernel."""
-
-    z: np.ndarray | None = None
-    tmp: np.ndarray | None = None
-
-
-_NEW = _Buffers()
-
-
-def _varactor_array(table, caps, res, w, buf=_NEW):
-    """Varactor impedance R_v + j(w L_v - 1/(w C_v)) at angular frequency w, in buf.z.
+def _varactor_array(table, caps, res, w, z=None):
+    """Varactor impedance R_v + j(w L_v - 1/(w C_v)) at angular frequency w, in z.
 
     The reactance is formed in place in z.imag and res is copied into
     z.real, so no real array is cast to complex: the bits are those of
     res + 1j * x for every resistance but -0.0.
     """
-    z = np.empty(np.shape(caps), complex) if buf.z is None else buf.z
+    z = np.empty(np.shape(caps), complex) if z is None else z
     x = np.multiply(w, caps, out=z.imag)
     np.divide(1.0, x, out=x)
     np.subtract(w * table.series_inductance, x, out=x)
@@ -181,35 +170,35 @@ def _varactor_array(table, caps, res, w, buf=_NEW):
     return z
 
 
-def _surface_array(cell, z_v, w, buf=_NEW):
-    """Surface impedance (R_d + jwL_d + C_d||Z_v) || jwL_s, in buf.z; z_v None unloads C_d."""
+def _surface_array(cell, z_v, w, z=None, tmp=None):
+    """Surface impedance (R_d + jwL_d + C_d||Z_v) || jwL_s, in z; z_v None unloads C_d."""
     z_cd = -1j / (w * cell.C_d)
     if z_v is not None:
-        den = np.add(z_v, z_cd, out=buf.tmp)
-        z_cd = np.divide(np.multiply(z_v, z_cd, out=buf.z), den, out=buf.z)
-    series = np.add(cell.R_d + 1j * w * cell.L_d, z_cd, out=buf.z)
+        den = np.add(z_v, z_cd, out=tmp)
+        z_cd = np.divide(np.multiply(z_v, z_cd, out=z), den, out=z)
+    series = np.add(cell.R_d + 1j * w * cell.L_d, z_cd, out=z)
     z_s = 1j * w * cell.L_s
-    den = np.add(series, z_s, out=buf.tmp)
-    return np.divide(np.multiply(series, z_s, out=buf.z), den, out=buf.z)
+    den = np.add(series, z_s, out=tmp)
+    return np.divide(np.multiply(series, z_s, out=z), den, out=z)
 
 
-def _gamma_array(z_ris, buf=_NEW):
-    """Normal-incidence reflection coefficient (Z - eta0) / (Z + eta0), in buf.z."""
-    den = np.add(z_ris, ETA0, out=buf.tmp)
-    return np.divide(np.subtract(z_ris, ETA0, out=buf.z), den, out=buf.z)
+def _gamma_array(z_ris, z=None, tmp=None):
+    """Normal-incidence reflection coefficient (Z - eta0) / (Z + eta0), in z."""
+    den = np.add(z_ris, ETA0, out=tmp)
+    return np.divide(np.subtract(z_ris, ETA0, out=z), den, out=z)
 
 
-def _reflection_array(cell, table, volts, f_c, buf=_NEW):
+def _reflection_array(cell, table, volts, f_c, z=None, tmp=None):
     """Vectorized bias -> reflection pipeline shared by profile and scans.
 
     Returns (gamma, clamped): complex reflection coefficients for each
-    bias sample, in buf.z, plus a flag telling whether any lookup was
-    clamped.  The kernel overwrites buf.tmp.
+    bias sample, in z, plus a flag telling whether any lookup was
+    clamped.  The kernel overwrites tmp.
     """
     caps, res, clamped = _lookup_arrays(table, volts)
     w = 2.0 * math.pi * f_c
-    gamma = _gamma_array(_surface_array(cell, _varactor_array(table, caps, res, w, buf), w, buf),
-                         buf)
+    z_v = _varactor_array(table, caps, res, w, z)
+    gamma = _gamma_array(_surface_array(cell, z_v, w, z, tmp), z, tmp)
     return gamma, clamped
 
 

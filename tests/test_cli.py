@@ -6,13 +6,14 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wavectl as w
-from wavectl.cli import build_parser, main
+from wavectl.cli import _cmd_pattern, _cmd_steer, build_parser, main
 from wavectl.serialize import sha256_of, write_csv
 
 
@@ -193,6 +194,22 @@ def test_fit_input_format_overrides_the_extension(tmp_path):
     assert fitted("csv.s1p", "--input-format", "csv") == fitted("sweep.csv")
 
 
+@pytest.mark.parametrize("argv", [["--theta", "6", "--coarse-only"], ["--theta", "-8"]],
+                         ids=["coarse-6", "refined-neg8"])
+def test_steer_pattern_is_the_pattern_command_at_its_drive(argv):
+    # steer.json's pattern and metrics are pattern's, bit for bit, at the
+    # operating point steer found
+    config = w.load_bundled_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", w.ClampWarning)
+        steer = _cmd_steer(build_parser().parse_args(["steer", *argv]), config)["steer.json"]
+        args = build_parser().parse_args(["pattern", "--fb", repr(steer["f_hz"]),
+                                          "--wb", repr(steer["w_volts"]), "--format", "json"])
+        pattern = _cmd_pattern(args, config)["pattern.json"]
+    assert steer["pattern"]["magnitude_linear"].tobytes() == pattern["magnitude"].tobytes()
+    assert steer["pattern"]["metrics"] == pattern["metrics"]
+
+
 def test_cascade_artifact(tmp_path):
     out = tmp_path / "run"
     assert main(["cascade", "--out", str(out), "--zrect", "inf"]) == 0
@@ -204,6 +221,19 @@ def test_cascade_artifact(tmp_path):
     a = (out / "cascade.csv").read_text()
     b = (out2 / "cascade.csv").read_text()
     assert a != b
+
+
+def test_zrect_spellings_of_infinity_write_the_unloaded_cascade(tmp_path, capsys):
+    # every spelling of +inf is unloaded taps; -inf stays refused
+    want = tmp_path / "inf"
+    assert main(["cascade", "--zrect", "inf", "--out", str(want)]) == 0
+    for i, flags in enumerate([["--zrect=+inf"], ["--zrect", "Infinity"],
+                               ["--zrect", "+INFINITY"], ["--zrect", "INF"]]):
+        out = tmp_path / f"run{i}"
+        assert main(["cascade", *flags, "--out", str(out)]) == 0, flags
+        assert (out / "cascade.csv").read_bytes() == (want / "cascade.csv").read_bytes(), flags
+    assert main(["cascade", "--zrect=-inf", "--out", str(tmp_path / "neg")]) == 2
+    assert "--zrect: must be a finite number, got '-inf'" in capsys.readouterr().err
 
 
 _SMALL_GRID = ["--fmin", "1e6", "--fmax", "3e6", "--fstep", "1e6",

@@ -7,6 +7,7 @@ sampled-grid implementation is checked against an independent root.
 
 import cmath
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from wavectl.errors import InputError
 
 F_C = 2.45e9
 D_X = 0.02
+# a pattern's five metric fields
+_metrics = attrgetter("peak_angle", "peak_value", "specular_value", "highest_sidelobe",
+                      "half_power_beamwidth")
 
 
 def _linear_ramp(theta_p, count):
@@ -84,7 +88,7 @@ def test_a_list_int_or_float32_grid_gives_the_float_grid_pattern(monkeypatch):
             assert got.theta.dtype == np.float64
             assert got.theta.tobytes() == want.theta.tobytes()
             assert got.magnitude.tobytes() == want.magnitude.tobytes()
-            assert got.metrics == want.metrics
+            assert _metrics(got) == _metrics(want)
     # converted before _steering_rows keys its cache on the grid's bytes: these
     # four float32 angles have the bytes of a valid 2-angle float64 grid
     narrow = np.array([-0.5, 0.25, 0.5, 1.0], dtype=np.float32)
@@ -102,8 +106,7 @@ def test_pattern_theta_does_not_share_the_callers_grid():
 
 
 def test_uniform_profile_peaks_at_specular():
-    pattern = _pattern(np.ones(27))
-    m = pattern.metrics
+    m = _pattern(np.ones(27))
     assert m.peak_angle == pytest.approx(0.0, abs=1e-9)
     assert m.peak_value == pytest.approx(1.0, rel=1e-12)
     assert m.specular_value == pytest.approx(1.0, rel=1e-12)
@@ -133,13 +136,13 @@ def test_uniform_hpbw_matches_bisection_oracle():
     expected = 2.0 * theta_half
 
     pattern = _pattern(np.ones(m_count))
-    got = pattern.metrics.half_power_beamwidth
+    got = pattern.half_power_beamwidth
     assert got == pytest.approx(expected, rel=2e-3)
 
 
 def test_uniform_first_sidelobe_level():
     pattern = _pattern(np.ones(27))
-    sll = pattern.metrics.highest_sidelobe
+    sll = pattern.highest_sidelobe
     # independent scan of the closed form over the visible span
     k = 2.0 * math.pi * F_C / w.C0
     u = np.linspace(2.0 * math.pi / 27, k * D_X, 20000)
@@ -150,23 +153,23 @@ def test_uniform_first_sidelobe_level():
 def test_gradient_steers_the_peak():
     theta_p = math.radians(20.0)
     pattern = _pattern(_linear_ramp(theta_p, 27))
-    assert pattern.metrics.peak_angle == pytest.approx(theta_p, abs=math.radians(0.05))
-    assert pattern.metrics.peak_value == pytest.approx(1.0, rel=1e-9)
-    assert pattern.metrics.specular_value < pattern.metrics.peak_value
+    assert pattern.peak_angle == pytest.approx(theta_p, abs=math.radians(0.05))
+    assert pattern.peak_value == pytest.approx(1.0, rel=1e-9)
+    assert pattern.specular_value < pattern.peak_value
 
 
 def test_specular_omitted_off_grid():
     grid = np.linspace(math.radians(10.0), math.radians(30.0), 201)
     pattern = _pattern(np.ones(27), grid)
-    assert pattern.metrics.specular_value is None
-    d = _metrics_doc(pattern.metrics)
+    assert pattern.specular_value is None
+    d = _metrics_doc(pattern)
     assert d["specular_omitted"] is True
     assert "specular_linear" not in d
 
 
 def test_metrics_to_dict_keys():
     pattern = _pattern(np.ones(27))
-    d = _metrics_doc(pattern.metrics)
+    d = _metrics_doc(pattern)
     for key in ("peak_angle_deg", "peak_value_linear", "peak_value_db",
                 "specular_omitted", "specular_linear", "specular_db",
                 "highest_sidelobe_linear", "highest_sidelobe_db",
@@ -187,7 +190,7 @@ def test_peak_refinement_beats_grid_resolution():
     # than half a grid step
     theta_p = math.radians(20.013)
     pattern = _pattern(_linear_ramp(theta_p, 27))
-    err = abs(pattern.metrics.peak_angle - theta_p)
+    err = abs(pattern.peak_angle - theta_p)
     assert err < math.radians(0.015)
 
 
@@ -230,8 +233,9 @@ def test_global_phase_invariance_property(rows, phi):
 @pytest.mark.parametrize("build, fragment", [
     (lambda: w.array_factor(np.ones(2), 0.0, F_C, w.default_theta_grid()),
      "element_spacing must be positive"),
-    (lambda: w.RadiationPattern(theta=np.zeros(3), magnitude=np.zeros(2),
-                                metrics=w.PatternMetrics(0.0, 1.0, None, None, None)),
+    (lambda: w.RadiationPattern(theta=np.zeros(3), magnitude=np.zeros(2), peak_angle=0.0,
+                                peak_value=1.0, specular_value=None, highest_sidelobe=None,
+                                half_power_beamwidth=None),
      "theta and magnitude must be 1-d arrays of equal length"),
 ], ids=["zero_spacing", "unequal_pattern_shapes"])
 def test_radiation_typed_errors(build, fragment):
