@@ -85,21 +85,22 @@ def _axis(lo, hi, step):
     return lo + np.arange(_axis_count(lo, hi, step)) * step
 
 
-def _grid_maps(cell, table, envelope, w_axis, w0, f_c, steer):
+def _grid_maps(cell, table, envelope, w_axis, w0, f_c, steer, ladder):
     """|F(theta)| over the (f, W) grid for each steering vector, and whether any bias was clamped.
 
     envelope holds the (Nf, M) levels e[f, m] and steer the (P, M)
-    steering vectors; maps has shape (P, Nf, Nw).  A bias w0 + W * e[f, m]
-    and so its reflection depend on the level e[f, m] alone, and where
-    evenly spaced taps meet an evenly spaced frequency grid many (f, m)
-    share one level.  So the grid is taken a super-block of at most
-    _BLOCK_POINTS (f, m) entries at a time, and the cell kernel runs
-    once per distinct level and W row (_level_maps).  Neither the
-    (Nf, Nw, M) reflection tensor nor its biases ever exist.  Each
-    reflection is the kernel's Gamma bit for bit, as reflection_profile
-    hands it to array_factor in the rectified_bias -> reflection_profile
-    -> array_factor pipeline for a single-tone excitation; only the order
-    of the tap sum differs.
+    steering vectors, and ladder is the cell's _unitcell._ladder at f_c,
+    formed once for the whole search; maps has shape (P, Nf, Nw).  A
+    bias w0 + W * e[f, m] and so its reflection depend on the level
+    e[f, m] alone, and where evenly spaced taps meet an evenly spaced
+    frequency grid many (f, m) share one level.  So the grid is taken a
+    super-block of at most _BLOCK_POINTS (f, m) entries at a time, and
+    the cell kernel runs once per distinct level and W row
+    (_level_maps).  Neither the (Nf, Nw, M) reflection tensor nor its
+    biases ever exist.  Each reflection is the kernel's Gamma bit for
+    bit, as reflection_profile hands it to array_factor in the
+    rectified_bias -> reflection_profile -> array_factor pipeline for a
+    single-tone excitation; only the order of the tap sum differs.
     """
     maps = np.empty((len(steer), len(envelope), w_axis.size))
     freqs = max(1, min(_BLOCK_POINTS // envelope.shape[1], len(envelope)))
@@ -109,12 +110,12 @@ def _grid_maps(cell, table, envelope, w_axis, w0, f_c, steer):
         levels, inverse = np.unique(block, return_inverse=True)
         inverse = inverse.reshape(block.shape)  # flat before numpy 2
         block_clamped = _level_maps(cell, table, levels, inverse, w_axis, w0, f_c, steer,
-                                    maps[:, i:i + freqs])
+                                    maps[:, i:i + freqs], ladder)
         clamped = clamped or block_clamped
     return maps, clamped
 
 
-def _level_maps(cell, table, levels, inverse, w_axis, w0, f_c, steer, maps):
+def _level_maps(cell, table, levels, inverse, w_axis, w0, f_c, steer, maps, ladder):
     """Fill the (P, F, Nw) maps of the (F, M) envelope levels[inverse]; True if a bias clamped.
 
     The kernel runs on W rows x the distinct levels at a time; each
@@ -134,7 +135,7 @@ def _level_maps(cell, table, levels, inverse, w_axis, w0, f_c, steer, maps):
         bias = volts[:len(w_rows)]
         np.add(w0, np.multiply(w_rows, levels, out=bias), out=bias)
         gamma, block_clamped = _unitcell._reflection_array(
-            cell, table, bias, f_c, z[:len(w_rows)], tmp[:bias.size].reshape(bias.shape))
+            cell, table, bias, f_c, z[:len(w_rows)], tmp[:bias.size].reshape(bias.shape), ladder)
         clamped = clamped or block_clamped
         # each angle gathers the taps' reflections anew into tmp, which the
         # kernel is done with, and forms |mean over taps of gamma * s| there
@@ -162,13 +163,14 @@ def evaluate_operating_point(design, cell, table, f_b, w_b, w0, f_c,
 
 
 def _search_maps(design, cell, table, spec, thetas, f_c):
-    """Check a search, then return its axes, (P, M) steering vectors and |F(theta)| maps.
+    """Check a search, then return its axes, (P, M) steering vectors, cell ladder and maps.
 
-    Warns the search's caller of a clamp.
+    The maps are |F(theta)| over the grid, and the ladder is the cell's
+    _unitcell._ladder at f_c.  Warns the search's caller of a clamp.
     """
     if not all(abs(theta) <= math.pi / 2 for theta in thetas):
         raise InputError("target and probe angles must lie within +-90 degrees")
-    _unitcell._check_carrier(cell, table, f_c)  # once, not per refinement point
+    ladder = _unitcell._check_carrier(cell, table, f_c)  # once, not per block or refinement point
     f_axis, w_axis = spec.f_axis(), spec.w_axis()
     count = design.element_count
     if f_axis.size * w_axis.size * count > _MAX_TENSOR_POINTS:
@@ -179,10 +181,10 @@ def _search_maps(design, cell, table, spec, thetas, f_c):
     # holds the final pattern's rows over its whole angle grid
     steer = _radiation._phase_rows(count, design.spacing, f_c, thetas).T
     maps, clamped = _grid_maps(cell, table, _btl.single_tone_envelope(design, f_axis), w_axis,
-                               spec.w0, f_c, steer)
+                               spec.w0, f_c, steer, ladder)
     if clamped:
         warnings.warn(_unitcell._CLAMP_MESSAGE, ClampWarning, stacklevel=3)
-    return f_axis, w_axis, steer, maps
+    return f_axis, w_axis, steer, ladder, maps
 
 
 def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
@@ -195,7 +197,8 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
     toward lower f_b, then lower W_b.  The pattern at the point is
     evaluate_operating_point's.
     """
-    f_axis, w_axis, steer, (values,) = _search_maps(design, cell, table, spec, [theta_p], f_c)
+    f_axis, w_axis, steer, ladder, (values,) = _search_maps(design, cell, table, spec,
+                                                            [theta_p], f_c)
 
     # flat argmax scans f-major then W-minor, which is the tie order
     flat = int(np.argmax(values))
@@ -211,7 +214,8 @@ def optimize_single_beam(design, cell, table, theta_p, spec: SearchSpec,
         def point_value(f_b, w_b):
             # one envelope row through the grid's own kernel
             (row,) = _btl.single_tone_envelope(design, [f_b])
-            _level_maps(cell, table, row, each_tap, np.array([w_b]), spec.w0, f_c, steer, value)
+            _level_maps(cell, table, row, each_tap, np.array([w_b]), spec.w0, f_c, steer, value,
+                        ladder)
             return float(value[0, 0, 0])
 
         # strict improvement keeps the coarse point on exact ties

@@ -60,6 +60,7 @@ class VaractorTable:
             raise InputError("varactor resistance must be nonnegative")
         for name, column in zip(("_volts", "_caps", "_res"), (volts, caps, res)):
             freeze_field(self, name, column)
+        freeze_field(self, "_res_caps", _complex(self._res, self._caps), complex)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -130,95 +131,100 @@ _CLAMP_MESSAGE = "bias voltage outside the varactor table range; clamped to the 
 
 
 def _lookup_arrays(table: VaractorTable, volts):
-    """Vector lookup with end-row clamping.  Returns (C, R, clamped).
+    """Vector lookup with end-row clamping.  Returns (R + jC, clamped).
 
-    One complex np.interp over the C + jR column searches the table once
+    One complex np.interp over the R + jC column searches the table once
     for both, and it returns the end rows outside the table, so nothing
-    is clipped.  C and R are the real and imaginary views of its result.
-    numpy forms the complex slope as dC * (1 / dV) where the real interp
-    forms dC / dV: the two agree bit for bit wherever each row spacing is
-    a power of two (the bundled table's is 1 V), and elsewhere within
-    2 ulp of the column's largest entry.
+    is clipped.  R and C are the real and imaginary parts of its result,
+    a new array.  numpy forms the complex slope as dC * (1 / dV) where
+    the real interp forms dC / dV: the two agree bit for bit wherever
+    each row spacing is a power of two (the bundled table's is 1 V), and
+    elsewhere within 2 ulp of the column's largest entry.
     """
     v = np.asarray(volts, dtype=float)
     lo, hi = table.bias_range
     v_min, v_max = (v.min(), v.max()) if v.size else (lo, hi)
     if not (math.isfinite(v_min) and math.isfinite(v_max)):  # min and max propagate NaN
         raise InputError("bias voltage must be finite")
-    c_r = np.interp(v, table._volts, _complex(table._caps, table._res))
-    return c_r.real, c_r.imag, bool(v_min < lo or v_max > hi)
+    return np.interp(v, table._volts, table._res_caps), bool(v_min < lo or v_max > hi)
 
 
-# The bias -> reflection kernel in its three steps.  Each takes arrays
-# (a bias pattern or a block of the steering grid), so every path
-# evaluates the same ufuncs.  Each step writes its result into z and its
-# intermediates into tmp, two complex arrays of the bias's shape, or
-# into new arrays where they are None.
+def _ladder(cell, table, f_c):
+    """The cell's bilinear map at carrier f_c: (-1/w, a, b, c, d), w = 2 pi f_c.
 
-def _varactor_array(table, caps, res, w, z=None):
-    """Varactor impedance R_v + j(w L_v - 1/(w C_v)) at angular frequency w, in z.
-
-    The reactance is formed in place in z.imag and res is copied into
-    z.real, so no real array is cast to complex: the bits are those of
-    res + 1j * x for every resistance but -0.0.
+    The cell is a ladder of two-ports closed by the varactor, so its
+    reflection is one bilinear map of the varactor's Z = R_v - j/(w C_v),
+    Gamma = (a Z + b) / (c Z + d) (Pozar, Microwave Engineering, ch. 4).
+    [[a, b], [c, d]] is the product of the sections' matrices from the
+    incident side: Gamma of the surface impedance, the shunt L_s, the
+    series R_d + jwL_d, the shunt C_d and the varactor's series jwL_v,
+    which folds into b and d.  A shunt section is written by its
+    impedance or its admittance, whichever stays within 1, so a section
+    that is all but open or shorted holds no infinity.  The products run
+    in Python complex arithmetic, each scaled by the power of two that
+    brings its largest part into [0.5, 1): the map is projective, so the
+    scaling is exact and changes nothing, and it keeps every entry of
+    the next product in range.
     """
-    z = np.empty(np.shape(caps), complex) if z is None else z
-    x = np.multiply(w, caps, out=z.imag)
-    np.divide(1.0, x, out=x)
-    np.subtract(w * table.series_inductance, x, out=x)
-    z.real = res
-    return z
+    w = 2.0 * math.pi * f_c
+    x_s, y_d = w * cell.L_s, w * cell.C_d
+    sections = (
+        (1j * x_s, 0.0, 1.0, 1j * x_s) if x_s <= 1.0 else (1.0, 0.0, -1j / x_s, 1.0),  # Z || jwL_s
+        (1.0, cell.R_d + 1j * w * cell.L_d, 0.0, 1.0),  # Z + R_d + jwL_d
+        (1.0, 0.0, 1j * y_d, 1.0) if y_d < 1.0 else (-1j / y_d, 0.0, 1.0, -1j / y_d),  # Z || C_d
+        (1.0, 1j * w * table.series_inductance, 0.0, 1.0),  # Z + jwL_v
+    )
+    a, b, c, d = 1.0, -ETA0, 1.0, ETA0  # (Z - eta0) / (Z + eta0)
+    for e, f, g, h in sections:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        top = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag),
+                  abs(c.real), abs(c.imag), abs(d.real), abs(d.imag))
+        if 0.0 < top < math.inf:
+            shift = -math.frexp(top)[1]
+            a, b, c, d = (complex(math.ldexp(x.real, shift), math.ldexp(x.imag, shift))
+                          for x in (a, b, c, d))
+    return -1.0 / w, a, b, c, d
 
 
-def _surface_array(cell, z_v, w, z=None, tmp=None):
-    """Surface impedance (R_d + jwL_d + C_d||Z_v) || jwL_s, in z; z_v None unloads C_d."""
-    z_cd = -1j / (w * cell.C_d)
-    if z_v is not None:
-        den = np.add(z_v, z_cd, out=tmp)
-        z_cd = np.divide(np.multiply(z_v, z_cd, out=z), den, out=z)
-    series = np.add(cell.R_d + 1j * w * cell.L_d, z_cd, out=z)
-    z_s = 1j * w * cell.L_s
-    den = np.add(series, z_s, out=tmp)
-    return np.divide(np.multiply(series, z_s, out=z), den, out=z)
-
-
-def _gamma_array(z_ris, z=None, tmp=None):
-    """Normal-incidence reflection coefficient (Z - eta0) / (Z + eta0), in z."""
-    den = np.add(z_ris, ETA0, out=tmp)
-    return np.divide(np.subtract(z_ris, ETA0, out=z), den, out=z)
-
-
-def _reflection_array(cell, table, volts, f_c, z=None, tmp=None):
-    """Vectorized bias -> reflection pipeline shared by profile and scans.
+def _reflection_array(cell, table, volts, f_c, z=None, tmp=None, ladder=None):
+    """Vectorized bias -> reflection kernel shared by profile and scans.
 
     Returns (gamma, clamped): complex reflection coefficients for each
     bias sample, in z, plus a flag telling whether any lookup was
-    clamped.  The kernel overwrites tmp.
+    clamped.  z and tmp are complex arrays of the bias's shape, or None
+    for new ones; the kernel overwrites tmp.  ladder is
+    _ladder(cell, table, f_c), formed here when None: a caller that runs
+    the kernel on many blocks forms it once.  The lookup's R + jC turns
+    into the varactor's R_v - j/(w C_v) in place, by one real division
+    of its imaginary part, and two multiply-adds and one complex
+    division give Gamma = (a Z + b) / (c Z + d).
     """
-    caps, res, clamped = _lookup_arrays(table, volts)
-    w = 2.0 * math.pi * f_c
-    z_v = _varactor_array(table, caps, res, w, z)
-    gamma = _gamma_array(_surface_array(cell, z_v, w, z, tmp), z, tmp)
-    return gamma, clamped
+    neg_inv_w, a, b, c, d = _ladder(cell, table, f_c) if ladder is None else ladder
+    z_v, clamped = _lookup_arrays(table, volts)
+    np.divide(neg_inv_w, z_v.imag, out=z_v.imag)
+    num = np.add(np.multiply(z_v, a, out=z), b, out=z)
+    den = np.add(np.multiply(z_v, c, out=tmp), d, out=tmp)
+    return np.divide(num, den, out=num), clamped
 
 
 def _check_carrier(cell, table, f_c):
-    """InputError naming f_c unless it is positive and finite and the kernel stays finite there.
+    """The cell's _ladder at f_c; InputError naming f_c unless it is
+    positive and finite and the kernel stays finite there.
 
     The kernel runs once at the table's own voltages, where the lookup
-    returns each row's capacitance and resistance exactly: every value a
-    lookup returns lies between two rows, so the rows bound each
-    reactance the kernel forms.
+    returns each row's R_v and C_v exactly.  Every value a lookup returns
+    lies between two rows, and R_v >= 0 makes the varactor passive, so
+    |Gamma| <= 1 at every bias: a map that is finite at the rows stays
+    finite between them.
     """
     if not (0 < f_c < math.inf):
         raise InputError(f"carrier frequency {float(f_c)!r} Hz must be positive and finite")
-    try:
-        with np.errstate(all="ignore"):
-            finite = np.isfinite(_reflection_array(cell, table, table._volts, f_c)[0]).all()
-    except ZeroDivisionError:  # w C_d underflows to 0
-        finite = False
-    if not finite:
+    with np.errstate(all="ignore"):
+        ladder = _ladder(cell, table, f_c)
+        gamma, _ = _reflection_array(cell, table, table._volts, f_c, ladder=ladder)
+    if not np.isfinite(gamma).all():
         raise InputError(f"carrier frequency {float(f_c)!r} Hz is out of range for the cell model")
+    return ladder
 
 
 def reflection_profile(cell: CellCircuit, table: VaractorTable, bias, f_c: float) -> np.ndarray:
@@ -234,8 +240,8 @@ def reflection_profile(cell: CellCircuit, table: VaractorTable, bias, f_c: float
         raise InputError("bias must be a scalar or a 1-d array, one voltage per element")
     if volts.size < 1:
         raise InputError("bias may not be empty")
-    _check_carrier(cell, table, f_c)
-    gamma, clamped = _reflection_array(cell, table, volts, f_c)
+    ladder = _check_carrier(cell, table, f_c)
+    gamma, clamped = _reflection_array(cell, table, volts, f_c, ladder=ladder)
     if clamped:
         warnings.warn(_CLAMP_MESSAGE, ClampWarning, stacklevel=2)
     gamma.setflags(write=False)
@@ -243,8 +249,12 @@ def reflection_profile(cell: CellCircuit, table: VaractorTable, bias, f_c: float
 
 
 def equivalent_impedance(cell: CellCircuit, frequencies) -> np.ndarray:
-    """Unloaded-cell impedance sweep (varactor branch removed)."""
-    return _surface_array(cell, None, 2.0 * math.pi * np.asarray(frequencies, dtype=float))
+    """Unloaded-cell impedance sweep (varactor branch removed):
+    (R_d + jwL_d + 1/(jwC_d)) || jwL_s."""
+    w = 2.0 * math.pi * np.asarray(frequencies, dtype=float)
+    series = cell.R_d + 1j * w * cell.L_d + -1j / (w * cell.C_d)
+    z_s = 1j * w * cell.L_s
+    return series * z_s / (series + z_s)
 
 
 def synthesize_samples(cell: CellCircuit, frequencies) -> ImpedanceSamples:

@@ -6,9 +6,13 @@ tests may share a criterion number; the line is PASS only if all of
 them passed.
 """
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 import wavectl as w
+from wavectl.constants import ETA0
 
 _RESULTS = {}
 
@@ -64,3 +68,40 @@ def table(bundle):
 @pytest.fixture(scope="session")
 def microstrip(bundle):
     return bundle.microstrip
+
+
+def _exact_gamma(cell, table, res, caps, w):
+    """Gamma of the cell's ladder at each R_v, C_v, in exact rational arithmetic.
+
+    res and caps are arrays of the varactor's resistance and capacitance
+    and w is the angular frequency, each taken as the exact value of its
+    float; only the final Gamma is rounded, to complex.
+    """
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    def add(p, q):
+        return p[0] + q[0], p[1] + q[1]
+
+    def div(p, q):
+        norm = q[0] ** 2 + q[1] ** 2
+        return (p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm
+
+    w, zero, eta0 = Fraction(w), Fraction(0), Fraction(ETA0)
+    z_cd = zero, -1 / (w * Fraction(cell.C_d))
+    z_d = Fraction(cell.R_d), w * Fraction(cell.L_d)
+    z_s = zero, w * Fraction(cell.L_s)
+    gamma = []
+    for r, c in zip(np.asarray(res).tolist(), np.asarray(caps).tolist()):
+        z_v = Fraction(r), w * Fraction(table.series_inductance) - 1 / (w * Fraction(c))
+        series = add(z_d, div(mul(z_v, z_cd), add(z_v, z_cd)))
+        z = div(mul(series, z_s), add(series, z_s))
+        re, im = div((z[0] - eta0, z[1]), (z[0] + eta0, z[1]))
+        gamma.append(complex(float(re), float(im)))
+    return np.array(gamma)
+
+
+@pytest.fixture(scope="session")
+def exact_gamma():
+    """The exact ladder oracle: exact_gamma(cell, table, res, caps, w) -> complex array."""
+    return _exact_gamma

@@ -538,7 +538,7 @@ def test_overflowing_tapped_bias_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["pattern"], ["steer", "--theta", "3"],
                                   ["scan", "--fmax", "1e6"]])
-@pytest.mark.parametrize("carrier", [1e200, 1e300])
+@pytest.mark.parametrize("carrier", [1e-300, 1e308])
 def test_carrier_out_of_the_cell_model_range_exits_2(tmp_path, capsys, argv, carrier):
     # the cell kernel overflows here: refused by name, not written out as NaN
     doc = w.load_bundled_config().to_dict()

@@ -12,28 +12,59 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wavectl as w
 from wavectl import unitcell
+from wavectl.constants import ETA0
 from wavectl.errors import ClampWarning, FitError, InputError, ParseError
 from wavectl.serialize import write_csv
-from wavectl.unitcell import (ImpedanceSamples, _lookup_arrays, _reflection_array,
-                              _surface_array, _varactor_array)
+from wavectl.unitcell import (ImpedanceSamples, _check_carrier, _ladder, _lookup_arrays,
+                              _reflection_array)
 
 # an earlier published value set for this cell family; used as a fit
 # target because its resonances sit inside an easy sweep range
 LEGACY_CELL = dict(R_d=0.17, C_d=0.74e-12, L_d=1.64e-9, L_s=1.60e-9)
 
 
+def _lookup_columns(table, volts):
+    """(C, R, clamped): the columns of the lookup's R + jC."""
+    res_caps, clamped = _lookup_arrays(table, volts)
+    return res_caps.imag, res_caps.real, clamped
+
+
 def _lookup(table, volts):
-    caps, res, clamped = _lookup_arrays(table, volts)
+    caps, res, clamped = _lookup_columns(table, volts)
     return float(caps), float(res), clamped
 
 
+# The ladder one section at a time: the step-by-step reference the
+# kernel's bilinear map is checked against.
+
+def _step_varactor(table, caps, res, w):
+    """Varactor impedance R_v + j(w L_v - 1/(w C_v))."""
+    return res + 1j * (w * table.series_inductance - 1.0 / (w * caps))
+
+
+def _step_surface(cell, z_v, w):
+    """Surface impedance (R_d + jwL_d + C_d || Z_v) || jwL_s."""
+    z_cd = -1j / (w * cell.C_d)
+    series = cell.R_d + 1j * w * cell.L_d + z_v * z_cd / (z_v + z_cd)
+    z_s = 1j * w * cell.L_s
+    return series * z_s / (series + z_s)
+
+
+def _step_gamma(cell, table, volts, f_c):
+    """Gamma = (Z - eta0) / (Z + eta0) of the surface impedance at the looked-up R_v and C_v."""
+    caps, res, _ = _lookup_columns(table, volts)
+    w = 2.0 * math.pi * f_c
+    z = _step_surface(cell, _step_varactor(table, caps, res, w), w)
+    return (z - ETA0) / (z + ETA0)
+
+
 def _varactor_z(table, volts, f):
-    caps, res, _ = _lookup_arrays(table, volts)
-    return complex(_varactor_array(table, caps, res, 2.0 * math.pi * f))
+    caps, res, _ = _lookup_columns(table, volts)
+    return complex(_step_varactor(table, caps, res, 2.0 * math.pi * f))
 
 
 def test_varactor_lookup_rows_and_interpolation(table):
@@ -68,7 +99,7 @@ def test_varactor_series_resonance_frozen(table):
 def test_ris_impedance_and_reflection_frozen(table):
     cell = w.CellCircuit(**LEGACY_CELL)
     z_v = _varactor_z(table, 4.0, 2.45e9)
-    z = complex(_surface_array(cell, z_v, 2.0 * math.pi * 2.45e9))
+    z = complex(_step_surface(cell, z_v, 2.0 * math.pi * 2.45e9))
     assert z.real == pytest.approx(0.5871391884261575, rel=1e-10)
     assert z.imag == pytest.approx(-5.487042731161679, rel=1e-10)
     g = complex(w.reflection_profile(cell, table, 4.0, 2.45e9)[0])
@@ -166,9 +197,9 @@ def _power_of_two_table(rng):
 
 def _lookups(table, volts):
     """(new, reference) for the whole array, then for each of its first values alone."""
-    yield _lookup_arrays(table, volts), _lookup_reference(table, volts)
+    yield _lookup_columns(table, volts), _lookup_reference(table, volts)
     for v in volts[:3 * table._volts.size]:  # fewer points than rows: slopes found per point
-        yield _lookup_arrays(table, v), _lookup_reference(table, v)
+        yield _lookup_columns(table, v), _lookup_reference(table, v)
 
 
 def test_lookup_is_the_clipped_real_interp_bit_for_bit(table):
@@ -197,9 +228,9 @@ def test_lookup_on_irregular_tables_is_within_2_ulp():
 
 def test_lookup_clamp_flag_at_the_table_ends(table):
     lo, hi = table.bias_range
-    assert not _lookup_arrays(table, [lo, hi])[2]
-    assert _lookup_arrays(table, [lo, np.nextafter(hi, np.inf)])[2]
-    assert _lookup_arrays(table, np.nextafter(lo, -np.inf))[2]
+    assert not _lookup_arrays(table, [lo, hi])[1]
+    assert _lookup_arrays(table, [lo, np.nextafter(hi, np.inf)])[1]
+    assert _lookup_arrays(table, np.nextafter(lo, -np.inf))[1]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -211,41 +242,77 @@ def test_lookup_rejects_non_finite_bias(table, bad):
 
 @pytest.mark.parametrize("volts", [[], np.empty((0, 3))])
 def test_lookup_of_no_bias_is_empty_and_unclamped(table, volts):
-    caps, res, clamped = _lookup_arrays(table, volts)
+    caps, res, clamped = _lookup_columns(table, volts)
     assert caps.shape == res.shape == np.shape(volts)
     assert caps.dtype == res.dtype == np.float64
     assert clamped is False
 
 
 def test_lookup_of_a_scalar(table):
-    caps, res, clamped = _lookup_arrays(table, 7.5)
+    caps, res, clamped = _lookup_columns(table, 7.5)
     want_c, want_r, _ = _lookup_reference(table, 7.5)
     assert (float(caps), float(res), clamped) == (float(want_c), float(want_r), False)
 
 
-def _varactor_reference(table, caps, res, omega):
-    """The varactor step as it was: res + 1j * x through a real-to-complex cast."""
-    return res + 1j * (omega * table.series_inductance - 1.0 / (omega * caps))
-
-
-def test_varactor_step_is_the_cast_expression_bit_for_bit(table):
+def test_varactor_step_is_the_cast_expression_bit_for_bit(cell, table):
+    # the kernel turns the lookup's R + jC into R_v - j/(w C_v) in place;
+    # through the map, that is the cast expression res + 1j * x bit for bit
     rng = np.random.default_rng(17)
     with_zero_resistance = _random_table(rng, table._volts)
-    signs = set()
-    # 4.3276 GHz is the series resonance at 7 V: reactances of both signs and near zero
+    # 4.3276 GHz is the series resonance at 7 V, where jwL_v cancels the reactance
     for tab, f in [(table, 2.45e9), (table, 4327611674.671055), (with_zero_resistance, 3.0e9)]:
-        omega = 2.0 * math.pi * f
-        caps, res, _ = _lookup_arrays(tab, rng.uniform(2.0, 17.0, (7, 11, 27)))
-        want = _varactor_reference(tab, caps, res, omega)
-        signs.update(np.sign(want.imag).flat)
-        contiguous = (np.ascontiguousarray(caps), np.ascontiguousarray(res))
-        for c, r in ((caps, res), contiguous):  # the lookup's strided views, and copies
-            assert _varactor_array(tab, c, r, omega).tobytes() == want.tobytes()
-            z = np.full(want.shape, np.nan, complex)
-            got = _varactor_array(tab, c, r, omega, z)
-            assert got is z
-            assert got.tobytes() == want.tobytes()
-    assert signs == {-1.0, 1.0}
+        volts = rng.uniform(2.0, 17.0, (7, 11, 27))
+        ladder = neg_inv_w, a, b, c, d = _ladder(cell, tab, f)
+        caps, res, _ = _lookup_columns(tab, volts)
+        z_v = res + 1j * (neg_inv_w / caps)
+        want = (z_v * a + b) / (z_v * c + d)
+        assert _reflection_array(cell, tab, volts, f)[0].tobytes() == want.tobytes()
+        z, tmp = np.full(want.shape, np.nan, complex), np.full(want.shape, np.nan, complex)
+        got, _ = _reflection_array(cell, tab, volts, f, z, tmp, ladder)
+        assert got is z
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("f_c", [1.5e9, 2.45e9, 4.0e9])
+def test_kernel_is_within_2e_14_of_the_exact_ladder(cell, table, exact_gamma, f_c):
+    # over the table, past both ends, and densely over the 6.5-6.8 V dip,
+    # at the kernel's own looked-up R_v, C_v and w
+    volts = np.concatenate([np.linspace(3.5, 16.0, 126), np.linspace(6.5, 6.8, 301)])
+    gamma, _ = _reflection_array(cell, table, volts, f_c)
+    caps, res, _ = _lookup_columns(table, volts)
+    exact = exact_gamma(cell, table, res, caps, 2.0 * math.pi * f_c)
+    assert np.max(np.abs(gamma - exact)) <= 2e-14
+
+
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM)
+def test_kernel_is_finite_wherever_the_step_ladder_is(table, r_d, c_d, l_d, l_s, f_c):
+    # cells and carriers log-uniform over 10**+-300: the carrier check
+    # raises nothing but InputError, a carrier it passes gives a finite
+    # Gamma at every bias, and wherever the step-by-step ladder is finite
+    # the map is finite too and within 1e-14 of it
+    try:
+        cell = w.CellCircuit(R_d=r_d, C_d=c_d, L_d=l_d, L_s=l_s)
+    except InputError:
+        assume(False)
+    volts = np.concatenate([table._volts, np.linspace(3.5, 16.0, 26)])
+    with np.errstate(all="ignore"):
+        try:
+            step = _step_gamma(cell, table, volts, f_c)
+        except ZeroDivisionError:  # w C_d underflows to 0
+            step = np.full(volts.shape, np.nan)
+    try:
+        ladder = _check_carrier(cell, table, f_c)
+    except InputError:
+        assert not np.isfinite(step).all()
+        return
+    gamma, _ = _reflection_array(cell, table, volts, f_c, ladder=ladder)
+    assert np.isfinite(gamma).all()
+    finite = np.isfinite(step)
+    assert np.all(np.abs(gamma[finite] - step[finite]) <= 1e-14)
 
 
 def _fit_and_compare(values, f_lo, f_hi, n=4001):
